@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default=None, metavar="FILE")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("count", help="count monochromatic copies in a coloring file")
@@ -237,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True, metavar="P_k|C_k|S_k|K3")
     p.add_argument("--color", choices=[RED, BLUE, "both"], default="both")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("search", help="minimize a monochromatic count over colorings")
@@ -260,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=list(SUITES), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_verify)
     return parser
 

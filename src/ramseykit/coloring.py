@@ -35,6 +35,9 @@ CANONICAL_MAX_N = 12
 
 MAGIC = b"RMC1"
 
+# byte -> the same byte with its bit order reversed
+_REVERSE_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
 
 def other_color(color: str) -> str:
     if color == RED:
@@ -182,16 +185,11 @@ class EdgeColoring:
     # -- serialization -----------------------------------------------------
 
     def serialize(self) -> bytes:
-        nbits = pair_count(self.n)
-        buf = bytearray((nbits + 7) // 8)
-        bits = self.red_bits
-        e = 0
-        while bits:
-            if bits & 1:
-                buf[e >> 3] |= 1 << (7 - (e & 7))
-            bits >>= 1
-            e += 1
-        return MAGIC + b" " + str(self.n).encode() + b"\n" + bytes(buf).hex().encode() + b"\n"
+        nbytes = (pair_count(self.n) + 7) // 8
+        # little-endian bytes put edge 8i in the low bit of byte i; RMC1 puts
+        # it in the high bit
+        raw = self.red_bits.to_bytes(nbytes, "little").translate(_REVERSE_BITS)
+        return MAGIC + b" " + str(self.n).encode() + b"\n" + raw.hex().encode() + b"\n"
 
     @classmethod
     def parse(cls, data: bytes) -> "EdgeColoring":
@@ -215,14 +213,10 @@ class EdgeColoring:
             raw = bytes.fromhex(payload.decode("ascii"))
         except ValueError as exc:
             raise DomainError("payload is not valid hex") from exc
-        bits = 0
-        for e in range(nbits):
-            if raw[e >> 3] >> (7 - (e & 7)) & 1:
-                bits |= 1 << e
+        bits = int.from_bytes(raw.translate(_REVERSE_BITS), "little")
         # every bit beyond the edge range must be zero
-        for e in range(nbits, 8 * nbytes):
-            if raw[e >> 3] >> (7 - (e & 7)) & 1:
-                raise DomainError("nonzero padding bits")
+        if bits >> nbits:
+            raise DomainError("nonzero padding bits")
         return cls(n, bits)
 
     # -- dunder ------------------------------------------------------------

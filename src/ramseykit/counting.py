@@ -2,13 +2,16 @@
 
 Counts are unlabeled copies: subgraphs, not embeddings.  A path or cycle on
 a fixed vertex set is one copy regardless of traversal direction; a star is
-a (center, leaf set) pair; a clique is a vertex subset.  The helpers with a
-fixed start vertex count directed sequences instead and say so.
+a (center, leaf set) pair; a clique is a vertex subset.
 
-Path and cycle counting run a dynamic program over (vertex subset, endpoint)
-states, layered by size so memory stays proportional to one layer.  The DP
-is exact for any graph but exponential in n, hence the hard guard at
-SUBSET_DP_MAX_N.
+Paths and cycles are counted by one walk kernel, `count_walks`, a dynamic
+program over (vertex subset, last vertex) states layered by subset size, so
+memory stays proportional to one layer.  It counts simple directed paths
+from given start vertices; path and cycle counts, and the exact counts of
+the bound checkers in :mod:`ramseykit.regularity`, are calls to it.  The DP
+is exact for any graph but exponential in its length, so the kernel
+estimates its largest layer before allocating and refuses instances above
+DP_STATE_BUDGET.
 """
 
 from __future__ import annotations
@@ -16,12 +19,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .coloring import BLUE, RED, ColorView, EdgeColoring
 from .errors import CapabilityError, DomainError
 
-SUBSET_DP_MAX_N = 24
+# states in the largest stored layer of one kernel call.  Peak memory, with
+# the next layer being built, measured 200-260 bytes per state of the largest
+# layer (n=20 P_10: 1.02 M states, +250 MB), so the budget caps a call near
+# 0.5 GB.  The estimate it is compared with is an upper bound on that layer.
+DP_STATE_BUDGET = 2_000_000
 
 _PATTERN_RE = re.compile(r"^([PCS])_(\d+)$|^K_?(\d+)$")
 
@@ -93,12 +100,57 @@ def parse_pattern(text: str) -> Pattern:
     return Pattern(kind, int(m.group(2)))
 
 
-def _dp_guard(n: int) -> None:
-    if n > SUBSET_DP_MAX_N:
+def _largest_layer(adj: Sequence[int], nstarts: int, edges: int, inner: int) -> int:
+    """Upper bound on the states of the largest layer `count_walks` stores.
+
+    Layer t holds (subset, last vertex) states: a start, t vertices from the
+    `a` allowed ones and a last vertex among those t, and no more than there
+    are (t+1)-subsets of the n vertices with a marked member.
+    """
+    n = len(adj)
+    a = (inner & ((1 << n) - 1)).bit_count()
+    return max(
+        min(nstarts * comb(a, t) * max(t, 1), comb(n, t + 1) * (t + 1))
+        for t in range(edges)
+    )
+
+
+def count_walks(
+    adj: Sequence[int], starts: Sequence[int], edges: int, inner: int = -1, end: int = -1
+) -> int:
+    """Simple directed paths taking `edges` steps from a vertex in `starts`.
+
+    Vertices after the start lie in the bitmask `inner`, and the last one
+    also in `end`.  Paths are vertex sequences: a path is counted once for
+    each of its ends it may start from.  The last step is counted, not
+    stored, so the largest layer holds paths of `edges` - 1 steps; an
+    instance whose estimate of it exceeds DP_STATE_BUDGET raises
+    CapabilityError before any layer is built.
+    """
+    if edges == 0:
+        return len(starts)
+    est = _largest_layer(adj, len(starts), edges, inner)
+    if est > DP_STATE_BUDGET:
         raise CapabilityError(
-            f"subset DP limited to n <= {SUBSET_DP_MAX_N} (got n={n}); "
-            "use sampling or structural bounds instead"
+            f"subset DP too large: estimated {est:,} states in its largest "
+            f"layer, budget {DP_STATE_BUDGET:,}"
         )
+    step = [m & inner for m in adj]
+    layer: dict[tuple[int, int], int] = {(1 << v, v): 1 for v in starts}
+    for _ in range(edges - 1):
+        nxt: dict[tuple[int, int], int] = {}
+        get = nxt.get
+        for (mask, last), cnt in layer.items():
+            nbrs = step[last] & ~mask
+            while nbrs:
+                b = nbrs & -nbrs
+                nbrs ^= b
+                key = (mask | b, b.bit_length() - 1)
+                nxt[key] = get(key, 0) + cnt
+        layer = nxt
+    return sum(
+        cnt * (step[last] & end & ~mask).bit_count() for (mask, last), cnt in layer.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -114,22 +166,8 @@ def count_paths(view: ColorView, k: int) -> int:
         return n
     if k > n:
         return 0
-    _dp_guard(n)
-    adj = view.adj_masks()
-    layer: dict[tuple[int, int], int] = {(1 << v, v): 1 for v in range(n)}
-    for _ in range(k - 1):
-        nxt: dict[tuple[int, int], int] = {}
-        get = nxt.get
-        for (mask, last), cnt in layer.items():
-            nbrs = adj[last] & ~mask
-            while nbrs:
-                b = nbrs & -nbrs
-                nbrs ^= b
-                key = (mask | b, b.bit_length() - 1)
-                nxt[key] = get(key, 0) + cnt
-        layer = nxt
-    # every path was built from both ends
-    return sum(layer.values()) // 2
+    # every path is walked from both ends
+    return count_walks(view.adj_masks(), range(n), k - 1) // 2
 
 
 def count_cycles(view: ColorView, k: int) -> int:
@@ -139,29 +177,13 @@ def count_cycles(view: ColorView, k: int) -> int:
         raise DomainError("cycles need k >= 3")
     if k > n:
         return 0
-    _dp_guard(n)
     adj = view.adj_masks()
-    total = 0
-    for a in range(n - k + 1):
-        # anchor each cycle at its minimum vertex a; interiors stay above a
-        high = -1 << (a + 1)
-        layer: dict[tuple[int, int], int] = {(1 << a, a): 1}
-        for _ in range(k - 1):
-            nxt: dict[tuple[int, int], int] = {}
-            get = nxt.get
-            for (mask, last), cnt in layer.items():
-                nbrs = adj[last] & ~mask & high
-                while nbrs:
-                    b = nbrs & -nbrs
-                    nbrs ^= b
-                    key = (mask | b, b.bit_length() - 1)
-                    nxt[key] = get(key, 0) + cnt
-            layer = nxt
-        for (mask, last), cnt in layer.items():
-            if adj[last] >> a & 1:
-                total += cnt
+    # anchor each cycle at its minimum vertex a, walk above a and close at a;
     # each cycle arises in both traversal directions
-    return total // 2
+    return sum(
+        count_walks(adj, (a,), k - 1, inner=-1 << (a + 1), end=adj[a])
+        for a in range(n - k + 1)
+    ) // 2
 
 
 def count_stars(view: ColorView, k: int) -> int:
@@ -289,69 +311,6 @@ def _half_fact(m: int) -> int:
     for i in range(2, m + 1):
         out *= i
     return out // 2 if m >= 2 else out
-
-
-# ---------------------------------------------------------------------------
-# directed sequence counters for fixed endpoints (used by bound checks)
-# ---------------------------------------------------------------------------
-
-def count_paths_from_vertex(adj: Sequence[int], start: int, edges: int) -> int:
-    """Directed paths with `edges` edges starting at `start` (sequences)."""
-    if edges < 0:
-        raise DomainError("edge count must be nonnegative")
-
-    def rec(v: int, used: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        total = 0
-        nbrs = adj[v] & ~used
-        while nbrs:
-            b = nbrs & -nbrs
-            nbrs ^= b
-            total += rec(b.bit_length() - 1, used | b, remaining - 1)
-        return total
-
-    return rec(start, 1 << start, edges)
-
-
-def count_paths_between(adj: Sequence[int], u: int, v: int, edges: int) -> int:
-    """Simple u-v paths with exactly `edges` edges (counted once each)."""
-    if u == v:
-        raise DomainError("endpoints must differ")
-    if edges < 1:
-        raise DomainError("edge count must be positive")
-
-    def rec(w: int, used: int, remaining: int) -> int:
-        if remaining == 1:
-            return adj[w] >> v & 1
-        total = 0
-        nbrs = adj[w] & ~used & ~(1 << v)
-        while nbrs:
-            b = nbrs & -nbrs
-            nbrs ^= b
-            total += rec(b.bit_length() - 1, used | b, remaining - 1)
-        return total
-
-    return rec(u, 1 << u, edges)
-
-
-def count_sequences_starting_in(adj: Sequence[int], starts: Iterable[int], k: int) -> int:
-    """Directed k-vertex paths whose first vertex lies in `starts`."""
-    if k < 1:
-        raise DomainError("k must be at least 1")
-    layer: dict[tuple[int, int], int] = {(1 << v, v): 1 for v in set(starts)}
-    for _ in range(k - 1):
-        nxt: dict[tuple[int, int], int] = {}
-        get = nxt.get
-        for (mask, last), cnt in layer.items():
-            nbrs = adj[last] & ~mask
-            while nbrs:
-                b = nbrs & -nbrs
-                nbrs ^= b
-                key = (mask | b, b.bit_length() - 1)
-                nxt[key] = get(key, 0) + cnt
-        layer = nxt
-    return sum(layer.values())
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,11 @@ from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
 from .coloring import BLUE, RED, ColorView, EdgeColoring, other_color
-from .counting import count_paths_between, count_paths_from_vertex, falling
+from .counting import count_walks, falling
 from .errors import CapabilityError, DomainError
-from .structure import SimpleGraph, max_matching
+from .structure import SimpleGraph, _bits, max_matching
 
 EXACT_REGULARITY_MAX = 14
-PATH_WORK_LIMIT = 20_000_000
 
 
 def as_fraction(x: object) -> Fraction:
@@ -89,15 +88,8 @@ def pair_density(g: SimpleGraph, xs: Sequence[int], ys: Sequence[int]) -> Fracti
         raise DomainError("density needs nonempty vertex sets")
     xmask = _vertex_mask(xs, g.n)
     ymask = _vertex_mask(ys, g.n)
-    ordered = sum((g.adj[x] & ymask).bit_count() for x in _iter_bits(xmask))
+    ordered = sum((g.adj[x] & ymask).bit_count() for x in _bits(xmask))
     return Fraction(ordered, xmask.bit_count() * ymask.bit_count())
-
-
-def _iter_bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _ceil_frac(f: Fraction) -> int:
@@ -179,7 +171,7 @@ def eps_regular_exact(
         u_size = umask.bit_count()
         if u_size < enum_min:
             continue
-        uverts = [enum_side[i] for i in _iter_bits(umask)]
+        uverts = [enum_side[i] for i in _bits(umask)]
         usub = 0
         for w in uverts:
             usub |= 1 << w
@@ -859,20 +851,11 @@ def _bipartite_setup(
     if umask & vmask:
         raise DomainError("parts must be disjoint")
     adj = [0] * g.n
-    for u in _iter_bits(umask):
+    for u in _bits(umask):
         adj[u] = g.adj[u] & vmask
-    for v in _iter_bits(vmask):
+    for v in _bits(vmask):
         adj[v] = g.adj[v] & umask
     return adj, umask, vmask, sorted(us), sorted(vs)
-
-
-def _work_guard(nu: int, nv: int, slots_u: int, slots_v: int) -> None:
-    est = falling(nu, min(slots_u, nu)) * falling(nv, min(slots_v, nv))
-    if est > PATH_WORK_LIMIT:
-        raise CapabilityError(
-            "instance too large for exact path counting "
-            f"(estimated work {est} > {PATH_WORK_LIMIT})"
-        )
 
 
 def rooted_path_bound(
@@ -904,7 +887,6 @@ def rooted_path_bound(
         raise DomainError("root vertex must lie in the second part")
     nu, nv = len(us_s), len(vs_s)
     n = min(nu, nv)
-    _work_guard(nu, nv, (l + 1) // 2, l // 2)
 
     t = df - epsf
     hyp = {
@@ -919,7 +901,7 @@ def rooted_path_bound(
     for i in range(1, l + 1):
         prod *= max(n - i // 2, 0)
     bound = base**l * prod
-    exact = count_paths_from_vertex(adj, v, l)
+    exact = count_walks(adj, (v,), l)
     return BoundReport(
         mode="rooted",
         hypotheses=hyp,
@@ -962,7 +944,6 @@ def endpoint_path_bound(
             raise DomainError("endpoints must lie in the parts")
     nu, nv = len(us_s), len(vs_s)
     n = min(nu, nv)
-    _work_guard(nu, nv, (l + 1) // 2, (l + 1) // 2)
 
     t = df - epsf
 
@@ -986,7 +967,11 @@ def endpoint_path_bound(
     for i in range(1, l - 1):
         prod *= max(n - i // 2, 0)
     bound = base ** (l - 1) * float(epsf) * n * prod
-    exact = count_paths_between(adj, u, v, l)
+    if l == 1:
+        exact = adj[u] >> v & 1
+    else:
+        # walk from u avoiding v, then close on a neighbour of v
+        exact = count_walks(adj, (u,), l - 1, inner=~(1 << v), end=adj[v])
     return BoundReport(
         mode="endpoints",
         hypotheses=hyp,
@@ -1023,7 +1008,6 @@ def dense_bipartite_bound(
         raise DomainError("k must be at least 1")
     adj, umask, vmask, us_s, vs_s = _bipartite_setup(g, us, vs)
     nu, nv = len(us_s), len(vs_s)
-    _work_guard(nu, nv, k // 2, (k + 1) // 2)
 
     edges = sum((g.adj[u] & vmask).bit_count() for u in us_s)
     min_u_deg = min((g.adj[u] & vmask).bit_count() for u in us_s)
@@ -1052,7 +1036,7 @@ def dense_bipartite_bound(
         f2 = 0.0
     f3 = max(1 - 6 * sb, 0.0) ** (k / 2)
     bound = f1 * f2 * f3 * falling(nu, k // 2) * falling(nv, (k + 1) // 2)
-    exact = sum(count_paths_from_vertex(adj, v, k - 1) for v in vs_s)
+    exact = sum(count_walks(adj, (v,), k - 1) for v in vs_s)
     return BoundReport(
         mode="dense-bipartite",
         hypotheses=hyp,

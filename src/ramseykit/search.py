@@ -133,10 +133,6 @@ class _CopyCounter:
         return d
 
 
-def _pack_key(coloring: EdgeColoring) -> bytes:
-    return coloring.serialize()
-
-
 # ---------------------------------------------------------------------------
 # exhaustive minimization
 # ---------------------------------------------------------------------------
@@ -164,7 +160,7 @@ def _raw_minimum(pattern: Pattern, n: int) -> tuple[int, int, int]:
                 best_key = None
             for idx in np.nonzero(counts == cmin)[0]:
                 bits = start + int(idx)
-                key = _pack_key(EdgeColoring(n, bits))
+                key = EdgeColoring(n, bits).serialize()
                 if best_key is None or key < best_key:
                     best_key = key
                     best_bits = bits
@@ -235,9 +231,9 @@ def _streamed_minimum(pattern: Pattern, n: int) -> tuple[int, int, int]:
         if best is None or cnt < best:
             best = cnt
             best_bits = bits
-            best_key = _pack_key(EdgeColoring(n, bits))
+            best_key = EdgeColoring(n, bits).serialize()
         elif cnt == best:
-            key = _pack_key(EdgeColoring(n, bits))
+            key = EdgeColoring(n, bits).serialize()
             if key < best_key:
                 best_key = key
                 best_bits = bits
@@ -349,7 +345,7 @@ def anneal_min(
     best, best_bits = None, 0
     best_key = None
     for cnt, bits in outcomes:
-        key = _pack_key(EdgeColoring(n, bits))
+        key = EdgeColoring(n, bits).serialize()
         if best is None or cnt < best or (cnt == best and key < best_key):
             best, best_bits, best_key = cnt, bits, key
     witness = EdgeColoring(n, best_bits)

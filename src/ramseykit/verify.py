@@ -23,6 +23,7 @@ from .errors import DomainError
 from .formulas import m_star, r_path
 from .regularity import (
     VertexPartition,
+    _ceil_frac,
     build_reduced,
     degree_deviation_check,
     dichotomy_classify,
@@ -527,8 +528,8 @@ def suite_stability(seed: int = 0) -> list[CheckResult]:
         if not pair.regular:
             continue
         alpha = rng.choice([Fraction(1, 2), Fraction(2, 3)])
-        sx = max(1, _ceil(alpha * nx))
-        sy = max(1, _ceil(alpha * ny))
+        sx = max(1, _ceil_frac(alpha * nx))
+        sy = max(1, _ceil_frac(alpha * ny))
         xs = rng.sample(range(nx), sx)
         ys = rng.sample(range(nx, nx + ny), sy)
         sub = eps_regular_exact(g, xs, ys, max(eps / alpha, 2 * eps))
@@ -642,7 +643,3 @@ def suite_stability(seed: int = 0) -> list[CheckResult]:
         )
     )
     return out
-
-
-def _ceil(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)

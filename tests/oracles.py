@@ -39,6 +39,29 @@ def brute_cycles(has_edge: EdgePredicate, n: int, k: int) -> int:
     return total // (2 * k)
 
 
+def brute_walks(
+    has_edge: EdgePredicate,
+    n: int,
+    starts: Sequence[int],
+    edges: int,
+    end: int | None = None,
+) -> int:
+    """Simple directed paths with `edges` edges from a vertex in `starts`.
+
+    Vertex sequences, so each path is counted once per start it admits;
+    with `end` given, only paths whose last vertex is `end`.
+    """
+    if edges + 1 > n:
+        return 0
+    total = 0
+    for perm in permutations(range(n), edges + 1):
+        if perm[0] not in starts or (end is not None and perm[-1] != end):
+            continue
+        if all(has_edge(perm[i], perm[i + 1]) for i in range(edges)):
+            total += 1
+    return total
+
+
 def brute_stars(has_edge: EdgePredicate, n: int, k: int) -> int:
     """Copies of the star with k leaves, distinguished center."""
     total = 0

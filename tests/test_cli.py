@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,8 +107,8 @@ def test_count_missing_file_is_a_usage_error(tmp_path, capsys) -> None:
 
 def test_count_oversized_host_exits_with_capability_error(tmp_path, capsys) -> None:
     path = tmp_path / "big.rmc"
-    path.write_bytes(split_coloring(20, 10).serialize())
-    code, _, stderr = run_cli(capsys, "count", "--in", str(path), "--pattern", "P_6")
+    path.write_bytes(split_coloring(12, 12).serialize())
+    code, _, stderr = run_cli(capsys, "count", "--in", str(path), "--pattern", "P_12")
     assert code == 2
     assert "capability" in stderr
 
@@ -214,6 +216,23 @@ def test_threads_env_fallback(split_file, capsys, monkeypatch) -> None:
     )
     assert code == 0
     assert "upper bound" in stdout or "anneal" in stdout
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["cases"], ids=lambda case: " ".join(case["argv"][:-1])
+)
+def test_json_reports_match_golden_outputs(case, tmp_path, capsys, monkeypatch) -> None:
+    # pinned reports of exact counts and verdicts: byte-identical apart from
+    # wall_time_s, whatever counting engine produces them
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOLDEN["files"].items():
+        Path(name).write_text(text)
+    code, stdout, _ = run_cli(capsys, *case["argv"])
+    assert code == 0
+    assert re.sub(r'"wall_time_s": [^\n]*', '"wall_time_s": null', stdout) == case["stdout"]
 
 
 def test_module_entry_point_smoke() -> None:

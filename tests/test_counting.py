@@ -175,6 +175,8 @@ def test_clique_counts_match_subset_scan() -> None:
 
 
 def test_oversized_host_raises_capability_error() -> None:
-    c = split_coloring(20, 10)
-    with pytest.raises(CapabilityError):
-        count_mono(c, parse_pattern("P_6"))
+    # n=24 P_12 needs about 27 M states in one layer; it must be refused
+    # before any layer is built, while n=30 P_6 (about 0.7 M) is admitted
+    with pytest.raises(CapabilityError, match="budget"):
+        count_mono(split_coloring(12, 12), parse_pattern("P_12"))
+    assert count_mono(split_coloring(20, 10), parse_pattern("P_6")) == formula_split_paths(20, 10, 6)

@@ -28,6 +28,8 @@ from ramseykit import (
     verify_count_bounds,
 )
 
+from .oracles import brute_walks
+
 
 def complete_bipartite(a: int, b: int):
     from ramseykit import SimpleGraph
@@ -436,6 +438,43 @@ def test_bound_dispatch_by_mode_key() -> None:
         verify_count_bounds(g, range(5), range(5, 10), {"mode": "unknown"})
     with pytest.raises(DomainError):
         verify_count_bounds(g, range(5), range(5, 10), {"mode": "rooted"})
+
+
+@st.composite
+def bipartite_hosts(draw):
+    """A random graph on two parts of 1-4 vertices, inner edges included."""
+    from ramseykit import SimpleGraph
+
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pairs = list(combinations(range(a + b), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, kept in zip(pairs, keep) if kept]
+    return SimpleGraph.from_edges(a + b, edges), a, b
+
+
+@given(bipartite_hosts(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_counts_match_permutation_scan(host, data) -> None:
+    g, a, b = host
+    n = a + b
+    us, vs = range(a), range(a, n)
+
+    def cross(x: int, y: int) -> bool:
+        return (x < a) != (y < a) and g.has_edge(x, y)
+
+    l = data.draw(st.integers(1, n), label="l")
+    v = data.draw(st.sampled_from(vs), label="v")
+    rooted = rooted_path_bound(g, us, vs, 0.25, 0.5, l=l, v=v)
+    assert rooted.exact_count == brute_walks(cross, n, [v], l)
+
+    if n >= 2:
+        u, w = data.draw(st.permutations(range(n)), label="ends")[:2]
+        ends = endpoint_path_bound(g, us, vs, 0.25, 0.5, l=l, u=u, v=w)
+        assert ends.exact_count == brute_walks(cross, n, [u], l, end=w)
+
+    k = data.draw(st.integers(1, n), label="k")
+    dense = dense_bipartite_bound(g, us, vs, 0, 1, k=k)
+    assert dense.exact_count == brute_walks(cross, n, list(vs), k - 1)
 
 
 def test_path_enumeration_work_guard() -> None:
