@@ -1,0 +1,29 @@
+"""The one process pool: map a function over independent jobs.
+
+Results come back in job order, so a caller that is deterministic per job
+is deterministic for any worker count.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import Callable, Sequence, TypeVar
+
+J = TypeVar("J")
+R = TypeVar("R")
+
+
+def parallel_map(fn: Callable[[J], R], jobs: Sequence[J], threads: int) -> list[R]:
+    """[fn(job) for job in jobs] over min(threads, len(jobs), cpu count)
+    worker processes, or inline when that minimum is 1."""
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # spawned workers start from a fresh import: forking a process that may
+    # hold numpy's threads is unsafe
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        return list(pool.map(fn, jobs))

@@ -35,6 +35,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .coloring import BLUE, RED, ColorView, EdgeColoring, other_color
 from .counting import count_walks, falling
 from .errors import CapabilityError, DomainError
+from .parallel import parallel_map
 from .structure import SimpleGraph, _bits, max_matching
 
 EXACT_REGULARITY_MAX = 14
@@ -495,10 +496,8 @@ def _annotate_pair(
     )
 
 
-def _pair_job(args: tuple) -> tuple[tuple[int, int], PairAnnotation]:
-    n, red_bits, parts, i, j, eps, mode, trials, seed = args
-    coloring = EdgeColoring(n, red_bits)
-    return (i, j), _annotate_pair(coloring, parts, i, j, eps, mode, trials, seed)
+def _pair_job(job: tuple) -> PairAnnotation:
+    return _annotate_pair(*job)
 
 
 def build_reduced(
@@ -534,22 +533,8 @@ def build_reduced(
                 "use mode='sample'"
             )
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    annotations: dict[tuple[int, int], PairAnnotation] = {}
-    if threads > 1 and len(pairs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [
-            (coloring.n, coloring.red_bits, parts, i, j, epsf, mode, trials, seed)
-            for i, j in pairs
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for key, ann in pool.map(_pair_job, jobs):
-                annotations[key] = ann
-    else:
-        for i, j in pairs:
-            annotations[(i, j)] = _annotate_pair(
-                coloring, parts, i, j, epsf, mode, trials, seed
-            )
+    jobs = [(coloring, parts, i, j, epsf, mode, trials, seed) for i, j in pairs]
+    annotations = dict(zip(pairs, parallel_map(_pair_job, jobs, threads)))
     red = frozenset(k for k, a in annotations.items() if a.admits(RED, df))
     blue = frozenset(k for k, a in annotations.items() if a.admits(BLUE, df))
     return ReducedGraph(

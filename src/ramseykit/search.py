@@ -1,9 +1,14 @@
 """Minimizing monochromatic pattern counts over colorings of K_n.
 
-Two engines:
+One copy-incidence engine counts for every search.  It lists each copy of
+the pattern in K_n once (``copy_edge_masks``), keeps for every edge the
+indices of the copies through it, and keeps a red-edge count per copy: a
+copy with s edges is monochromatic when its count is 0 or s, and an
+edgeless copy is both, so it counts once in each color.  Colorings are
+Python integers, so no host size is capped by a machine word.
 
 * ``exhaustive_min`` -- exact minimum.  Raw enumeration of all 2^C(n,2)
-  colorings up to n = 6; at n = 7 the search streams one representative per
+  colorings up to n = 6; at n = 7 the search sweeps one representative per
   graph-isomorphism class (generated by vertex augmentation with canonical
   relabeling), which is sound because the count is relabeling-invariant.
 * ``anneal_min`` -- simulated annealing with single-edge-flip moves and
@@ -11,27 +16,30 @@ Two engines:
   a seed derived from (config.seed, i) with a stable hash.
 
 Witness tie-break everywhere: the serialized form that is lexicographically
-least among optimal colorings found.
+least among optimal colorings found.  numpy is imported by the engine, not
+by the package.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from random import Random
-
-import numpy as np
+from typing import Sequence
 
 from .coloring import EdgeColoring, pair_count, pair_index
 from .counting import Pattern, copy_edge_masks, count_mono
 from .errors import CapabilityError, DomainError
 from .formulas import r_cycle, r_path
+from .parallel import parallel_map
 
 EXHAUSTIVE_MAX_N = 7
 RAW_ENUM_MAX_N = 6
-_NUMPY_MAX_BITS = 63
+_CHUNK = 4096  # copies or colorings handled per numpy pass
+# per-edge rows up to this many copies are tallied by bytes.count, which
+# costs less than a numpy call there (P_6/8 has 1,800, P_7/9 has 15,120)
+_BYTES_TALLY_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -44,7 +52,6 @@ class SearchConfig:
     steps_per_restart: int = 4000
     initial_temperature: float = 2.0
     cooling_rate: float = 0.995
-    move: str = "single-edge-flip"
 
     def validate(self) -> None:
         if self.restarts < 1 or self.steps_per_restart < 0:
@@ -53,8 +60,6 @@ class SearchConfig:
             raise DomainError("initial temperature must be positive")
         if not 0 < self.cooling_rate < 1:
             raise DomainError("cooling rate must lie in (0, 1)")
-        if self.move != "single-edge-flip":
-            raise DomainError(f"unsupported move kind {self.move!r}")
 
 
 @dataclass(frozen=True)
@@ -73,99 +78,117 @@ def _restart_seed(seed: int, i: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-class _CopyCounter:
-    """Monochromatic-copy counting driven by explicit copy masks.
+def _bit_matrix(values: Sequence[int], nbits: int):
+    """(len(values), nbits) uint8 array: bit e of values[r] at [r, e]."""
+    import numpy as np
 
-    Per-edge mask subarrays make a single-flip delta cost proportional to
-    the number of copies through that edge.  numpy uint64 fast path when
-    C(n,2) <= 63, plain Python ints otherwise.
+    width = (nbits + 7) // 8
+    raw = b"".join(v.to_bytes(width, "little") for v in values)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), width)
+    return np.unpackbits(rows, axis=1, count=nbits, bitorder="little")
+
+
+class _CopyEngine:
+    """Copy-edge incidence of a pattern in K_n, with a red-edge count per copy.
+
+    ``edges[c]`` lists the s edges of copy c.  K_n is edge-transitive, so
+    every edge lies in the same number c_e of copies: ``rows[e]`` lists the
+    copies through edge e, and the rows are those of one rectangular
+    (C(n,2), c_e) array.  ``count_many`` counts a batch of colorings through
+    ``edges``; ``start``, ``delta`` and ``flip`` walk one coloring an edge at
+    a time through ``rows``, each step costing O(c_e).
     """
 
     def __init__(self, pattern: Pattern, n: int):
-        self.pattern = pattern
-        self.n = n
-        self.nbits = pair_count(n)
+        import numpy as np
+
         masks = copy_edge_masks(pattern, n)
-        self.total_copies = len(masks)
-        self.vectorized = self.nbits <= _NUMPY_MAX_BITS
-        if self.vectorized:
-            self.all = np.array(masks, dtype=np.uint64)
-            self.per_edge = [
-                self.all[(self.all >> np.uint64(e)) & np.uint64(1) == 1]
-                for e in range(self.nbits)
-            ]
+        self.nbits = nbits = pair_count(n)
+        self.copies = len(masks)
+        self.size = bin(masks[0]).count("1") if masks else 0
+        width = self.copies * self.size // max(nbits, 1)
+        self.edges = np.empty((self.copies, self.size), dtype=np.min_scalar_type(nbits))
+        inc = np.empty((nbits, width), dtype=np.intp)
+        # a chunk of masks at a time, so no temporary outgrows inc, and each
+        # chunk is freed once copied, so masks and inc do not peak together
+        filled = [0] * nbits
+        for lo in range(0, self.copies, _CHUNK):
+            bits = _bit_matrix(masks[:_CHUNK], nbits)
+            del masks[:_CHUNK]
+            self.edges[lo:lo + len(bits)] = bits.nonzero()[1].reshape(len(bits), self.size)
+            for e in range(nbits):
+                hit = np.flatnonzero(bits[:, e])
+                inc[e, filled[e]:filled[e] + len(hit)] = hit + lo
+                filled[e] += len(hit)
+        if filled != [width] * nbits:
+            raise AssertionError("copies are not spread evenly over the edges")
+        self.rows = list(inc)
+        self._count = np.count_nonzero  # numpy is not a module global here
+        self._bytes_tally = 0 < width <= _BYTES_TALLY_MAX and self.size < 256
+        self.bits = 0
+        self.red = np.zeros(self.copies, dtype=np.min_scalar_type(self.size))
+        self._edge, self._gathered = -1, None
+
+    def _red_counts(self, states: Sequence[int]):
+        """(copies, len(states)) red-edge counts, a column per coloring."""
+        import numpy as np
+
+        bits = np.ascontiguousarray(_bit_matrix(states, self.nbits).T)
+        red = np.zeros((self.copies, len(states)), dtype=self.red.dtype)
+        for column in self.edges.T:  # the j-th edge of every copy
+            red += bits.take(column, axis=0)
+        return red
+
+    def count_many(self, states: Sequence[int]):
+        """Monochromatic copies in each coloring of ``states``, as an array."""
+        import numpy as np
+
+        out = np.empty(len(states), dtype=np.int64)
+        for lo in range(0, len(states), _CHUNK):
+            red = self._red_counts(states[lo:lo + _CHUNK])
+            out[lo:lo + red.shape[1]] = self._count(red == 0, axis=0) + self._count(
+                red == self.size, axis=0
+            )
+        return out
+
+    def start(self, bits: int) -> int:
+        """Make ``bits`` the current coloring; returns its monochromatic count."""
+        self.bits = bits
+        self.red = self._red_counts([bits])[:, 0]
+        self._edge = -1
+        return int(self._count(self.red == 0) + self._count(self.red == self.size))
+
+    def delta(self, e: int) -> int:
+        """Change in the count if edge e flipped color."""
+        g = self._gathered = self.red.take(self.rows[e])
+        self._edge = e
+        # red -> blue: copies at 1 turn blue, copies at s stop being red
+        gain, loss = (1, self.size) if self.bits >> e & 1 else (self.size - 1, 0)
+        if self._bytes_tally:  # on short rows bytes.count beats a numpy call
+            b = g.tobytes()
+            return b.count(gain) - b.count(loss)
+        return int(self._count(g == gain) - self._count(g == loss))
+
+    def flip(self, e: int) -> None:
+        """Flip edge e, reusing the copy counts the last ``delta(e)`` gathered."""
+        g = self._gathered if self._edge == e else self.red.take(self.rows[e])
+        if self.bits >> e & 1:
+            g -= 1
         else:
-            self.all_py = masks
-            self.per_edge_py = [
-                [m for m in masks if m >> e & 1] for e in range(self.nbits)
-            ]
+            g += 1
+        self.red[self.rows[e]] = g
+        self.bits ^= 1 << e
+        self._edge = -1
 
-    def count(self, red_bits: int) -> int:
-        if self.vectorized:
-            if not len(self.all):
-                return 0
-            r = np.uint64(red_bits)
-            hit = self.all & r
-            return int(np.count_nonzero(hit == self.all) + np.count_nonzero(hit == 0))
-        total = 0
-        for m in self.all_py:
-            hit = m & red_bits
-            if hit == m or hit == 0:
-                total += 1
-        return total
 
-    def delta(self, red_bits: int, e: int) -> int:
-        flipped = red_bits ^ (1 << e)
-        if self.vectorized:
-            arr = self.per_edge[e]
-            if not len(arr):
-                return 0
-            old = arr & np.uint64(red_bits)
-            new = arr & np.uint64(flipped)
-            mono_old = np.count_nonzero(old == arr) + np.count_nonzero(old == 0)
-            mono_new = np.count_nonzero(new == arr) + np.count_nonzero(new == 0)
-            return int(mono_new - mono_old)
-        d = 0
-        for m in self.per_edge_py[e]:
-            ho = m & red_bits
-            hn = m & flipped
-            d += (1 if (hn == m or hn == 0) else 0) - (1 if (ho == m or ho == 0) else 0)
-        return d
+def _least_witness(n: int, candidates) -> int:
+    """The red bits whose serialized coloring is lexicographically least."""
+    return min(candidates, key=lambda bits: EdgeColoring(n, bits).serialize())
 
 
 # ---------------------------------------------------------------------------
 # exhaustive minimization
 # ---------------------------------------------------------------------------
-
-def _raw_minimum(pattern: Pattern, n: int) -> tuple[int, int, int]:
-    """(best_count, best_bits, explored) by enumerating every coloring."""
-    nbits = pair_count(n)
-    masks = copy_edge_masks(pattern, n)
-    total_states = 1 << nbits
-    if not masks:
-        return 0, 0, total_states
-    arr = np.array(masks, dtype=np.uint64)
-    best = None
-    best_key = None
-    best_bits = 0
-    chunk = 1 << 12
-    for start in range(0, total_states, chunk):
-        states = np.arange(start, min(start + chunk, total_states), dtype=np.uint64)
-        hit = states[:, None] & arr[None, :]
-        counts = (hit == arr[None, :]).sum(axis=1) + (hit == 0).sum(axis=1)
-        cmin = int(counts.min())
-        if best is None or cmin <= best:
-            if best is None or cmin < best:
-                best = cmin
-                best_key = None
-            for idx in np.nonzero(counts == cmin)[0]:
-                bits = start + int(idx)
-                key = EdgeColoring(n, bits).serialize()
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_bits = bits
-    return best, best_bits, total_states
-
 
 def _apply_perm(adj: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
     n = len(adj)
@@ -214,32 +237,6 @@ def _bits_from_adj(adj: tuple[int, ...]) -> int:
     return bits
 
 
-def _streamed_minimum(pattern: Pattern, n: int) -> tuple[int, int, int]:
-    """(best_count, best_bits, classes) over graph-class representatives."""
-    masks = copy_edge_masks(pattern, n)
-    reps = canonical_graph_reps(n)
-    best = None
-    best_key = None
-    best_bits = 0
-    for adj in reps:
-        bits = _bits_from_adj(adj)
-        cnt = 0
-        for m in masks:
-            hit = m & bits
-            if hit == m or hit == 0:
-                cnt += 1
-        if best is None or cnt < best:
-            best = cnt
-            best_bits = bits
-            best_key = EdgeColoring(n, bits).serialize()
-        elif cnt == best:
-            key = EdgeColoring(n, bits).serialize()
-            if key < best_key:
-                best_key = key
-                best_bits = bits
-    return best, best_bits, len(reps)
-
-
 def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     """Exact minimum of count_mono over all colorings of K_n (n <= 7).
 
@@ -255,51 +252,47 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
             f"exhaustive search limited to n <= {EXHAUSTIVE_MAX_N} (got n={n}); "
             "use anneal_min for larger hosts"
         )
+    engine = _CopyEngine(pattern, n)
     if n <= RAW_ENUM_MAX_N:
-        best, bits, explored = _raw_minimum(pattern, n)
+        states: Sequence[int] = range(1 << engine.nbits)
         method = "exhaustive-raw"
     else:
-        best, bits, explored = _streamed_minimum(pattern, n)
+        states = [_bits_from_adj(adj) for adj in canonical_graph_reps(n)]
         method = "exhaustive-canonical"
+    counts = engine.count_many(states)
+    best = int(counts.min())
+    ties = (states[i] for i in (counts == best).nonzero()[0])
+    # with no copies every coloring ties at 0, and the empty one is least
+    bits = _least_witness(n, ties) if engine.copies else 0
     witness = EdgeColoring(n, bits)
     check = count_mono(witness, pattern)
     if check != best:
         raise AssertionError(
             f"witness recount mismatch: enumeration said {best}, DP says {check}"
         )
-    return MinimizationResult(pattern, n, best, witness, True, explored, method)
+    return MinimizationResult(pattern, n, best, witness, True, len(states), method)
 
 
 # ---------------------------------------------------------------------------
 # simulated annealing
 # ---------------------------------------------------------------------------
 
-def _anneal_restart(
-    pattern: Pattern,
-    n: int,
-    seed_i: int,
-    steps: int,
-    t0: float,
-    cooling: float,
-    initial_bits: int | None,
-    counter: _CopyCounter | None = None,
-) -> tuple[int, int]:
-    if counter is None:
-        counter = _CopyCounter(pattern, n)
+def _anneal_restart(job: tuple) -> tuple[int, int]:
+    engine, seed_i, steps, t0, cooling, initial_bits = job
     rng = Random(seed_i)
-    nbits = counter.nbits
+    nbits = engine.nbits
     bits = rng.getrandbits(nbits) if initial_bits is None and nbits else (initial_bits or 0)
-    cur = counter.count(bits)
+    cur = engine.start(bits)
     best, best_bits = cur, bits
     temp = t0
     for _ in range(steps if nbits else 0):
         e = rng.randrange(nbits)
-        d = counter.delta(bits, e)
+        d = engine.delta(e)
         if d <= 0 or rng.random() < math.exp(-d / temp):
-            bits ^= 1 << e
+            engine.flip(e)
             cur += d
             if cur < best:
-                best, best_bits = cur, bits
+                best, best_bits = cur, engine.bits
         temp *= cooling
     return best, best_bits
 
@@ -316,18 +309,19 @@ def anneal_min(
     Single-edge-flip proposals with Metropolis acceptance and geometric
     cooling; restart i runs from an independent random start (or from
     ``initial`` if given) under seed derived from (config.seed, i).  The
-    returned best_count is re-verified against the DP counter.
+    engine is built once and handed to every restart, in process or in a
+    worker.  The returned best_count is re-verified against the DP counter.
     """
     config.validate()
     if initial is not None and initial.n != n:
         raise DomainError("initial coloring has the wrong vertex count")
     if threads < 1:
         raise DomainError("threads must be >= 1")
+    engine = _CopyEngine(pattern, n)
     init_bits = initial.red_bits if initial is not None else None
     jobs = [
         (
-            pattern,
-            n,
+            engine,
             _restart_seed(config.seed, i),
             config.steps_per_restart,
             config.initial_temperature,
@@ -336,19 +330,9 @@ def anneal_min(
         )
         for i in range(config.restarts)
     ]
-    if threads == 1:
-        counter = _CopyCounter(pattern, n)
-        outcomes = [_anneal_restart(*job, counter=counter) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_anneal_restart_job, jobs))
-    best, best_bits = None, 0
-    best_key = None
-    for cnt, bits in outcomes:
-        key = EdgeColoring(n, bits).serialize()
-        if best is None or cnt < best or (cnt == best and key < best_key):
-            best, best_bits, best_key = cnt, bits, key
-    witness = EdgeColoring(n, best_bits)
+    outcomes = parallel_map(_anneal_restart, jobs, threads)
+    best = min(cnt for cnt, _ in outcomes)
+    witness = EdgeColoring(n, _least_witness(n, (b for cnt, b in outcomes if cnt == best)))
     check = count_mono(witness, pattern)
     if check != best:
         raise AssertionError(
@@ -363,10 +347,6 @@ def anneal_min(
         config.restarts * config.steps_per_restart,
         "anneal",
     )
-
-
-def _anneal_restart_job(job: tuple) -> tuple[int, int]:
-    return _anneal_restart(*job)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,11 @@ def test_json_reports_match_golden_outputs(case, tmp_path, capsys, monkeypatch) 
     assert re.sub(r'"wall_time_s": [^\n]*', '"wall_time_s": null', stdout) == case["stdout"]
 
 
+def test_cli_import_does_not_load_numpy() -> None:
+    code = "import sys, ramseykit.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def test_module_entry_point_smoke() -> None:
     proc = subprocess.run(
         [sys.executable, "-m", "ramseykit.cli", "--version"],

@@ -1,0 +1,44 @@
+import concurrent.futures
+
+from ramseykit.parallel import parallel_map
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int, mp_context) -> None:
+        assert mp_context.get_start_method() == "spawn"
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self) -> "RecordingPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_pool_size_is_capped_by_threads_jobs_and_cpus(monkeypatch) -> None:
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert parallel_map(str, range(3), 8) == ["0", "1", "2"]  # jobs
+    assert parallel_map(str, range(10), 8) == [str(i) for i in range(10)]  # cpus
+    assert parallel_map(str, range(10), 2) == [str(i) for i in range(10)]  # threads
+    assert RecordingPool.sizes == [3, 4, 2]
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert parallel_map(str, range(10), 8) == [str(i) for i in range(10)]
+    assert RecordingPool.sizes == [3, 4, 2]
+
+
+def test_one_thread_or_one_job_runs_inline(monkeypatch) -> None:
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    assert parallel_map(str, range(5), 1) == [str(i) for i in range(5)]
+    assert parallel_map(str, [7], 8) == ["7"]
+    assert parallel_map(str, [], 8) == []
+    assert RecordingPool.sizes == []

@@ -15,6 +15,9 @@ from ramseykit import (
     ramsey_via_search,
     split_coloring,
 )
+from ramseykit.coloring import pair_count
+from ramseykit.counting import copy_edge_masks
+from ramseykit.search import _CopyEngine
 
 
 @pytest.mark.parametrize(
@@ -27,6 +30,9 @@ from ramseykit import (
         ("K3", 6, 2),
         ("K3", 5, 0),
         ("C_4", 6, 2),
+        ("P_1", 3, 6),
+        ("P_1", 6, 12),
+        ("P_1", 7, 14),
     ],
 )
 def test_exhaustive_minimum_values(text: str, n: int, minimum: int) -> None:
@@ -35,6 +41,43 @@ def test_exhaustive_minimum_values(text: str, n: int, minimum: int) -> None:
     assert res.exact
     assert res.witness.n == n
     assert count_mono(res.witness, parse_pattern(text)) == minimum
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_copy_engine_matches_mask_recount(data) -> None:
+    label = data.draw(
+        st.sampled_from(["P_1", "P_2", "P_3", "P_4", "C_3", "C_4", "C_5", "S_1", "S_3", "K3", "K4"])
+    )
+    n = data.draw(st.integers(0, 12))
+    pattern = parse_pattern(label)
+    masks = copy_edge_masks(pattern, n)
+
+    def recount(bits: int) -> int:
+        return sum((m & bits == m) + (m & bits == 0) for m in masks)
+
+    nbits = pair_count(n)
+    colorings = st.integers(0, (1 << nbits) - 1)
+    engine = _CopyEngine(pattern, n)
+    # rows this short are tallied by bytes.count; check the numpy tally too
+    engine._bytes_tally &= data.draw(st.booleans())
+    states = data.draw(st.lists(colorings, min_size=1, max_size=6))
+    assert engine.count_many(states).tolist() == [recount(b) for b in states]
+    bits = data.draw(colorings)
+    cur = engine.start(bits)
+    assert type(cur) is int and cur == recount(bits)
+    moves = st.tuples(st.integers(0, max(nbits - 1, 0)), st.booleans())
+    for e, ask_first in data.draw(st.lists(moves, max_size=12 if nbits else 0)):
+        if ask_first:
+            d = engine.delta(e)
+            assert type(d) is int and d == recount(bits ^ 1 << e) - recount(bits)
+        else:
+            d = recount(bits ^ 1 << e) - recount(bits)
+        engine.flip(e)
+        bits ^= 1 << e
+        cur += d
+        assert engine.bits == bits
+    assert engine.start(bits) == cur == recount(bits)
 
 
 def test_exhaustive_switches_to_canonical_classes_on_large_hosts() -> None:
