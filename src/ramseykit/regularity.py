@@ -8,6 +8,15 @@ graphs, a detector for near-split colorings, and numeric checkers that
 compare closed-form lower bounds for bipartite path counts against
 exact counts.
 
+Both regularity checkers run one counterpart scan: for a subset S of one
+side and each admissible size s, the s vertices of the other side of
+largest and of smallest degree into S attain the extreme densities, so no
+other counterpart needs visiting.  The exhaustive checker enumerates S over
+the smaller side and keeps the largest deviation; the sampler draws S at
+random and stops at the first deviation beyond eps.  Every vertex set
+passed in as a part goes through one check: nonempty, in range, without
+repeats and disjoint from the other parts.
+
 Conventions
 -----------
 Densities are computed with exact rational arithmetic (`fractions.Fraction`)
@@ -25,17 +34,16 @@ which is the natural reading for "the graph G[A] has density at least
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .coloring import BLUE, RED, ColorView, EdgeColoring, other_color
 from .counting import count_walks, falling
 from .errors import CapabilityError, DomainError
-from .parallel import parallel_map
+from .parallel import job_seed, parallel_map
 from .structure import SimpleGraph, _bits, max_matching
 
 EXACT_REGULARITY_MAX = 14
@@ -69,9 +77,20 @@ def _vertex_mask(vertices: Iterable[int], n: int) -> int:
     return m
 
 
-def _cross_edges(adj: Sequence[int], xs: Sequence[int], ymask: int) -> int:
-    """Ordered-pair edge count from xs into the set with bitmask ymask."""
-    return sum((adj[x] & ymask).bit_count() for x in xs)
+def _part_masks(n: int, *parts: Iterable[int]) -> list[int]:
+    """Bitmask of each part; parts must be nonempty, in range, free of
+    repeats and pairwise disjoint."""
+    masks = []
+    seen = 0
+    for part in parts:
+        m = _vertex_mask(part, n)
+        if not m:
+            raise DomainError("parts must be nonempty")
+        if m & seen:
+            raise DomainError("parts must be disjoint")
+        seen |= m
+        masks.append(m)
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +142,37 @@ def _check_pair_inputs(
 ) -> tuple[list[int], list[int]]:
     if eps <= 0:
         raise DomainError("eps must be positive")
-    if not xs or not ys:
-        raise DomainError("parts must be nonempty")
-    xmask = _vertex_mask(xs, g.n)
-    ymask = _vertex_mask(ys, g.n)
-    if xmask & ymask:
-        raise DomainError("parts must be disjoint")
+    _part_masks(g.n, xs, ys)
     return sorted(xs), sorted(ys)
+
+
+def _extreme_deviations(
+    adj: Sequence[int], smask: int, ssize: int, other: Sequence[int], lo: int, base: Fraction
+) -> Iterator[tuple[Fraction, list[tuple[int, int]]]]:
+    """Yield (|d(S,T) - base|, T) for each size s >= max(lo, 1), T the s
+    vertices of `other` of largest and then of smallest degree into S.
+
+    T comes as (degree, vertex) pairs.  Among all s-subsets of `other`
+    these two extremes attain the largest and the smallest d(S,T), so they
+    carry the largest deviation of that size.
+    """
+    degs = sorted(((adj[w] & smask).bit_count(), w) for w in other)
+    prefix = [0]
+    for dval, _ in degs:
+        prefix.append(prefix[-1] + dval)
+    no = len(degs)
+    for s in range(max(lo, 1), no + 1):
+        yield abs(Fraction(prefix[no] - prefix[no - s], ssize * s) - base), degs[no - s :]
+        yield abs(Fraction(prefix[s], ssize * s) - base), degs[:s]
+
+
+def _oriented(
+    swapped: bool, smask: int, pick: list[tuple[int, int]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Witness (U, V) from the scanned subset S and its counterpart T."""
+    s = tuple(_bits(smask))
+    t = tuple(sorted(w for _, w in pick))
+    return (t, s) if swapped else (s, t)
 
 
 def eps_regular_exact(
@@ -153,49 +196,24 @@ def eps_regular_exact(
         )
     swapped = len(ys_s) < len(xs_s)
     enum_side, scan_side = (ys_s, xs_s) if swapped else (xs_s, ys_s)
-
-    total = _cross_edges(g.adj, xs_s, _vertex_mask(ys_s, g.n))
-    nx, ny = len(xs_s), len(ys_s)
-    base = Fraction(total, nx * ny)
-
+    base = pair_density(g, xs_s, ys_s)
     enum_min = _ceil_frac(epsf * len(enum_side))
     scan_min = _ceil_frac(epsf * len(scan_side))
-    ne = len(enum_side)
-    ns = len(scan_side)
 
     worst_dev = Fraction(0)
     worst_pair: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-
-    scan_masks = [1 << w for w in scan_side]
-    adj = g.adj
-    for umask in range(1, 1 << ne):
+    for umask in range(1, 1 << len(enum_side)):
         u_size = umask.bit_count()
         if u_size < enum_min:
             continue
-        uverts = [enum_side[i] for i in _bits(umask)]
         usub = 0
-        for w in uverts:
-            usub |= 1 << w
-        degs = sorted(
-            ((adj[w] & usub).bit_count(), w) for w in scan_side
-        )
-        prefix = [0]
-        for dval, _ in degs:
-            prefix.append(prefix[-1] + dval)
-        e_all = prefix[-1]
-        for s in range(max(scan_min, 1), ns + 1):
-            for e_uv, pick in (
-                (e_all - prefix[ns - s], degs[ns - s :]),
-                (prefix[s], degs[:s]),
-            ):
-                # |e/(u s) - base| vs eps, cross-multiplied exactly
-                dev = abs(Fraction(e_uv, u_size * s) - base)
-                if dev > worst_dev:
-                    worst_dev = dev
-                    if dev > epsf:
-                        vtuple = tuple(sorted(w for _, w in pick))
-                        utuple = tuple(sorted(uverts))
-                        worst_pair = (vtuple, utuple) if swapped else (utuple, vtuple)
+        for i in _bits(umask):
+            usub |= 1 << enum_side[i]
+        for dev, pick in _extreme_deviations(g.adj, usub, u_size, scan_side, scan_min, base):
+            if dev > worst_dev:
+                worst_dev = dev
+                if dev > epsf:
+                    worst_pair = _oriented(swapped, usub, pick)
     regular = worst_dev <= epsf
     return RegularityResult(
         regular=regular,
@@ -252,8 +270,7 @@ def eps_regular_sample(
     if trials < 0:
         raise DomainError("trials must be nonnegative")
     nx, ny = len(xs_s), len(ys_s)
-    total = _cross_edges(g.adj, xs_s, _vertex_mask(ys_s, g.n))
-    base = Fraction(total, nx * ny)
+    base = pair_density(g, xs_s, ys_s)
     u_min = _ceil_frac(epsf * nx)
     v_min = _ceil_frac(epsf * ny)
     if u_min > nx or v_min > ny:
@@ -261,40 +278,25 @@ def eps_regular_sample(
             status="no-violation-found", eps=epsf, base_density=base, trials=0
         )
     rng = Random(seed)
-    adj = g.adj
     for t in range(trials):
         swapped = t % 2 == 1
         side, other = (ys_s, xs_s) if swapped else (xs_s, ys_s)
         s_lo = max(v_min if swapped else u_min, 1)
-        o_lo = max(u_min if swapped else v_min, 1)
         size = rng.randint(s_lo, len(side))
-        sample = rng.sample(side, size)
         smask = 0
-        for w in sample:
+        for w in rng.sample(side, size):
             smask |= 1 << w
-        degs = sorted(((adj[w] & smask).bit_count(), w) for w in other)
-        no = len(other)
-        prefix = [0]
-        for dval, _ in degs:
-            prefix.append(prefix[-1] + dval)
-        for s in range(o_lo, no + 1):
-            for e_uv, pick in (
-                (prefix[no] - prefix[no - s], degs[no - s :]),
-                (prefix[s], degs[:s]),
-            ):
-                dev = abs(Fraction(e_uv, size * s) - base)
-                if dev > epsf:
-                    ctuple = tuple(sorted(w for _, w in pick))
-                    stuple = tuple(sorted(sample))
-                    witness = (ctuple, stuple) if swapped else (stuple, ctuple)
-                    return SampleVerdict(
-                        status="violated",
-                        eps=epsf,
-                        base_density=base,
-                        trials=t + 1,
-                        deviation=dev,
-                        witness=witness,
-                    )
+        o_lo = u_min if swapped else v_min
+        for dev, pick in _extreme_deviations(g.adj, smask, size, other, o_lo, base):
+            if dev > epsf:
+                return SampleVerdict(
+                    status="violated",
+                    eps=epsf,
+                    base_density=base,
+                    trials=t + 1,
+                    deviation=dev,
+                    witness=_oriented(swapped, smask, pick),
+                )
     return SampleVerdict(
         status="no-violation-found", eps=epsf, base_density=base, trials=trials
     )
@@ -317,25 +319,24 @@ def degree_deviation_check(
 
     Passes when both the high count (degree > (d+eps)|Y|) and the low
     count (degree < (d-eps)|Y|) are strictly below eps|X|, the degree
-    distribution every regular pair must exhibit.
+    distribution every regular pair must exhibit.  X and Y must be
+    disjoint parts.
     """
     df = as_fraction(d)
     epsf = as_fraction(eps)
-    if not xs or not ys:
-        raise DomainError("parts must be nonempty")
-    ymask = _vertex_mask(ys, g.n)
+    xmask, ymask = _part_masks(g.n, xs, ys)
     ny = ymask.bit_count()
     hi = (df + epsf) * ny
     lo = (df - epsf) * ny
     count_high = 0
     count_low = 0
-    for x in xs:
+    for x in _bits(xmask):
         deg = (g.adj[x] & ymask).bit_count()
         if deg > hi:
             count_high += 1
         elif deg < lo:
             count_low += 1
-    limit = epsf * len(xs)
+    limit = epsf * xmask.bit_count()
     passed = count_high < limit and count_low < limit
     return DegreeDeviationReport(count_high, count_low, passed)
 
@@ -353,14 +354,7 @@ class VertexPartition:
     parts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        seen = 0
-        for part in self.parts:
-            if not part:
-                raise DomainError("parts must be nonempty")
-            m = _vertex_mask(part, self.n)
-            if m & seen:
-                raise DomainError("parts must be disjoint")
-            seen |= m
+        _part_masks(self.n, *self.parts)
 
     @classmethod
     def from_parts(cls, n: int, parts: Iterable[Sequence[int]]) -> "VertexPartition":
@@ -455,23 +449,9 @@ class ReducedGraph:
         return SimpleGraph.from_edges(self.M, self.edges(color))
 
 
-def _pair_seed(seed: int, i: int, j: int, color: str) -> int:
-    digest = hashlib.blake2b(
-        f"{seed}:{i}:{j}:{color}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
-
-
-def _annotate_pair(
-    coloring: EdgeColoring,
-    parts: tuple[tuple[int, ...], ...],
-    i: int,
-    j: int,
-    eps: Fraction,
-    mode: str,
-    trials: int,
-    seed: int,
-) -> PairAnnotation:
+def _annotate_pair(job: tuple) -> PairAnnotation:
+    """Annotate parts i and j; job is (coloring, parts, i, j, eps, mode, trials, seed)."""
+    coloring, parts, i, j, eps, mode, trials, seed = job
     density: dict[str, Fraction] = {}
     regular: dict[str, str] = {}
     for color in (RED, BLUE):
@@ -488,16 +468,12 @@ def _annotate_pair(
                 parts[j],
                 eps,
                 trials=trials,
-                seed=_pair_seed(seed, i, j, color),
+                seed=job_seed(seed, i, j, color),
             )
             regular[color] = verdict.status
     return PairAnnotation(
         i=i, j=j, density=density, regular=regular, evidence_only=mode != "exact"
     )
-
-
-def _pair_job(job: tuple) -> PairAnnotation:
-    return _annotate_pair(*job)
 
 
 def build_reduced(
@@ -534,7 +510,7 @@ def build_reduced(
             )
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     jobs = [(coloring, parts, i, j, epsf, mode, trials, seed) for i, j in pairs]
-    annotations = dict(zip(pairs, parallel_map(_pair_job, jobs, threads)))
+    annotations = dict(zip(pairs, parallel_map(_annotate_pair, jobs, threads)))
     red = frozenset(k for k, a in annotations.items() if a.admits(RED, df))
     blue = frozenset(k for k, a in annotations.items() if a.admits(BLUE, df))
     return ReducedGraph(
@@ -827,20 +803,20 @@ class BoundReport:
 
 def _bipartite_setup(
     g: SimpleGraph, us: Sequence[int], vs: Sequence[int]
-) -> tuple[list[int], int, int, list[int], list[int]]:
+) -> tuple[list[int], int, int]:
     """Cross-edges-only adjacency plus masks for a disjoint part pair."""
-    if not us or not vs:
-        raise DomainError("parts must be nonempty")
-    umask = _vertex_mask(us, g.n)
-    vmask = _vertex_mask(vs, g.n)
-    if umask & vmask:
-        raise DomainError("parts must be disjoint")
+    umask, vmask = _part_masks(g.n, us, vs)
     adj = [0] * g.n
     for u in _bits(umask):
         adj[u] = g.adj[u] & vmask
     for v in _bits(vmask):
         adj[v] = g.adj[v] & umask
-    return adj, umask, vmask, sorted(us), sorted(vs)
+    return adj, umask, vmask
+
+
+def _alternating_falling(n: int, m: int) -> int:
+    """prod_{i=1..m} (n - floor(i/2)), factors clamped at zero."""
+    return math.prod(max(n - i // 2, 0) for i in range(1, m + 1))
 
 
 def rooted_path_bound(
@@ -867,10 +843,10 @@ def rooted_path_bound(
         raise DomainError("eps must be positive")
     if l < 1:
         raise DomainError("path length must be at least 1")
-    adj, umask, vmask, us_s, vs_s = _bipartite_setup(g, us, vs)
-    if not vmask >> v & 1:
+    adj, umask, vmask = _bipartite_setup(g, us, vs)
+    if v < 0 or not vmask >> v & 1:
         raise DomainError("root vertex must lie in the second part")
-    nu, nv = len(us_s), len(vs_s)
+    nu, nv = umask.bit_count(), vmask.bit_count()
     n = min(nu, nv)
 
     t = df - epsf
@@ -882,10 +858,7 @@ def rooted_path_bound(
         and 4 * n * n * epsf <= Fraction((2 * n - l - 1) ** 2),
     }
     base = max(float(df) - float(epsf) - math.sqrt(float(epsf)), 0.0)
-    prod = 1
-    for i in range(1, l + 1):
-        prod *= max(n - i // 2, 0)
-    bound = base**l * prod
+    bound = base**l * _alternating_falling(n, l)
     exact = count_walks(adj, (v,), l)
     return BoundReport(
         mode="rooted",
@@ -923,11 +896,11 @@ def endpoint_path_bound(
         raise DomainError("path length must be at least 1")
     if u == v:
         raise DomainError("endpoints must be distinct")
-    adj, umask, vmask, us_s, vs_s = _bipartite_setup(g, us, vs)
+    adj, umask, vmask = _bipartite_setup(g, us, vs)
     for w in (u, v):
-        if not (umask | vmask) >> w & 1:
+        if w < 0 or not (umask | vmask) >> w & 1:
             raise DomainError("endpoints must lie in the parts")
-    nu, nv = len(us_s), len(vs_s)
+    nu, nv = umask.bit_count(), vmask.bit_count()
     n = min(nu, nv)
 
     t = df - epsf
@@ -948,10 +921,7 @@ def endpoint_path_bound(
         "length-parity": (l % 2 == 0) == same_part,
     }
     base = max(float(df) - 7 * math.sqrt(float(epsf)), 0.0)
-    prod = 1
-    for i in range(1, l - 1):
-        prod *= max(n - i // 2, 0)
-    bound = base ** (l - 1) * float(epsf) * n * prod
+    bound = base ** (l - 1) * float(epsf) * n * _alternating_falling(n, l - 2)
     if l == 1:
         exact = adj[u] >> v & 1
     else:
@@ -991,11 +961,12 @@ def dense_bipartite_bound(
         raise DomainError("beta must be nonnegative")
     if k < 1:
         raise DomainError("k must be at least 1")
-    adj, umask, vmask, us_s, vs_s = _bipartite_setup(g, us, vs)
-    nu, nv = len(us_s), len(vs_s)
+    adj, umask, vmask = _bipartite_setup(g, us, vs)
+    nu, nv = umask.bit_count(), vmask.bit_count()
 
-    edges = sum((g.adj[u] & vmask).bit_count() for u in us_s)
-    min_u_deg = min((g.adj[u] & vmask).bit_count() for u in us_s)
+    u_degs = [adj[u].bit_count() for u in _bits(umask)]
+    edges = sum(u_degs)
+    min_u_deg = min(u_degs)
     mx = max(nv, 2 * nu)
     hyp = {
         "v-part-size": 4 * nv >= 3 * k,
@@ -1021,7 +992,7 @@ def dense_bipartite_bound(
         f2 = 0.0
     f3 = max(1 - 6 * sb, 0.0) ** (k / 2)
     bound = f1 * f2 * f3 * falling(nu, k // 2) * falling(nv, (k + 1) // 2)
-    exact = sum(count_walks(adj, (v,), k - 1) for v in vs_s)
+    exact = sum(count_walks(adj, (v,), k - 1) for v in _bits(vmask))
     return BoundReport(
         mode="dense-bipartite",
         hypotheses=hyp,
@@ -1029,6 +1000,13 @@ def dense_bipartite_bound(
         exact_count=exact,
         params={"beta": betaf, "delta": deltaf, "k": k},
     )
+
+
+_BOUND_CHECKERS = {
+    "rooted": (rooted_path_bound, ("eps", "d", "l", "v")),
+    "endpoints": (endpoint_path_bound, ("eps", "d", "l", "u", "v")),
+    "dense-bipartite": (dense_bipartite_bound, ("beta", "delta", "k")),
+}
 
 
 def verify_count_bounds(
@@ -1043,26 +1021,11 @@ def verify_count_bounds(
     if "mode" not in params:
         raise DomainError("params must include a 'mode' key")
     mode = params["mode"]
+    if not isinstance(mode, str) or mode not in _BOUND_CHECKERS:
+        raise DomainError(f"unknown mode {mode!r}")
+    checker, keys = _BOUND_CHECKERS[mode]
     try:
-        if mode == "rooted":
-            return rooted_path_bound(
-                g, us, vs, params["eps"], params["d"], params["l"], params["v"]
-            )
-        if mode == "endpoints":
-            return endpoint_path_bound(
-                g,
-                us,
-                vs,
-                params["eps"],
-                params["d"],
-                params["l"],
-                params["u"],
-                params["v"],
-            )
-        if mode == "dense-bipartite":
-            return dense_bipartite_bound(
-                g, us, vs, params["beta"], params["delta"], params["k"]
-            )
+        args = [params[key] for key in keys]
     except KeyError as exc:
         raise DomainError(f"missing parameter {exc} for mode {mode!r}") from exc
-    raise DomainError(f"unknown mode {mode!r}")
+    return checker(g, us, vs, *args)

@@ -22,7 +22,6 @@ by the package.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from random import Random
@@ -32,7 +31,7 @@ from .coloring import EdgeColoring, pair_count, pair_index
 from .counting import Pattern, copy_edge_masks, count_mono
 from .errors import CapabilityError, DomainError
 from .formulas import r_cycle, r_path
-from .parallel import parallel_map
+from .parallel import job_seed, parallel_map
 
 EXHAUSTIVE_MAX_N = 7
 RAW_ENUM_MAX_N = 6
@@ -71,11 +70,6 @@ class MinimizationResult:
     exact: bool
     explored: int
     method: str
-
-
-def _restart_seed(seed: int, i: int) -> int:
-    digest = hashlib.blake2b(f"{seed}:{i}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 def _bit_matrix(values: Sequence[int], nbits: int):
@@ -315,14 +309,12 @@ def anneal_min(
     config.validate()
     if initial is not None and initial.n != n:
         raise DomainError("initial coloring has the wrong vertex count")
-    if threads < 1:
-        raise DomainError("threads must be >= 1")
     engine = _CopyEngine(pattern, n)
     init_bits = initial.red_bits if initial is not None else None
     jobs = [
         (
             engine,
-            _restart_seed(config.seed, i),
+            job_seed(config.seed, i),
             config.steps_per_restart,
             config.initial_temperature,
             config.cooling_rate,

@@ -366,7 +366,8 @@ def _exact_le4(g: SimpleGraph, u: int, v: int, max_len: int) -> list[tuple[int, 
     Interiors can be normalized so that length-2 paths use common neighbors,
     the first interior lies in A = N(u)\\N(v), the last in B = N(v)\\N(u),
     and any middle vertex avoids N(u) and N(v).  Length-3 then reduces to an
-    A-B matching; length-4 adds unit-capacity middles, i.e. a small max-flow.
+    A-B matching and length-4 adds unit-capacity middles; both are one small
+    unit-capacity max-flow, with no middles at length 3.
     """
     paths: list[tuple[int, ...]] = []
     if max_len >= 1 and g.has_edge(u, v):
@@ -382,21 +383,10 @@ def _exact_le4(g: SimpleGraph, u: int, v: int, max_len: int) -> list[tuple[int, 
         return paths
     a_side = list(_bits(nu & ~nv & ~ends))
     b_side = list(_bits(nv & ~nu & ~ends))
-    if max_len == 3:
-        restricted = SimpleGraph(g.n)
-        for a in a_side:
-            for b in b_side:
-                if g.has_edge(a, b):
-                    restricted._add_edge(a, b)
-        for a, b in max_matching(restricted):
-            if a in a_side:
-                paths.append((u, a, b, v))
-            else:
-                paths.append((u, b, a, v))
-        return paths
-    if max_len != 4:
+    if max_len > 4:
         raise DomainError("role reduction applies to max_len <= 4 only")
-    middle = [w for w in range(g.n) if not ((nu | nv | ends) >> w & 1)]
+    outside = nu | nv | ends
+    middle = [w for w in range(g.n) if not outside >> w & 1] if max_len == 4 else []
     # unit-capacity flow: S -> a -> (z) -> b -> T
     source, sink = ("S",), ("T",)
     cap: dict[tuple, dict[tuple, int]] = {source: {}, sink: {}}

@@ -222,6 +222,13 @@ def _brute_matching_number(g: SimpleGraph) -> int:
     return best(0, 0)
 
 
+def _random_bipartite(rng: Random, a: int, b: int, p: float) -> SimpleGraph:
+    """Parts range(a) and range(a, a+b), each cross edge kept with probability p."""
+    return SimpleGraph.from_edges(
+        a + b, [(i, a + j) for i in range(a) for j in range(b) if rng.random() < p]
+    )
+
+
 def _random_graph(rng: Random, n: int, p: float) -> SimpleGraph:
     return SimpleGraph.from_edges(
         n,
@@ -270,15 +277,7 @@ def suite_structure(seed: int = 0) -> list[CheckResult]:
     for _ in range(60):
         a = rng.randint(1, 5)
         b = rng.randint(1, 5)
-        g = SimpleGraph.from_edges(
-            a + b,
-            [
-                (i, a + j)
-                for i in range(a)
-                for j in range(b)
-                if rng.random() < 0.5
-            ],
-        )
+        g = _random_bipartite(rng, a, b, 0.5)
         if not konig_edge_bound_check(g, (list(range(a)), list(range(a, a + b)))).ok:
             ok = False
             break
@@ -359,16 +358,7 @@ def suite_bounds(seed: int = 0) -> list[CheckResult]:
     confirmed = 0
     violated = 0
     for _ in range(25):
-        p = rng.choice([0.85, 0.9, 1.0])
-        g = SimpleGraph.from_edges(
-            24,
-            [
-                (i, 12 + j)
-                for i in range(12)
-                for j in range(12)
-                if rng.random() < p
-            ],
-        )
+        g = _random_bipartite(rng, 12, 12, rng.choice([0.85, 0.9, 1.0]))
         us, vs = list(range(12)), list(range(12, 24))
         thresh = (Fraction("0.85") - Fraction("0.29")) * 12
         roots = [v for v in vs if Fraction(g.degree(v)) >= thresh]
@@ -480,21 +470,10 @@ def suite_stability(seed: int = 0) -> list[CheckResult]:
     rng = Random(seed)
     out = []
 
-    def random_bipartite(nx: int, ny: int, p: float) -> SimpleGraph:
-        return SimpleGraph.from_edges(
-            nx + ny,
-            [
-                (i, nx + j)
-                for i in range(nx)
-                for j in range(ny)
-                if rng.random() < p
-            ],
-        )
-
     ok = True
     for _ in range(15):
         nx, ny = rng.randint(3, 8), rng.randint(3, 8)
-        g = random_bipartite(nx, ny, rng.choice([0.3, 0.5, 0.7]))
+        g = _random_bipartite(rng, nx, ny, rng.choice([0.3, 0.5, 0.7]))
         comp = SimpleGraph.from_edges(
             nx + ny,
             [
@@ -522,7 +501,7 @@ def suite_stability(seed: int = 0) -> list[CheckResult]:
     inherited = 0
     for _ in range(60):
         nx, ny = rng.randint(4, 9), rng.randint(4, 9)
-        g = random_bipartite(nx, ny, 0.5)
+        g = _random_bipartite(rng, nx, ny, 0.5)
         eps = rng.choice([Fraction(3, 10), Fraction(2, 5)])
         pair = eps_regular_exact(g, range(nx), range(nx, nx + ny), eps)
         if not pair.regular:
@@ -550,7 +529,7 @@ def suite_stability(seed: int = 0) -> list[CheckResult]:
     tested = 0
     for _ in range(40):
         nx, ny = rng.randint(4, 9), rng.randint(4, 9)
-        g = random_bipartite(nx, ny, 0.5)
+        g = _random_bipartite(rng, nx, ny, 0.5)
         eps = Fraction(2, 5)
         pair = eps_regular_exact(g, range(nx), range(nx, nx + ny), eps)
         if not pair.regular:

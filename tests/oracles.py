@@ -2,12 +2,13 @@
 
 Everything here is written for clarity over speed and deliberately avoids
 the package's own counting or matching code: permutation enumeration for
-paths and cycles, subset enumeration for matchings, and plain backtracking
-for disjoint-path packing.  Only usable at small sizes.
+paths and cycles, subset enumeration for matchings and pair regularity, and
+plain backtracking for disjoint-path packing.  Only usable at small sizes.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 from typing import Callable, Sequence
@@ -77,6 +78,27 @@ def brute_triangles(has_edge: EdgePredicate, n: int) -> int:
         if has_edge(a, b) and has_edge(a, c) and has_edge(b, c):
             total += 1
     return total
+
+
+def brute_regularity(
+    has_edge: EdgePredicate, xs: Sequence[int], ys: Sequence[int], eps: Fraction
+) -> Fraction:
+    """Largest |d(U,V) - d(X,Y)| over every U of X and V of Y with
+    |U| >= eps|X| and |V| >= eps|Y| (both nonempty); 0 if none qualifies."""
+
+    def density(us: Sequence[int], vs: Sequence[int]) -> Fraction:
+        return Fraction(sum(has_edge(u, v) for u in us for v in vs), len(us) * len(vs))
+
+    base = density(xs, ys)
+    worst = Fraction(0)
+    for a in range(1, len(xs) + 1):
+        for b in range(1, len(ys) + 1):
+            if a < eps * len(xs) or b < eps * len(ys):
+                continue
+            for us in combinations(xs, a):
+                for vs in combinations(ys, b):
+                    worst = max(worst, abs(density(us, vs) - base))
+    return worst
 
 
 def matching_number(n: int, edges: Sequence[tuple[int, int]]) -> int:

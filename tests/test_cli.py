@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -6,8 +7,17 @@ from pathlib import Path
 
 import pytest
 
+import ramseykit
 from ramseykit import EdgeColoring, count_mono, parse_pattern, split_coloring
 from ramseykit.cli import canonical_json, main
+
+# child interpreters import the package from the same directory as this one
+PACKAGE_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(ramseykit.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -237,7 +247,7 @@ def test_json_reports_match_golden_outputs(case, tmp_path, capsys, monkeypatch) 
 
 def test_cli_import_does_not_load_numpy() -> None:
     code = "import sys, ramseykit.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV).returncode == 0
 
 
 def test_module_entry_point_smoke() -> None:
@@ -245,6 +255,7 @@ def test_module_entry_point_smoke() -> None:
         [sys.executable, "-m", "ramseykit.cli", "--version"],
         capture_output=True,
         text=True,
+        env=PACKAGE_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()

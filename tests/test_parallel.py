@@ -1,6 +1,9 @@
 import concurrent.futures
 
-from ramseykit.parallel import parallel_map
+import pytest
+
+from ramseykit.errors import DomainError
+from ramseykit.parallel import job_seed, parallel_map
 
 
 class RecordingPool:
@@ -42,3 +45,15 @@ def test_one_thread_or_one_job_runs_inline(monkeypatch) -> None:
     assert parallel_map(str, [7], 8) == ["7"]
     assert parallel_map(str, [], 8) == []
     assert RecordingPool.sizes == []
+
+
+@pytest.mark.parametrize("threads", [0, -5])
+def test_fewer_than_one_thread_is_refused(threads) -> None:
+    with pytest.raises(DomainError):
+        parallel_map(str, range(3), threads)
+
+
+def test_job_seeds_are_pinned() -> None:
+    # anneal restart i of seed 7, and the red sample of parts 1, 2 at seed 0
+    assert job_seed(7, 3) == 12296769318780836496
+    assert job_seed(0, 1, 2, "red") == 10834123606138540087

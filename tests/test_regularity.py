@@ -28,7 +28,7 @@ from ramseykit import (
     verify_count_bounds,
 )
 
-from .oracles import brute_walks
+from .oracles import brute_regularity, brute_walks
 
 
 def complete_bipartite(a: int, b: int):
@@ -229,6 +229,52 @@ def test_sampler_violations_are_sound_against_the_exact_check(seed: int) -> None
         assert not eps_regular_exact(g, xs, ys, eps).regular
 
 
+@st.composite
+def regularity_cases(draw):
+    """A bipartite host with shuffled sides of 1-5 vertices and a tolerance."""
+    from ramseykit import SimpleGraph
+
+    a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cross = [(i, a + j) for i in range(a) for j in range(b)]
+    keep = draw(st.lists(st.booleans(), min_size=len(cross), max_size=len(cross)))
+    g = SimpleGraph.from_edges(a + b, [e for e, kept in zip(cross, keep) if kept])
+    xs = draw(st.permutations(range(a)))
+    ys = draw(st.permutations(range(a, a + b)))
+    eps = draw(st.fractions(Fraction(1, 20), Fraction(4, 5), max_denominator=20))
+    return g, xs, ys, eps
+
+
+@given(regularity_cases(), st.integers(0, 1000))
+@settings(max_examples=120, deadline=None)
+def test_counterpart_scan_matches_subset_enumeration(case, seed) -> None:
+    # the checkers scan only the extreme counterparts of each subset; the
+    # oracle enumerates every qualifying (U, V)
+    g, xs, ys, eps = case
+
+    def qualifies(witness) -> bool:
+        us, vs = witness
+        return (
+            set(us) <= set(xs)
+            and set(vs) <= set(ys)
+            and len(us) >= eps * len(xs)
+            and len(vs) >= eps * len(ys)
+        )
+
+    res = eps_regular_exact(g, xs, ys, eps)
+    worst = brute_regularity(g.has_edge, xs, ys, eps)
+    assert res.deviation == worst
+    assert res.regular == (worst <= eps)
+    if not res.regular:
+        assert qualifies(res.witness)
+        assert abs(pair_density(g, *res.witness) - res.base_density) == res.deviation
+
+    verdict = eps_regular_sample(g, xs, ys, eps, trials=20, seed=seed)
+    if verdict.status == "violated":
+        assert qualifies(verdict.witness)
+        local = abs(pair_density(g, *verdict.witness) - verdict.base_density)
+        assert local == verdict.deviation > eps
+
+
 # --- degree deviation ---------------------------------------------------
 
 
@@ -248,6 +294,14 @@ def test_matching_pair_fails_degree_deviation() -> None:
         g, range(10), range(10, 20), Fraction(1, 2), Fraction(1, 10)
     )
     assert not report.passed
+
+
+def test_degree_deviation_check_validates_both_parts() -> None:
+    g = complete_bipartite(2, 2)
+    # out of range both ways, a repeat, and an overlap with Y
+    for xs in ([-1], [9], [0, 0], [0, 2]):
+        with pytest.raises(DomainError):
+            degree_deviation_check(g, xs, [2, 3], Fraction(1, 2), Fraction(1, 10))
 
 
 # --- partitions and reduced graphs --------------------------------------
@@ -303,6 +357,13 @@ def test_reduced_graph_worker_pool_matches_serial_build() -> None:
     pooled = build_reduced(c, partition, Fraction(1, 5), Fraction(1, 2), threads=2)
     assert solo.red_edges == pooled.red_edges
     assert solo.blue_edges == pooled.blue_edges
+
+
+@pytest.mark.parametrize("threads", [0, -5])
+def test_reduced_graph_refuses_fewer_than_one_thread(threads) -> None:
+    partition = VertexPartition.of_size(9, 3)
+    with pytest.raises(DomainError):
+        build_reduced(split_coloring(6, 3), partition, 0.2, 0.5, threads=threads)
 
 
 # --- dichotomy and near-split detection ----------------------------------
@@ -403,6 +464,17 @@ def test_endpoint_bound_is_vacuous_at_desk_scale() -> None:
     )
     assert report.verdict == "vacuous"
     assert report.exact_count >= 0
+
+
+def test_bound_checkers_reject_negative_vertices() -> None:
+    g = complete_bipartite(3, 3)
+    us, vs = range(3), range(3, 6)
+    with pytest.raises(DomainError):
+        rooted_path_bound(g, us, vs, 0.3, 1, l=2, v=-1)
+    with pytest.raises(DomainError):
+        endpoint_path_bound(g, us, vs, 0.3, 1, l=3, u=-1, v=4)
+    with pytest.raises(DomainError):
+        endpoint_path_bound(g, us, vs, 0.3, 1, l=3, u=0, v=-2)
 
 
 def test_dense_bound_on_complete_pair_equals_exact_count() -> None:
