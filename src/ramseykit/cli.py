@@ -50,11 +50,11 @@ def _pair_arg(text: str) -> tuple[int, int]:
 
 def _threads(args: argparse.Namespace) -> int:
     if args.threads is not None:
-        return max(args.threads, 1)
+        return args.threads
     env = os.environ.get("RML_THREADS")
     if env is not None:
         try:
-            return max(int(env), 1)
+            return int(env)
         except ValueError:
             raise DomainError(f"RML_THREADS must be an integer, got {env!r}")
     return 1

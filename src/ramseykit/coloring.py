@@ -145,12 +145,6 @@ class EdgeColoring:
             raise DomainError(f"unknown color {color!r}")
         return ColorView(self, color)
 
-    def red_view(self) -> "ColorView":
-        return ColorView(self, RED)
-
-    def blue_view(self) -> "ColorView":
-        return ColorView(self, BLUE)
-
     # -- transformations ---------------------------------------------------
 
     def with_flipped(self, pairs: Sequence[tuple[int, int]]) -> "EdgeColoring":

@@ -3,8 +3,8 @@
 Threshold multiplicity m(H) is the minimum number of monochromatic copies
 of H over all two-colorings of K_r, where r = r(H) is the Ramsey number.
 Star multiplicities and the path/cycle Ramsey numbers are exact results;
-the path/cycle multiplicity formulas are conjectured values realized by
-split colorings and are flagged as such.
+the path/cycle multiplicity formulas are the counts of split colorings,
+conjectured to be the minimums and flagged as such.
 """
 
 from __future__ import annotations
@@ -72,8 +72,10 @@ def conjectured_m(pattern: Pattern) -> MultiplicityValue:
 
     Paths: k!/2 for even k, (k-1)/4 * (k-1)! for odd k.
     Cycles: (k-3)/2 * (k-2)! for even k, (k-1)!/2 for odd k.
-    Both are attained by split colorings at n = r(H); the conjecture is that
-    no coloring does better, hence status CONJECTURE.
+    These are the counts of split colorings at n = r(H), so each is an upper
+    bound on m(H); nothing here shows that no coloring does better, hence
+    status CONJECTURE.  Some do: P_6 on K_8 has colorings with 300 copies
+    against the 360 given here.
     """
     k = pattern.k
     if pattern.kind == "path":

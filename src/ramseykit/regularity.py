@@ -324,6 +324,8 @@ def degree_deviation_check(
     """
     df = as_fraction(d)
     epsf = as_fraction(eps)
+    if epsf <= 0:
+        raise DomainError("eps must be positive")
     xmask, ymask = _part_masks(g.n, xs, ys)
     ny = ymask.bit_count()
     hi = (df + epsf) * ny

@@ -91,10 +91,6 @@ class SimpleGraph:
             sub.adj[i] = m
         return sub, verts
 
-    def complement(self) -> "SimpleGraph":
-        full = (1 << self.n) - 1
-        return SimpleGraph(self.n, [(full & ~self.adj[v]) & ~(1 << v) for v in range(self.n)])
-
     def ball(self, v: int, radius: int) -> list[int]:
         """Vertices at BFS distance <= radius from v (v included)."""
         seen = 1 << v

@@ -1,28 +1,29 @@
 """Named verification suites backing the command-line `verify` command.
 
-Each suite runs a battery of seeded, deterministic checks and returns
-one result per check.  Suites are quick health checks (seconds, not
-minutes); the heavyweight sweeps live in the test suite.
+Every check is registered once, in order, under its suite with `_suite`;
+`SUITES` lists the suites in registration order.  `run_suite` draws one
+`Random(seed)` and hands it to each check of the suite in turn, so the
+checks of a suite share one deterministic stream.  A check yields one
+`(name, passed, detail)` triple per result.  Expected values come from the
+library's closed forms (`conjectured_m`, `m_star`, `total_copies_in_complete`)
+and are compared with exact counts.  Suites are quick health checks
+(seconds, not minutes); the heavyweight sweeps live in the test suite.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
 from random import Random
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .coloring import BLUE, RED, ColorView, EdgeColoring, split_coloring
-from .counting import (
-    Pattern,
-    count_mono,
-    formula_split_paths,
-    total_copies_in_complete,
-)
+from .counting import Pattern, count_mono, formula_split_paths, total_copies_in_complete
 from .errors import DomainError
-from .formulas import m_star, r_path
+from .formulas import conjectured_m, m_star, r_path
 from .regularity import (
     VertexPartition,
+    _alternating_falling,
     _ceil_frac,
     build_reduced,
     degree_deviation_check,
@@ -51,23 +52,43 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-SUITES = ("formulas", "structure", "bounds", "stability")
+Results = Iterator[tuple[str, bool, str]]
+Check = Callable[[Random, int], Results]
+
+_CHECKS: dict[str, list[Check]] = {}
+
+
+def _suite(name: str) -> Callable[[Check], Check]:
+    """Append the decorated check to suite `name`, in definition order."""
+
+    def register(check: Check) -> Check:
+        _CHECKS.setdefault(name, []).append(check)
+        return check
+
+    return register
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
-    if name == "formulas":
-        return suite_formulas(seed)
-    if name == "structure":
-        return suite_structure(seed)
-    if name == "bounds":
-        return suite_bounds(seed)
-    if name == "stability":
-        return suite_stability(seed)
-    raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if name not in SUITES:
+        raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    rng = Random(seed)
+    return [
+        CheckResult(check_name, bool(passed), detail)
+        for check in _CHECKS[name]
+        for check_name, passed, detail in check(rng, seed)
+    ]
 
 
-def _check(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, bool(passed), detail)
+def _bipartite(a: int, b: int, keep: Callable[[int, int], bool]) -> SimpleGraph:
+    """Parts range(a) and range(a, a+b); keep(i, j), called i-major, keeps (i, a+j)."""
+    return SimpleGraph.from_edges(
+        a + b, [(i, a + j) for i in range(a) for j in range(b) if keep(i, j)]
+    )
+
+
+def _one_color(n: int) -> EdgeColoring:
+    """K_n with every edge red."""
+    return EdgeColoring(n, (1 << n * (n - 1) // 2) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -75,131 +96,92 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_formulas(seed: int = 0) -> list[CheckResult]:
-    out = []
-
+@_suite("formulas")
+def _split_counts(rng: Random, seed: int) -> Results:
     for k in (4, 6, 8):
-        want = factorial(k) // 2
+        want = conjectured_m(Pattern.path(k)).value
         got_a = count_mono(split_coloring(k, k // 2 - 1), Pattern.path(k))
         got_b = count_mono(split_coloring(k - 1, k // 2), Pattern.path(k))
         closed = formula_split_paths(k, k // 2 - 1, k)
-        out.append(
-            _check(
-                f"even-path-split-k{k}",
-                got_a == want and got_b == want,
-                f"split colorings give {got_a} and {got_b}, expected {want}",
-            )
+        yield (
+            f"even-path-split-k{k}",
+            got_a == want and got_b == want,
+            f"split colorings give {got_a} and {got_b}, expected {want}",
         )
-        out.append(
-            _check(
-                f"even-path-closed-form-k{k}",
-                closed == got_a,
-                f"closed form {closed} vs subset-DP count {got_a}",
-            )
+        yield (
+            f"even-path-closed-form-k{k}",
+            closed == got_a,
+            f"closed form {closed} vs subset-DP count {got_a}",
         )
 
-    for k in (5, 7):
-        want = (k - 1) * factorial(k - 1) // 4
-        got = count_mono(split_coloring(k - 1, k // 2), Pattern.path(k))
-        out.append(
-            _check(
-                f"odd-path-split-k{k}",
-                got == want,
-                f"split coloring gives {got}, expected {want}",
-            )
-        )
+    # each split coloring has r(H) vertices
+    flip = [(0, 1)]
+    for tag, what, pattern, coloring in (
+        ("odd-path-split-k5", "split", Pattern.path(5), split_coloring(4, 2)),
+        ("odd-path-split-k7", "split", Pattern.path(7), split_coloring(6, 3)),
+        ("even-cycle-flip-k6", "flipped split", Pattern.cycle(6), split_coloring(6, 2, flip)),
+        ("even-cycle-flip-k8", "flipped split", Pattern.cycle(8), split_coloring(8, 3, flip)),
+        ("odd-cycle-split-k5", "split", Pattern.cycle(5), split_coloring(5, 4)),
+        ("odd-cycle-split-k7", "split", Pattern.cycle(7), split_coloring(7, 6)),
+    ):
+        want = conjectured_m(pattern).value
+        got = count_mono(coloring, pattern)
+        yield tag, got == want, f"{what} coloring gives {got}, expected {want}"
 
-    for k in (6, 8):
-        want = (k - 3) * factorial(k - 2) // 2
-        got = count_mono(
-            split_coloring(k, k // 2 - 1, flips=[(0, 1)]), Pattern.cycle(k)
-        )
-        out.append(
-            _check(
-                f"even-cycle-flip-k{k}",
-                got == want,
-                f"flipped split coloring gives {got}, expected {want}",
-            )
-        )
-    for k in (5, 7):
-        want = factorial(k - 1) // 2
-        got = count_mono(split_coloring(k, k - 1), Pattern.cycle(k))
-        out.append(
-            _check(
-                f"odd-cycle-split-k{k}",
-                got == want,
-                f"split coloring gives {got}, expected {want}",
-            )
-        )
-
-    zero_ok = True
-    detail = []
-    for k in range(3, 13):
-        got = count_mono(split_coloring(k - 1, (k // 2) - 1), Pattern.path(k))
-        if got:
-            zero_ok = False
-            detail.append(f"k={k} gives {got}")
-    out.append(
-        _check(
-            "path-zero-witnesses",
-            zero_ok,
-            "no monochromatic path in the one-short split coloring for k=3..12"
-            if zero_ok
-            else "; ".join(detail),
-        )
+    counts = {
+        k: count_mono(split_coloring(k - 1, k // 2 - 1), Pattern.path(k))
+        for k in range(3, 13)
+    }
+    bad = [f"k={k} gives {got}" for k, got in counts.items() if got]
+    yield (
+        "path-zero-witnesses",
+        not bad,
+        "; ".join(bad)
+        or "no monochromatic path in the one-short split coloring for k=3..12",
     )
 
-    pos_ok = True
-    for k in (3, 4):
-        n = r_path(k).value
-        if exhaustive_min(Pattern.path(k), n).best_count <= 0:
-            pos_ok = False
-    out.append(
-        _check(
-            "path-threshold-positivity",
-            pos_ok,
-            "exhaustive minimum positive at the threshold size for k=3,4",
-        )
-    )
 
+@_suite("formulas")
+def _exhaustive_thresholds(rng: Random, seed: int) -> Results:
+    yield (
+        "path-threshold-positivity",
+        all(
+            exhaustive_min(Pattern.path(k), r_path(k).value).best_count > 0
+            for k in (3, 4)
+        ),
+        "exhaustive minimum positive at the threshold size for k=3,4",
+    )
     s2 = exhaustive_min(Pattern.star(2), 3).best_count
     s3 = exhaustive_min(Pattern.star(3), 6).best_count
-    out.append(
-        _check(
-            "star-thresholds",
-            s2 == m_star(2).value == 1 and s3 == m_star(3).value == 6,
-            f"exhaustive minima {s2}, {s3} match closed forms 1, 6",
-        )
+    yield (
+        "star-thresholds",
+        s2 == m_star(2).value == 1 and s3 == m_star(3).value == 6,
+        f"exhaustive minima {s2}, {s3} match closed forms 1, 6",
     )
-
     t5 = exhaustive_min(Pattern.triangle(), 5).best_count
     t6 = exhaustive_min(Pattern.triangle(), 6).best_count
-    out.append(
-        _check(
-            "triangle-threshold",
-            t5 == 0 and t6 == 2,
-            f"triangle minima {t5} at n=5 and {t6} at n=6",
-        )
+    yield (
+        "triangle-threshold",
+        t5 == 0 and t6 == 2,
+        f"triangle minima {t5} at n=5 and {t6} at n=6",
     )
 
-    copies_ok = True
-    for pattern, n in (
-        (Pattern.path(5), 8),
-        (Pattern.cycle(6), 8),
-        (Pattern.star(4), 9),
-        (Pattern.triangle(), 7),
-    ):
-        allred = EdgeColoring(n, (1 << (n * (n - 1) // 2)) - 1)
-        if count_mono(allred, pattern) != total_copies_in_complete(n, pattern):
-            copies_ok = False
-    out.append(
-        _check(
-            "complete-graph-copy-counts",
-            copies_ok,
-            "monochromatic count on a one-color K_n equals the copy formula",
-        )
+
+@_suite("formulas")
+def _complete_graph_copies(rng: Random, seed: int) -> Results:
+    yield (
+        "complete-graph-copy-counts",
+        all(
+            count_mono(_one_color(n), pattern) == total_copies_in_complete(n, pattern)
+            for pattern, n in (
+                (Pattern.path(5), 8),
+                (Pattern.cycle(6), 8),
+                (Pattern.star(4), 9),
+                (Pattern.triangle(), 7),
+            )
+        ),
+        "monochromatic count on a one-color K_n equals the copy formula",
     )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,75 +204,53 @@ def _brute_matching_number(g: SimpleGraph) -> int:
     return best(0, 0)
 
 
-def _random_bipartite(rng: Random, a: int, b: int, p: float) -> SimpleGraph:
-    """Parts range(a) and range(a, a+b), each cross edge kept with probability p."""
-    return SimpleGraph.from_edges(
-        a + b, [(i, a + j) for i in range(a) for j in range(b) if rng.random() < p]
-    )
-
-
 def _random_graph(rng: Random, n: int, p: float) -> SimpleGraph:
     return SimpleGraph.from_edges(
-        n,
-        [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < p
-        ],
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     )
 
 
-def suite_structure(seed: int = 0) -> list[CheckResult]:
-    rng = Random(seed)
-    out = []
-
-    ok = True
-    for _ in range(30):
-        g = _random_graph(rng, rng.randint(2, 9), rng.choice([0.2, 0.4, 0.6]))
-        if len(max_matching(g)) != _brute_matching_number(g):
-            ok = False
-            break
-    out.append(
-        _check(
-            "matching-oracle-sweep",
-            ok,
-            "blossom matching equals brute-force optimum on 30 random graphs",
-        )
+@_suite("structure")
+def _random_graph_sweeps(rng: Random, seed: int) -> Results:
+    graphs = (
+        _random_graph(rng, rng.randint(2, 9), rng.choice([0.2, 0.4, 0.6]))
+        for _ in range(30)
+    )
+    yield (
+        "matching-oracle-sweep",
+        all(len(max_matching(g)) == _brute_matching_number(g) for g in graphs),
+        "blossom matching equals brute-force optimum on 30 random graphs",
+    )
+    yield (
+        "edge-bound-matching-sweep",
+        all(
+            verify_erdos_gallai(
+                _random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.5, 0.8]))
+            ).ok
+            for _ in range(60)
+        ),
+        "edge count within the matching-number bound on 60 random graphs",
     )
 
-    ok = True
-    for _ in range(60):
-        g = _random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.5, 0.8]))
-        if not verify_erdos_gallai(g).ok:
-            ok = False
-            break
-    out.append(
-        _check(
-            "edge-bound-matching-sweep",
-            ok,
-            "edge count within the matching-number bound on 60 random graphs",
-        )
-    )
 
-    ok = True
-    for _ in range(60):
+@_suite("structure")
+def _bipartite_edge_bound_sweep(rng: Random, seed: int) -> Results:
+    def trial() -> bool:
         a = rng.randint(1, 5)
         b = rng.randint(1, 5)
-        g = _random_bipartite(rng, a, b, 0.5)
-        if not konig_edge_bound_check(g, (list(range(a)), list(range(a, a + b)))).ok:
-            ok = False
-            break
-    out.append(
-        _check(
-            "bipartite-edge-bound-sweep",
-            ok,
-            "e <= matching * larger part on 60 random bipartite graphs",
-        )
+        g = _bipartite(a, b, lambda i, j: rng.random() < 0.5)
+        return konig_edge_bound_check(g, (list(range(a)), list(range(a, a + b)))).ok
+
+    yield (
+        "bipartite-edge-bound-sweep",
+        all(trial() for _ in range(60)),
+        "e <= matching * larger part on 60 random bipartite graphs",
     )
 
-    ok = True
-    for _ in range(25):
+
+@_suite("structure")
+def _disjoint_paths_greedy_vs_exact(rng: Random, seed: int) -> Results:
+    def trial() -> bool:
         g = _random_graph(rng, rng.randint(4, 10), rng.choice([0.4, 0.6]))
         u, v = rng.sample(range(g.n), 2)
         greedy = disjoint_short_paths(g, u, v, 3, method="greedy")
@@ -299,35 +259,29 @@ def suite_structure(seed: int = 0) -> list[CheckResult]:
             greedy.validate(g)
             exact.validate(g)
         except DomainError:
-            ok = False
-            break
-        if greedy.count > exact.count:
-            ok = False
-            break
-    out.append(
-        _check(
-            "disjoint-paths-greedy-vs-exact",
-            ok,
-            "greedy never exceeds the exact packing and all certificates validate",
-        )
+            return False
+        return greedy.count <= exact.count
+
+    yield (
+        "disjoint-paths-greedy-vs-exact",
+        all(trial() for _ in range(25)),
+        "greedy never exceeds the exact packing and all certificates validate",
     )
 
+
+@_suite("structure")
+def _well_connected_split_vs_cliques(rng: Random, seed: int) -> Results:
     red = ColorView(split_coloring(8, 8), RED).graph()
     rep = well_connected_check(red, range(16), t=7, max_len=3)
     two_cliques = SimpleGraph.from_edges(
-        8,
-        [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        + [(i, j) for i in range(4, 8) for j in range(i + 1, 8)],
+        8, [(i, j) for i in range(8) for j in range(i + 1, 8) if i // 4 == j // 4]
     )
     rep2 = well_connected_check(two_cliques, range(8), t=1, max_len=4)
-    out.append(
-        _check(
-            "well-connected-split-vs-cliques",
-            rep.status == "certified" and rep2.status == "refuted",
-            f"balanced split graph {rep.status}; disjoint cliques {rep2.status}",
-        )
+    yield (
+        "well-connected-split-vs-cliques",
+        rep.status == "certified" and rep2.status == "refuted",
+        f"balanced split graph {rep.status}; disjoint cliques {rep2.status}",
     )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -335,130 +289,92 @@ def suite_structure(seed: int = 0) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_bounds(seed: int = 0) -> list[CheckResult]:
-    rng = Random(seed)
-    out = []
-
-    kb = SimpleGraph.from_edges(
-        16, [(i, 8 + j) for i in range(8) for j in range(8)]
-    )
+@_suite("bounds")
+def _rooted_complete_product(rng: Random, seed: int) -> Results:
+    kb = _bipartite(8, 8, lambda i, j: True)
     rep = rooted_path_bound(kb, range(8), range(8, 16), eps=0.36, d=1, l=5, v=8)
-    prod = 1
-    for i in range(1, 6):
-        prod *= 8 - i // 2
-    out.append(
-        _check(
-            "rooted-complete-product",
-            rep.verdict == "confirmed" and rep.exact_count == prod,
-            f"exact count {rep.exact_count} equals the falling product {prod}; "
-            f"bound {rep.bound:.3g}",
-        )
+    prod = _alternating_falling(8, 5)
+    yield (
+        "rooted-complete-product",
+        rep.verdict == "confirmed" and rep.exact_count == prod,
+        f"exact count {rep.exact_count} equals the falling product {prod}; "
+        f"bound {rep.bound:.3g}",
     )
 
-    confirmed = 0
-    violated = 0
-    for _ in range(25):
-        g = _random_bipartite(rng, 12, 12, rng.choice([0.85, 0.9, 1.0]))
-        us, vs = list(range(12)), list(range(12, 24))
+
+@_suite("bounds")
+def _rooted_random_suite(rng: Random, seed: int) -> Results:
+    def trial() -> str | None:
+        p = rng.choice([0.85, 0.9, 1.0])
+        g = _bipartite(12, 12, lambda i, j: rng.random() < p)
         thresh = (Fraction("0.85") - Fraction("0.29")) * 12
-        roots = [v for v in vs if Fraction(g.degree(v)) >= thresh]
+        roots = [v for v in range(12, 24) if Fraction(g.degree(v)) >= thresh]
         if not roots:
-            continue
-        r = rooted_path_bound(
-            g, us, vs, eps=0.29, d=0.85, l=rng.choice([3, 5]), v=roots[0]
-        )
-        if r.verdict == "confirmed":
-            confirmed += 1
-        elif r.verdict == "violated":
-            violated += 1
-    out.append(
-        _check(
-            "rooted-random-suite",
-            violated == 0 and confirmed > 0,
-            f"{confirmed} confirmed, {violated} violated on dense seeded pairs",
-        )
+            return None
+        length = rng.choice([3, 5])
+        return rooted_path_bound(
+            g, range(12), range(12, 24), eps=0.29, d=0.85, l=length, v=roots[0]
+        ).verdict
+
+    verdicts = Counter(trial() for _ in range(25))
+    confirmed, violated = verdicts["confirmed"], verdicts["violated"]
+    yield (
+        "rooted-random-suite",
+        violated == 0 and confirmed > 0,
+        f"{confirmed} confirmed, {violated} violated on dense seeded pairs",
     )
 
-    vacuous = 0
-    violated = 0
-    for _ in range(25):
+
+@_suite("bounds")
+def _endpoint_random_suite(rng: Random, seed: int) -> Results:
+    def trial() -> str:
         a = rng.randint(4, 12)
         b = rng.randint(4, 12)
-        g = SimpleGraph.from_edges(
-            a + b,
-            [
-                (i, a + j)
-                for i in range(a)
-                for j in range(b)
-                if rng.random() < rng.choice([0.5, 0.8, 1.0])
-            ],
-        )
+        g = _bipartite(a, b, lambda i, j: rng.random() < rng.choice([0.5, 0.8, 1.0]))
         u = rng.randrange(a)
         v = a + rng.randrange(b)
-        r = endpoint_path_bound(
-            g,
-            range(a),
-            range(a, a + b),
-            eps=rng.choice([0.1, 0.3]),
-            d=rng.choice([0.5, 0.9]),
-            l=rng.choice([3, 5]),
-            u=u,
-            v=v,
-        )
-        if r.verdict == "violated":
-            violated += 1
-        elif r.verdict == "vacuous":
-            vacuous += 1
-    out.append(
-        _check(
-            "endpoint-random-suite",
-            violated == 0,
-            f"no violations; {vacuous}/25 vacuous (the endpoint hypotheses "
-            "need part sizes far beyond exact-counting reach)",
-        )
+        eps, d, length = rng.choice([0.1, 0.3]), rng.choice([0.5, 0.9]), rng.choice([3, 5])
+        return endpoint_path_bound(
+            g, range(a), range(a, a + b), eps=eps, d=d, l=length, u=u, v=v
+        ).verdict
+
+    verdicts = Counter(trial() for _ in range(25))
+    yield (
+        "endpoint-random-suite",
+        verdicts["violated"] == 0,
+        f"no violations; {verdicts['vacuous']}/25 vacuous (the endpoint hypotheses "
+        "need part sizes far beyond exact-counting reach)",
     )
 
-    ok = True
-    for _ in range(20):
+
+@_suite("bounds")
+def _dense_complete_exact(rng: Random, seed: int) -> Results:
+    def trial() -> bool:
         a = rng.randint(3, 6)
         b = rng.randint(4, 9)
         k = rng.randint(2, min(6, 2 * a + 1, (4 * b) // 3))
-        g = SimpleGraph.from_edges(
-            a + b, [(i, a + j) for i in range(a) for j in range(b)]
-        )
-        r = dense_bipartite_bound(
-            g, range(a), range(a, a + b), beta=0, delta=b, k=k
-        )
-        if r.verdict != "confirmed" or r.bound != r.exact_count:
-            ok = False
-            break
-    out.append(
-        _check(
-            "dense-complete-exact",
-            ok,
-            "bound meets the exact directed count with equality on complete pairs",
-        )
+        g = _bipartite(a, b, lambda i, j: True)
+        r = dense_bipartite_bound(g, range(a), range(a, a + b), beta=0, delta=b, k=k)
+        return r.verdict == "confirmed" and r.bound == r.exact_count
+
+    yield (
+        "dense-complete-exact",
+        all(trial() for _ in range(20)),
+        "bound meets the exact directed count with equality on complete pairs",
     )
 
-    edges = [(i, 150 + j) for i in range(150) for j in range(80)]
-    edges.remove((0, 150))
-    big = SimpleGraph.from_edges(230, edges)
+
+@_suite("bounds")
+def _dense_near_complete(rng: Random, seed: int) -> Results:
+    big = _bipartite(150, 80, lambda i, j: (i, j) != (0, 0))
     r = dense_bipartite_bound(
-        big,
-        range(150),
-        range(150, 230),
-        beta=Fraction(9, 100000),
-        delta=12,
-        k=3,
+        big, range(150), range(150, 230), beta=Fraction(9, 100000), delta=12, k=3
     )
-    out.append(
-        _check(
-            "dense-near-complete",
-            r.verdict == "confirmed",
-            f"bound {r.bound:.4g} <= exact {r.exact_count} with one edge missing",
-        )
+    yield (
+        "dense-near-complete",
+        r.verdict == "confirmed",
+        f"bound {r.bound:.4g} <= exact {r.exact_count} with one edge missing",
     )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,42 +382,32 @@ def suite_bounds(seed: int = 0) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_stability(seed: int = 0) -> list[CheckResult]:
-    rng = Random(seed)
-    out = []
-
-    ok = True
-    for _ in range(15):
+@_suite("stability")
+def _regularity_complement_symmetry(rng: Random, seed: int) -> Results:
+    def trial() -> bool:
         nx, ny = rng.randint(3, 8), rng.randint(3, 8)
-        g = _random_bipartite(rng, nx, ny, rng.choice([0.3, 0.5, 0.7]))
-        comp = SimpleGraph.from_edges(
-            nx + ny,
-            [
-                (i, nx + j)
-                for i in range(nx)
-                for j in range(ny)
-                if not g.has_edge(i, nx + j)
-            ],
-        )
+        p = rng.choice([0.3, 0.5, 0.7])
+        g = _bipartite(nx, ny, lambda i, j: rng.random() < p)
+        comp = _bipartite(nx, ny, lambda i, j: not g.has_edge(i, nx + j))
         eps = rng.choice([Fraction(1, 4), Fraction(2, 5)])
         a = eps_regular_exact(g, range(nx), range(nx, nx + ny), eps)
         b = eps_regular_exact(comp, range(nx), range(nx, nx + ny), eps)
-        if a.regular != b.regular or a.deviation != b.deviation:
-            ok = False
-            break
-    out.append(
-        _check(
-            "regularity-complement-symmetry",
-            ok,
-            "verdict and worst deviation agree with the bipartite complement",
-        )
+        return a.regular == b.regular and a.deviation == b.deviation
+
+    yield (
+        "regularity-complement-symmetry",
+        all(trial() for _ in range(15)),
+        "verdict and worst deviation agree with the bipartite complement",
     )
 
+
+@_suite("stability")
+def _regularity_subset_inheritance(rng: Random, seed: int) -> Results:
     ok = True
     inherited = 0
     for _ in range(60):
         nx, ny = rng.randint(4, 9), rng.randint(4, 9)
-        g = _random_bipartite(rng, nx, ny, 0.5)
+        g = _bipartite(nx, ny, lambda i, j: rng.random() < 0.5)
         eps = rng.choice([Fraction(3, 10), Fraction(2, 5)])
         pair = eps_regular_exact(g, range(nx), range(nx, nx + ny), eps)
         if not pair.regular:
@@ -516,20 +422,21 @@ def suite_stability(seed: int = 0) -> list[CheckResult]:
             ok = False
             break
         inherited += 1
-    out.append(
-        _check(
-            "regularity-subset-inheritance",
-            ok and inherited > 0,
-            f"large subsets of {inherited} regular pairs stay regular at the "
-            "relaxed tolerance",
-        )
+    yield (
+        "regularity-subset-inheritance",
+        ok and inherited > 0,
+        f"large subsets of {inherited} regular pairs stay regular at the "
+        "relaxed tolerance",
     )
 
+
+@_suite("stability")
+def _degree_deviation_on_regular_pairs(rng: Random, seed: int) -> Results:
     ok = True
     tested = 0
     for _ in range(40):
         nx, ny = rng.randint(4, 9), rng.randint(4, 9)
-        g = _random_bipartite(rng, nx, ny, 0.5)
+        g = _bipartite(nx, ny, lambda i, j: rng.random() < 0.5)
         eps = Fraction(2, 5)
         pair = eps_regular_exact(g, range(nx), range(nx, nx + ny), eps)
         if not pair.regular:
@@ -541,84 +448,67 @@ def suite_stability(seed: int = 0) -> list[CheckResult]:
             ok = False
             break
         tested += 1
-    out.append(
-        _check(
-            "degree-deviation-on-regular-pairs",
-            ok and tested > 0,
-            f"degree outliers stay below tolerance on {tested} verified pairs",
-        )
+    yield (
+        "degree-deviation-on-regular-pairs",
+        ok and tested > 0,
+        f"degree outliers stay below tolerance on {tested} verified pairs",
     )
 
-    c = split_coloring(18, 9)
-    part = VertexPartition.of_size(27, 3)
-    rg = build_reduced(c, part, Fraction(1, 5), Fraction(1, 2))
-    a_parts = frozenset(
-        (i, j) for i in range(6) for j in range(i + 1, 6)
+
+@_suite("stability")
+def _reduced_graphs(rng: Random, seed: int) -> Results:
+    rg = build_reduced(
+        split_coloring(18, 9), VertexPartition.of_size(27, 3), Fraction(1, 5), Fraction(1, 2)
     )
+    a_parts = frozenset((i, j) for i in range(6) for j in range(i + 1, 6))
     b_parts = frozenset((i, j) for i in range(6, 9) for j in range(i + 1, 9))
     cross = frozenset((i, j) for i in range(6) for j in range(6, 9))
     shape_ok = rg.blue_edges == a_parts | b_parts and rg.red_edges == cross
     verdict = dichotomy_classify(rg, Fraction(1, 20))
-    out.append(
-        _check(
-            "reduced-split-shape",
-            shape_ok and not verdict.case1 and verdict.diagnostics["red_covered"] == 6,
-            "split coloring reduces to two blue clusters joined in red; "
-            f"no large monochromatic matching (best covers {verdict.covered} of 9)",
-        )
+    yield (
+        "reduced-split-shape",
+        shape_ok and not verdict.case1 and verdict.diagnostics["red_covered"] == 6,
+        "split coloring reduces to two blue clusters joined in red; "
+        f"no large monochromatic matching (best covers {verdict.covered} of 9)",
     )
 
-    allred = EdgeColoring(18, (1 << (18 * 17 // 2)) - 1)
-    rg2 = build_reduced(allred, VertexPartition.of_size(18, 2), Fraction(1, 5), Fraction(1, 2))
+    rg2 = build_reduced(
+        _one_color(18), VertexPartition.of_size(18, 2), Fraction(1, 5), Fraction(1, 2)
+    )
     v2 = dichotomy_classify(rg2, Fraction(1, 20))
     matching_ok = v2.case1 and v2.color == RED and v2.covered >= v2.threshold
     g_red = rg2.graph(RED)
     certs_ok = all(g_red.has_edge(a, b) for a, b in v2.matching) and len(
         {x for e in v2.matching for x in e}
     ) == 2 * len(v2.matching)
-    out.append(
-        _check(
-            "reduced-one-color-matching",
-            matching_ok and certs_ok,
-            f"one-color reduction yields a matching covering {v2.covered} of {rg2.M}",
-        )
+    yield (
+        "reduced-one-color-matching",
+        matching_ok and certs_ok,
+        f"one-color reduction yields a matching covering {v2.covered} of {rg2.M}",
     )
 
+
+@_suite("stability")
+def _near_split_and_degree(rng: Random, seed: int) -> Results:
     ev = extremal_detect(split_coloring(6, 3), Fraction(1, 10))
     ev18 = extremal_detect(split_coloring(18, 9), Fraction(1, 10))
     evr = extremal_detect(EdgeColoring.random(30, Random(seed + 5)), Fraction(1, 20))
     evt = extremal_detect(EdgeColoring.random(9, Random(seed)), Fraction(7, 10))
-    out.append(
-        _check(
-            "near-split-detection",
-            ev.is_extremal
-            and ev.a_side == tuple(range(6))
-            and ev18.is_extremal
-            and ev18.a_side == tuple(range(18))
-            and not evr.is_extremal
-            and evt.is_extremal
-            and evt.a_side == (),
-            "split colorings detected, random coloring rejected, large alpha trivial",
-        )
+    yield (
+        "near-split-detection",
+        ev.is_extremal and ev.a_side == tuple(range(6))
+        and ev18.is_extremal and ev18.a_side == tuple(range(18))
+        and not evr.is_extremal and evt.is_extremal and evt.a_side == (),
+        "split colorings detected, random coloring rejected, large alpha trivial",
     )
 
-    dirac_ok = (
+    five_cycle = EdgeColoring.from_red_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    yield (
+        "minimum-degree-threshold",
         dirac_check(ColorView(split_coloring(6, 3), BLUE), range(6))
-        and not dirac_check(
-            ColorView(
-                EdgeColoring.from_red_edges(
-                    5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
-                ),
-                RED,
-            ),
-            range(5),
-        )
+        and not dirac_check(ColorView(five_cycle, RED), range(5)),
+        "clique side passes, five-cycle fails the half-degree condition",
     )
-    out.append(
-        _check(
-            "minimum-degree-threshold",
-            dirac_ok,
-            "clique side passes, five-cycle fails the half-degree condition",
-        )
-    )
-    return out
+
+
+SUITES = tuple(_CHECKS)

@@ -1,6 +1,5 @@
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +9,8 @@ import pytest
 import ramseykit
 from ramseykit import EdgeColoring, count_mono, parse_pattern, split_coloring
 from ramseykit.cli import canonical_json, main
+
+from .capture_golden import GOLDEN_PATH, capture
 
 # child interpreters import the package from the same directory as this one
 PACKAGE_ENV = {
@@ -228,21 +229,34 @@ def test_threads_env_fallback(split_file, capsys, monkeypatch) -> None:
     assert "upper bound" in stdout or "anneal" in stdout
 
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+def test_threads_below_one_is_a_usage_error(capsys) -> None:
+    code, _, stderr = run_cli(
+        capsys, "search", "--pattern", "K3", "--n", "6", "--anneal", "--seed", "1",
+        "--threads", "-5",
+    )
+    assert code == 2
+    assert "threads" in stderr
+
+
+def test_threads_env_below_one_is_a_usage_error(capsys, monkeypatch) -> None:
+    monkeypatch.setenv("RML_THREADS", "0")
+    code, _, stderr = run_cli(
+        capsys, "search", "--pattern", "K3", "--n", "6", "--anneal", "--seed", "1"
+    )
+    assert code == 2
+    assert "threads" in stderr
+
+
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 
 @pytest.mark.parametrize(
     "case", GOLDEN["cases"], ids=lambda case: " ".join(case["argv"][:-1])
 )
-def test_json_reports_match_golden_outputs(case, tmp_path, capsys, monkeypatch) -> None:
+def test_json_reports_match_golden_outputs(case) -> None:
     # pinned reports of exact counts and verdicts: byte-identical apart from
     # wall_time_s, whatever counting engine produces them
-    monkeypatch.chdir(tmp_path)
-    for name, text in GOLDEN["files"].items():
-        Path(name).write_text(text)
-    code, stdout, _ = run_cli(capsys, *case["argv"])
-    assert code == 0
-    assert re.sub(r'"wall_time_s": [^\n]*', '"wall_time_s": null', stdout) == case["stdout"]
+    assert capture(case["argv"], GOLDEN["files"]) == case["stdout"]
 
 
 def test_cli_import_does_not_load_numpy() -> None:

@@ -304,6 +304,13 @@ def test_degree_deviation_check_validates_both_parts() -> None:
             degree_deviation_check(g, xs, [2, 3], Fraction(1, 2), Fraction(1, 10))
 
 
+@pytest.mark.parametrize("eps", [-1, 0])
+def test_degree_deviation_check_rejects_nonpositive_eps(eps) -> None:
+    g = complete_bipartite(2, 2)
+    with pytest.raises(DomainError, match="eps must be positive"):
+        degree_deviation_check(g, [0, 1], [2, 3], Fraction(1, 2), eps)
+
+
 # --- partitions and reduced graphs --------------------------------------
 
 

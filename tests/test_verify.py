@@ -12,9 +12,10 @@ def test_every_suite_passes(suite: str) -> None:
     assert failing == []
 
 
-def test_suites_are_deterministic() -> None:
-    first = run_suite("structure", seed=42)
-    second = run_suite("structure", seed=42)
+@pytest.mark.parametrize("suite", SUITES)
+def test_suites_are_deterministic(suite: str) -> None:
+    first = run_suite(suite, seed=42)
+    second = run_suite(suite, seed=42)
     assert first == second
 
 
