@@ -17,11 +17,17 @@ J = TypeVar("J")
 R = TypeVar("R")
 
 
+def check_threads(threads: int) -> None:
+    """Refuse a worker count below 1; callers that build costly jobs check
+    before building them."""
+    if threads < 1:
+        raise DomainError("threads must be >= 1")
+
+
 def parallel_map(fn: Callable[[J], R], jobs: Sequence[J], threads: int) -> list[R]:
     """[fn(job) for job in jobs] over min(threads, len(jobs), cpu count)
     worker processes, or inline when that minimum is 1."""
-    if threads < 1:
-        raise DomainError("threads must be >= 1")
+    check_threads(threads)
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(job) for job in jobs]

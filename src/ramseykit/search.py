@@ -7,10 +7,12 @@ copy with s edges is monochromatic when its count is 0 or s, and an
 edgeless copy is both, so it counts once in each color.  Colorings are
 Python integers, so no host size is capped by a machine word.
 
-* ``exhaustive_min`` -- exact minimum.  Raw enumeration of all 2^C(n,2)
-  colorings up to n = 6; at n = 7 the search sweeps one representative per
-  graph-isomorphism class (generated by vertex augmentation with canonical
-  relabeling), which is sound because the count is relabeling-invariant.
+* ``exhaustive_min`` -- exact minimum by vertex extension.  It takes one
+  representative per graph-isomorphism class on n-1 vertices (generated by
+  vertex augmentation with canonical relabeling) and every red
+  neighbourhood of the last vertex: one engine pass over the classes and a
+  subset-sum transform count all those extensions at once.  This is sound
+  because the count is relabeling-invariant.
 * ``anneal_min`` -- simulated annealing with single-edge-flip moves and
   restarts, exact=False.  Deterministic for a fixed config: restart i uses
   a seed derived from (config.seed, i) with a stable hash.
@@ -31,11 +33,13 @@ from .coloring import EdgeColoring, pair_count, pair_index
 from .counting import Pattern, copy_edge_masks, count_mono
 from .errors import CapabilityError, DomainError
 from .formulas import r_cycle, r_path
-from .parallel import job_seed, parallel_map
+from .parallel import check_threads, job_seed, parallel_map
 
 EXHAUSTIVE_MAX_N = 7
+# nothing in the package branches on this since every n sweeps by vertex
+# extension; perfbench/workloads.py names its exhaustive spans by it
 RAW_ENUM_MAX_N = 6
-_CHUNK = 4096  # copies or colorings handled per numpy pass
+_CHUNK = 4096  # copies handled per numpy pass
 # per-edge rows up to this many copies are tallied by bytes.count, which
 # costs less than a numpy call there (P_6/8 has 1,800, P_7/9 has 15,120)
 _BYTES_TALLY_MAX = 4096
@@ -88,7 +92,7 @@ class _CopyEngine:
     ``edges[c]`` lists the s edges of copy c.  K_n is edge-transitive, so
     every edge lies in the same number c_e of copies: ``rows[e]`` lists the
     copies through edge e, and the rows are those of one rectangular
-    (C(n,2), c_e) array.  ``count_many`` counts a batch of colorings through
+    (C(n,2), c_e) array.  ``_red_counts`` counts a batch of colorings through
     ``edges``; ``start``, ``delta`` and ``flip`` walk one coloring an edge at
     a time through ``rows``, each step costing O(c_e).
     """
@@ -132,18 +136,6 @@ class _CopyEngine:
         for column in self.edges.T:  # the j-th edge of every copy
             red += bits.take(column, axis=0)
         return red
-
-    def count_many(self, states: Sequence[int]):
-        """Monochromatic copies in each coloring of ``states``, as an array."""
-        import numpy as np
-
-        out = np.empty(len(states), dtype=np.int64)
-        for lo in range(0, len(states), _CHUNK):
-            red = self._red_counts(states[lo:lo + _CHUNK])
-            out[lo:lo + red.shape[1]] = self._count(red == 0, axis=0) + self._count(
-                red == self.size, axis=0
-            )
-        return out
 
     def start(self, bits: int) -> int:
         """Make ``bits`` the current coloring; returns its monochromatic count."""
@@ -221,11 +213,12 @@ def canonical_graph_reps(n: int) -> list[tuple[int, ...]]:
     return sorted(reps) if n >= 1 else [()]
 
 
-def _bits_from_adj(adj: tuple[int, ...]) -> int:
-    n = len(adj)
+def _bits_from_adj(adj: tuple[int, ...], n: int) -> int:
+    """Red bits of K_n whose red graph on vertices 0..len(adj)-1 is adj and
+    whose other edges are all blue."""
     bits = 0
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i in range(len(adj)):
+        for j in range(i + 1, len(adj)):
             if adj[i] >> j & 1:
                 bits |= 1 << pair_index(n, i, j)
     return bits
@@ -234,9 +227,20 @@ def _bits_from_adj(adj: tuple[int, ...]) -> int:
 def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     """Exact minimum of count_mono over all colorings of K_n (n <= 7).
 
-    Counts are invariant under vertex relabeling, so at n = 7 only one
-    coloring per red-graph isomorphism class is examined; below that the raw
-    state space is small enough to sweep directly.  The reported witness is
+    Sweeps by vertex extension.  Counts are invariant under relabeling, and
+    every coloring of K_n restricted to vertices 0..n-2 is isomorphic to a
+    representative r of ``canonical_graph_reps(n - 1)``, so it suffices to
+    try each r with each red neighbourhood N of the last vertex v = n-1.
+    One engine pass over the r, with every edge at v blue, gives each copy's
+    red-edge count, and then
+
+        count(r, N) = inner(r) + zeta(R_r)[N] + zeta(B_r)[~N]
+
+    inner(r) counts the monochromatic copies with no edge at v.  R_r[S]
+    (B_r[S]) counts the copies whose edges at v go to S and whose other
+    edges are all red (all blue); zeta sums over the subsets of N.
+    ``explored`` is the number of (r, N) pairs, classes(n-1) * 2^(n-1).
+    The witness is the least serialized coloring among the tied pairs,
     re-verified with the independent DP counter before returning.
     """
     if n < 0:
@@ -246,25 +250,47 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
             f"exhaustive search limited to n <= {EXHAUSTIVE_MAX_N} (got n={n}); "
             "use anneal_min for larger hosts"
         )
+    method = "exhaustive-canonical"
+    if n == 0:  # one coloring, and no pattern fits in an empty host
+        return MinimizationResult(pattern, 0, 0, EdgeColoring(0), True, 1, method)
+    import numpy as np
+
     engine = _CopyEngine(pattern, n)
-    if n <= RAW_ENUM_MAX_N:
-        states: Sequence[int] = range(1 << engine.nbits)
-        method = "exhaustive-raw"
-    else:
-        states = [_bits_from_adj(adj) for adj in canonical_graph_reps(n)]
-        method = "exhaustive-canonical"
-    counts = engine.count_many(states)
+    v = n - 1
+    states = [_bits_from_adj(adj, n) for adj in canonical_graph_reps(v)]
+    spoke = [pair_index(n, i, v) for i in range(v)]
+    at_v = np.zeros(engine.nbits, dtype=np.intp)
+    at_v[spoke] = 1 << np.arange(v)
+    at = at_v[engine.edges]
+    hood = at.sum(axis=1)  # the neighbours of v in each copy, as a bitmask
+    red = engine._red_counts(states)
+    fixed = red[hood == 0]  # copies with no edge at v: r alone sets their colors
+    inner = np.count_nonzero(fixed == 0, axis=0) + np.count_nonzero(fixed == engine.size, axis=0)
+    through = hood > 0
+    red, others = red[through], engine.size - np.count_nonzero(at[through], axis=1)
+    cell = hood[through, None] * len(states) + np.arange(len(states))
+
+    def zeta(mono):
+        """Row N, column r: the copies counted by mono with S a subset of N."""
+        table = np.bincount(cell[mono], minlength=len(states) << v).reshape(1 << v, -1)
+        for i in range(v):
+            half = table.reshape(-1, 2, 1 << i, len(states))
+            half[:, 1] += half[:, 0]
+        return table
+
+    counts = inner + zeta(red == others[:, None]) + zeta(red == 0)[::-1]
     best = int(counts.min())
-    ties = (states[i] for i in (counts == best).nonzero()[0])
-    # with no copies every coloring ties at 0, and the empty one is least
-    bits = _least_witness(n, ties) if engine.copies else 0
-    witness = EdgeColoring(n, bits)
+    hoods, reps = (counts == best).nonzero()
+    witness = EdgeColoring(n, _least_witness(n, (
+        states[r] | sum(1 << spoke[i] for i in range(v) if h >> i & 1)
+        for h, r in zip(hoods.tolist(), reps.tolist())
+    )))
     check = count_mono(witness, pattern)
     if check != best:
         raise AssertionError(
             f"witness recount mismatch: enumeration said {best}, DP says {check}"
         )
-    return MinimizationResult(pattern, n, best, witness, True, len(states), method)
+    return MinimizationResult(pattern, n, best, witness, True, counts.size, method)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +335,7 @@ def anneal_min(
     config.validate()
     if initial is not None and initial.n != n:
         raise DomainError("initial coloring has the wrong vertex count")
+    check_threads(threads)
     engine = _CopyEngine(pattern, n)
     init_bits = initial.red_bits if initial is not None else None
     jobs = [

@@ -2,8 +2,10 @@
 
 Everything here is written for clarity over speed and deliberately avoids
 the package's own counting or matching code: permutation enumeration for
-paths and cycles, subset enumeration for matchings and pair regularity, and
-plain backtracking for disjoint-path packing.  Only usable at small sizes.
+paths and cycles, subset enumeration for matchings and pair regularity,
+plain backtracking for disjoint-path packing, and a sweep of every coloring
+for minimum monochromatic counts (which takes its list of copies from
+``copy_edge_masks``).  Only usable at small sizes.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 from typing import Callable, Sequence
+
+from ramseykit.counting import Pattern, copy_edge_masks
 
 EdgePredicate = Callable[[int, int], bool]
 
@@ -78,6 +82,18 @@ def brute_triangles(has_edge: EdgePredicate, n: int) -> int:
         if has_edge(a, b) and has_edge(a, c) and has_edge(b, c):
             total += 1
     return total
+
+
+def mono_copies(masks: Sequence[int], red_bits: int) -> int:
+    """Copies, given as edge bitmasks, that are all red or all blue; an
+    edgeless copy is both, so it counts once in each color."""
+    return sum((m & red_bits == m) + (m & red_bits == 0) for m in masks)
+
+
+def brute_min(pattern: Pattern, n: int) -> int:
+    """Fewest monochromatic copies over all 2^C(n,2) colorings of K_n."""
+    masks = copy_edge_masks(pattern, n)
+    return min(mono_copies(masks, bits) for bits in range(1 << comb(n, 2)))
 
 
 def brute_regularity(

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ramseykit import (
     CapabilityError,
+    DomainError,
     EdgeColoring,
     SearchConfig,
     anneal_min,
@@ -15,9 +16,12 @@ from ramseykit import (
     ramsey_via_search,
     split_coloring,
 )
+from ramseykit import search
 from ramseykit.coloring import pair_count
 from ramseykit.counting import copy_edge_masks
 from ramseykit.search import _CopyEngine
+
+from .oracles import brute_min, mono_copies
 
 
 @pytest.mark.parametrize(
@@ -33,6 +37,13 @@ from ramseykit.search import _CopyEngine
         ("P_1", 3, 6),
         ("P_1", 6, 12),
         ("P_1", 7, 14),
+        ("P_3", 7, 43),
+        ("P_4", 7, 76),
+        ("P_5", 7, 96),
+        ("C_4", 7, 5),
+        ("C_5", 7, 0),
+        ("K3", 7, 4),
+        ("S_3", 7, 16),
     ],
 )
 def test_exhaustive_minimum_values(text: str, n: int, minimum: int) -> None:
@@ -62,7 +73,8 @@ def test_copy_engine_matches_mask_recount(data) -> None:
     # rows this short are tallied by bytes.count; check the numpy tally too
     engine._bytes_tally &= data.draw(st.booleans())
     states = data.draw(st.lists(colorings, min_size=1, max_size=6))
-    assert engine.count_many(states).tolist() == [recount(b) for b in states]
+    red = engine._red_counts(states).T.tolist()
+    assert red == [[(m & b).bit_count() for m in masks] for b in states]
     bits = data.draw(colorings)
     cur = engine.start(bits)
     assert type(cur) is int and cur == recount(bits)
@@ -80,14 +92,33 @@ def test_copy_engine_matches_mask_recount(data) -> None:
     assert engine.start(bits) == cur == recount(bits)
 
 
-def test_exhaustive_switches_to_canonical_classes_on_large_hosts() -> None:
-    raw = exhaustive_min(parse_pattern("K3"), 6)
-    assert raw.method == "exhaustive-raw"
-    assert raw.explored == 2**15
-    canonical = exhaustive_min(parse_pattern("S_4"), 7)
-    assert canonical.method == "exhaustive-canonical"
-    assert canonical.explored < 2**21
-    assert canonical.best_count == 1
+def test_exhaustive_sweeps_every_extension_of_the_smaller_classes() -> None:
+    runs = [exhaustive_min(parse_pattern("K3"), n) for n in range(7)]
+    runs.append(exhaustive_min(parse_pattern("S_4"), 7))
+    assert {res.method for res in runs} == {"exhaustive-canonical"}
+    assert [res.explored for res in runs] == [1] + [
+        len(canonical_graph_reps(n - 1)) << (n - 1) for n in range(1, 8)
+    ]
+    assert runs[6].explored == 34 * 32 == 1088
+    assert runs[7].explored == 156 * 64 == 9984
+    assert runs[7].best_count == 1
+
+
+# every family, on every host small enough to sweep all 2^C(n,2) colorings
+BRUTE_CASES = [
+    (label, n)
+    for label in ["P_1", "P_2", "P_3", "P_4", "P_5", "C_3", "C_4", "C_5",
+                  "S_1", "S_2", "S_3", "S_4", "K2", "K3", "K4"]
+    for n in range(6)
+] + [("K3", 6), ("C_4", 6)]
+
+
+@pytest.mark.parametrize("text,n", BRUTE_CASES)
+def test_exhaustive_matches_brute_force(text: str, n: int) -> None:
+    pattern = parse_pattern(text)
+    res = exhaustive_min(pattern, n)
+    assert res.best_count == brute_min(pattern, n)
+    assert mono_copies(copy_edge_masks(pattern, n), res.witness.red_bits) == res.best_count
 
 
 def test_exhaustive_rejects_large_hosts() -> None:
@@ -154,6 +185,15 @@ def test_anneal_with_worker_pool_stays_deterministic() -> None:
     pooled = anneal_min(parse_pattern("K3"), 6, cfg, threads=2)
     assert solo.best_count == pooled.best_count
     assert solo.witness == pooled.witness
+
+
+def test_anneal_refuses_threads_before_building_the_engine(monkeypatch) -> None:
+    def unbuilt(*args):
+        raise AssertionError("copy engine built for a refused run")
+
+    monkeypatch.setattr(search, "_CopyEngine", unbuilt)
+    with pytest.raises(DomainError, match="threads must be >= 1"):
+        anneal_min(parse_pattern("K3"), 6, SearchConfig(seed=1), threads=0)
 
 
 def test_ramsey_search_agrees_with_path_formula() -> None:
