@@ -17,7 +17,7 @@ import time
 from typing import Sequence
 
 from . import __version__
-from .coloring import BLUE, RED, ColorView, EdgeColoring, split_coloring
+from .coloring import BLUE, RED, EdgeColoring, split_coloring
 from .counting import count_in_view, parse_pattern
 from .errors import CapabilityError, DomainError, InvalidSpecError
 from .search import SearchConfig, anneal_min, exhaustive_min
@@ -101,10 +101,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         coloring = EdgeColoring.parse(fh.read())
     pattern = parse_pattern(args.pattern)
     wanted = (RED, BLUE) if args.color == "both" else (args.color,)
-    counts = {
-        color: count_in_view(ColorView(coloring, color), pattern)
-        for color in wanted
-    }
+    counts = {color: count_in_view(coloring.view(color), pattern) for color in wanted}
     results: dict = {color: str(value) for color, value in counts.items()}
     if args.color == "both":
         results["total"] = str(sum(counts.values()))

@@ -20,7 +20,6 @@ afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Sequence
 
@@ -29,7 +28,6 @@ from .structure import SimpleGraph
 
 RED = "red"
 BLUE = "blue"
-COLORS = (RED, BLUE)
 
 CANONICAL_MAX_N = 12
 
@@ -58,15 +56,6 @@ def pair_index(n: int, i: int, j: int) -> int:
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise DomainError(f"({i},{j}) is not an edge of K_{n}")
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
-def _vertex_mask(vertices: Iterable[int], n: int) -> int:
-    m = 0
-    for v in vertices:
-        if not 0 <= v < n:
-            raise DomainError(f"vertex {v} out of range for n={n}")
-        m |= 1 << v
-    return m
 
 
 class EdgeColoring:
@@ -140,10 +129,9 @@ class EdgeColoring:
         self._masks[color] = out
         return out
 
-    def view(self, color: str) -> "ColorView":
-        if color not in COLORS:
-            raise DomainError(f"unknown color {color!r}")
-        return ColorView(self, color)
+    def view(self, color: str) -> SimpleGraph:
+        """The graph of one color class, on a copy of the cached masks."""
+        return SimpleGraph(self.n, self.adj_masks(color))
 
     # -- transformations ---------------------------------------------------
 
@@ -167,14 +155,7 @@ class EdgeColoring:
         """Relabel vertices: new edge {i,j} takes the color of {perm[i],perm[j]}."""
         if sorted(perm) != list(range(self.n)):
             raise DomainError("perm must be a permutation of the vertex set")
-        bits = 0
-        e = 0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.is_red(perm[i], perm[j]):
-                    bits |= 1 << e
-                e += 1
-        return EdgeColoring(self.n, bits)
+        return EdgeColoring(self.n, _bits_from_adj(_apply_perm(self.adj_masks(RED), perm), self.n))
 
     # -- serialization -----------------------------------------------------
 
@@ -229,97 +210,74 @@ class EdgeColoring:
         return f"EdgeColoring(n={self.n}, red={self.red_edge_count}, blue={self.blue_edge_count})"
 
 
-class ColorView:
-    """One color class of a coloring, seen as a simple graph."""
+class ColorView(SimpleGraph):
+    """One color class as a graph, the same as ``coloring.view(color)``.
 
-    __slots__ = ("coloring", "color")
+    Nothing in the package uses it; perfbench/workloads.py still builds its
+    views this way.
+    """
+
+    __slots__ = ()
 
     def __init__(self, coloring: EdgeColoring, color: str):
-        self.coloring = coloring
-        self.color = color
-
-    @property
-    def n(self) -> int:
-        return self.coloring.n
-
-    def adj_masks(self) -> tuple[int, ...]:
-        return self.coloring.adj_masks(self.color)
-
-    def adj_mask(self, v: int) -> int:
-        return self.adj_masks()[v]
-
-    def adjacency(self, u: int, v: int) -> bool:
-        return self.coloring.color_of(u, v) == self.color
-
-    def degree(self, u: int, within: Iterable[int] | None = None) -> int:
-        m = self.adj_masks()[u]
-        if within is not None:
-            m &= _vertex_mask(within, self.n)
-        return m.bit_count()
-
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj_masks()) // 2
+        super().__init__(coloring.n, coloring.adj_masks(color))
 
     def graph(self) -> SimpleGraph:
-        return SimpleGraph(self.n, list(self.adj_masks()))
-
-    def __repr__(self) -> str:
-        return f"ColorView({self.color}, n={self.n})"
-
-
-def mono_degree(view: ColorView, u: int, within: Iterable[int] | None = None) -> int:
-    """Degree of u in the view's color, optionally restricted to a vertex subset."""
-    return view.degree(u, within)
-
-
-# ---------------------------------------------------------------------------
-# split colorings
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Recipe for chi(a, b): blue cliques A, B with red A-B edges, then flips."""
-
-    a: int
-    b: int
-    flips: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def n(self) -> int:
-        return self.a + self.b
-
-    def validate(self) -> None:
-        if self.a < 0 or self.b < 0:
-            raise InvalidSpecError("part sizes must be nonnegative")
-        seen = set()
-        for flip in self.flips:
-            if len(flip) != 2:
-                raise InvalidSpecError(f"flip {flip!r} is not a pair")
-            i, j = flip
-            if i == j or not (0 <= i < self.n and 0 <= j < self.n):
-                raise InvalidSpecError(f"flip ({i},{j}) is not an edge of K_{self.n}")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise InvalidSpecError(f"duplicate flip ({i},{j})")
-            seen.add(key)
-
-
-def construct_split(spec: SplitSpec) -> EdgeColoring:
-    """Build the coloring described by a SplitSpec."""
-    spec.validate()
-    n = spec.n
-    bits = 0
-    for i in range(spec.a):
-        for j in range(spec.a, n):
-            bits |= 1 << pair_index(n, i, j)
-    c = EdgeColoring(n, bits)
-    if spec.flips:
-        c = c.with_flipped(list(spec.flips))
-    return c
+        return SimpleGraph(self.n, self.adj)
 
 
 def split_coloring(a: int, b: int, flips: Sequence[tuple[int, int]] = ()) -> EdgeColoring:
-    return construct_split(SplitSpec(a, b, tuple(tuple(f) for f in flips)))
+    """chi(a, b): blue cliques A, B with red A-B edges, then the listed flips."""
+    flips = [tuple(f) for f in flips]
+    if a < 0 or b < 0:
+        raise InvalidSpecError("part sizes must be nonnegative")
+    n = a + b
+    bits = 0
+    for i in range(a):
+        for j in range(a, n):
+            bits |= 1 << pair_index(n, i, j)
+    seen = set()
+    for flip in flips:
+        if len(flip) != 2:
+            raise InvalidSpecError(f"flip {flip!r} is not a pair")
+        i, j = flip
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise InvalidSpecError(f"flip ({i},{j}) is not an edge of K_{n}")
+        e = pair_index(n, i, j)
+        if e in seen:
+            raise InvalidSpecError(f"duplicate flip ({i},{j})")
+        seen.add(e)
+        bits ^= 1 << e
+    return EdgeColoring(n, bits)
+
+
+# ---------------------------------------------------------------------------
+# relabeling
+# ---------------------------------------------------------------------------
+
+def _apply_perm(adj: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency after relabeling: new vertex p is old vertex perm[p]."""
+    n = len(adj)
+    out = []
+    for p in range(n):
+        a = adj[perm[p]]
+        m = 0
+        for q in range(n):
+            if a >> perm[q] & 1:
+                m |= 1 << q
+        out.append(m)
+    return tuple(out)
+
+
+def _bits_from_adj(adj: Sequence[int], n: int) -> int:
+    """Red bits of K_n whose red graph on vertices 0..len(adj)-1 is adj and
+    whose other edges are all blue."""
+    bits = 0
+    for i in range(len(adj)):
+        for j in range(i + 1, len(adj)):
+            if adj[i] >> j & 1:
+                bits |= 1 << pair_index(n, i, j)
+    return bits
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Exact counting of paths, cycles, stars and small cliques in color views.
+"""Exact counting of paths, cycles, stars and small cliques in graphs.
+
+Every counter takes a `SimpleGraph`; a coloring's color class is one, built
+by ``coloring.view(color)``, and `count_mono` adds the counts of both.
 
 Counts are unlabeled copies: subgraphs, not embeddings.  A path or cycle on
 a fixed vertex set is one copy regardless of traversal direction; a star is
@@ -21,8 +24,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .coloring import BLUE, RED, ColorView, EdgeColoring
+from .coloring import BLUE, RED, EdgeColoring
 from .errors import CapabilityError, DomainError
+from .structure import SimpleGraph
 
 # states in the largest stored layer of one kernel call.  Peak memory, with
 # the next layer being built, measured 200-260 bytes per state of the largest
@@ -154,12 +158,12 @@ def count_walks(
 
 
 # ---------------------------------------------------------------------------
-# counts in a single color view
+# counts in one graph
 # ---------------------------------------------------------------------------
 
-def count_paths(view: ColorView, k: int) -> int:
-    """Number of k-vertex paths in the view."""
-    n = view.n
+def count_paths(g: SimpleGraph, k: int) -> int:
+    """Number of k-vertex paths in g."""
+    n = g.n
     if k < 1:
         raise DomainError("k must be at least 1")
     if k == 1:
@@ -167,17 +171,17 @@ def count_paths(view: ColorView, k: int) -> int:
     if k > n:
         return 0
     # every path is walked from both ends
-    return count_walks(view.adj_masks(), range(n), k - 1) // 2
+    return count_walks(g.adj, range(n), k - 1) // 2
 
 
-def count_cycles(view: ColorView, k: int) -> int:
-    """Number of k-vertex cycles in the view."""
-    n = view.n
+def count_cycles(g: SimpleGraph, k: int) -> int:
+    """Number of k-vertex cycles in g."""
+    n = g.n
     if k < 3:
         raise DomainError("cycles need k >= 3")
     if k > n:
         return 0
-    adj = view.adj_masks()
+    adj = g.adj
     # anchor each cycle at its minimum vertex a, walk above a and close at a;
     # each cycle arises in both traversal directions
     return sum(
@@ -186,16 +190,16 @@ def count_cycles(view: ColorView, k: int) -> int:
     ) // 2
 
 
-def count_stars(view: ColorView, k: int) -> int:
-    """Number of (center, k-leaf set) stars in the view."""
+def count_stars(g: SimpleGraph, k: int) -> int:
+    """Number of (center, k-leaf set) stars in g."""
     if k < 1:
         raise DomainError("stars need k >= 1 leaves")
-    return sum(comb(view.degree(u), k) for u in range(view.n))
+    return sum(comb(g.degree(u), k) for u in range(g.n))
 
 
-def count_triangles(view: ColorView) -> int:
-    n = view.n
-    adj = view.adj_masks()
+def count_triangles(g: SimpleGraph) -> int:
+    n = g.n
+    adj = g.adj
     total = 0
     for u in range(n):
         rest = adj[u] >> (u + 1) << (u + 1)
@@ -208,11 +212,11 @@ def count_triangles(view: ColorView) -> int:
     return total
 
 
-def count_cliques(view: ColorView, k: int) -> int:
+def count_cliques(g: SimpleGraph, k: int) -> int:
     if not 2 <= k <= 5:
         raise DomainError("cliques are supported for 2 <= k <= 5")
-    n = view.n
-    adj = view.adj_masks()
+    n = g.n
+    adj = g.adj
 
     def rec(cand: int, depth: int, lo: int) -> int:
         if depth == 0:
@@ -229,17 +233,18 @@ def count_cliques(view: ColorView, k: int) -> int:
     return rec((1 << n) - 1, k, 0)
 
 
-def count_in_view(view: ColorView, pattern: Pattern) -> int:
+def count_in_view(g: SimpleGraph, pattern: Pattern) -> int:
+    """Copies of the pattern in g, typically one color class of a coloring."""
     if pattern.kind == "path":
-        return count_paths(view, pattern.k)
+        return count_paths(g, pattern.k)
     if pattern.kind == "cycle":
-        return count_cycles(view, pattern.k)
+        return count_cycles(g, pattern.k)
     if pattern.kind == "star":
-        return count_stars(view, pattern.k)
+        return count_stars(g, pattern.k)
     if pattern.kind == "clique":
         if pattern.k == 3:
-            return count_triangles(view)
-        return count_cliques(view, pattern.k)
+            return count_triangles(g)
+        return count_cliques(g, pattern.k)
     raise DomainError(f"unknown pattern kind {pattern.kind!r}")
 
 

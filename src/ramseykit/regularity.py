@@ -30,6 +30,11 @@ as two ordered pairs).  The near-split detector is the one exception: it
 judges the inside-A condition by induced-subgraph density e(A)/C(|A|,2),
 which is the natural reading for "the graph G[A] has density at least
 1 - alpha" and the one under which a monochromatic clique has density 1.
+It is d(A,A)|A|/(|A|-1), taken from `pair_density` like every other
+density.
+
+Every function here reads plain `SimpleGraph`s; the graph of one color of
+a coloring is ``coloring.view(color)``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .coloring import BLUE, RED, ColorView, EdgeColoring, other_color
+from .coloring import BLUE, RED, EdgeColoring, other_color
 from .counting import count_walks, falling
 from .errors import CapabilityError, DomainError
 from .parallel import job_seed, parallel_map
@@ -457,8 +462,7 @@ def _annotate_pair(job: tuple) -> PairAnnotation:
     density: dict[str, Fraction] = {}
     regular: dict[str, str] = {}
     for color in (RED, BLUE):
-        view = ColorView(coloring, color)
-        gc = view.graph()
+        gc = coloring.view(color)
         density[color] = pair_density(gc, parts[i], parts[j])
         if mode == "exact":
             res = eps_regular_exact(gc, parts[i], parts[j], eps)
@@ -642,24 +646,6 @@ class ExtremalVerdict:
     diagnostics: dict[str, object] = field(default_factory=dict)
 
 
-def _inner_density(view: ColorView, verts: Sequence[int]) -> Fraction:
-    """Density of the induced subgraph on verts: e/C(|verts|,2); 1 if |verts|<2."""
-    k = len(verts)
-    if k < 2:
-        return Fraction(1)
-    mask = _vertex_mask(verts, view.n)
-    e = sum((view.adj_mask(v) & mask).bit_count() for v in verts) // 2
-    return Fraction(e, k * (k - 1) // 2)
-
-
-def _cross_density(view: ColorView, a: Sequence[int], b: Sequence[int]) -> Fraction:
-    if not a or not b:
-        return Fraction(1)
-    bmask = _vertex_mask(b, view.n)
-    e = sum((view.adj_mask(v) & bmask).bit_count() for v in a)
-    return Fraction(e, len(a) * len(b))
-
-
 def _split_test(
     coloring: EdgeColoring, a_set: frozenset[int], alpha: Fraction, inner: str
 ) -> ExtremalVerdict | None:
@@ -671,12 +657,12 @@ def _split_test(
         return None
     if Fraction(len(b)) < (Fraction(1, 3) - alpha) * n:
         return None
-    inner_view = ColorView(coloring, inner)
-    cross_view = ColorView(coloring, other_color(inner))
-    d_in = _inner_density(inner_view, a)
+    # e(A)/C(|A|,2), and 1 on fewer than two vertices or an empty side
+    k = len(a)
+    d_in = pair_density(coloring.view(inner), a, a) * k / (k - 1) if k >= 2 else Fraction(1)
     if d_in < 1 - alpha:
         return None
-    d_cross = _cross_density(cross_view, a, b)
+    d_cross = pair_density(coloring.view(other_color(inner)), a, b) if a and b else Fraction(1)
     if d_cross < 1 - alpha:
         return None
     return ExtremalVerdict(
@@ -716,12 +702,12 @@ def extremal_detect(coloring: EdgeColoring, alpha: object) -> ExtremalVerdict:
     tested = 0
     converged = True
     for inner in (RED, BLUE):
-        view = ColorView(coloring, inner)
-        degs = sorted(((-view.degree(v), v) for v in range(n)))
+        g = coloring.view(inner)
+        degs = sorted(((-g.degree(v), v) for v in range(n)))
         prefix_size = -((-2 * n) // 3)  # ceil(2n/3)
         starts = [frozenset(v for _, v in degs[:prefix_size])]
         thresh = frozenset(
-            v for v in range(n) if 3 * view.degree(v) >= 2 * n
+            v for v in range(n) if 3 * g.degree(v) >= 2 * n
         )
         if thresh and thresh not in starts:
             starts.append(thresh)
@@ -740,10 +726,9 @@ def extremal_detect(coloring: EdgeColoring, alpha: object) -> ExtremalVerdict:
                 if not current:
                     break
                 size = len(current)
+                mask = _vertex_mask(current, n)
                 nxt = frozenset(
-                    v
-                    for v in range(n)
-                    if 3 * view.degree(v, current) >= 2 * size
+                    v for v in range(n) if 3 * (g.adj[v] & mask).bit_count() >= 2 * size
                 )
                 if nxt == current:
                     break
@@ -757,13 +742,13 @@ def extremal_detect(coloring: EdgeColoring, alpha: object) -> ExtremalVerdict:
     )
 
 
-def dirac_check(view: ColorView, vertices: Sequence[int]) -> bool:
+def dirac_check(g: SimpleGraph, vertices: Sequence[int]) -> bool:
     """True iff every vertex of the set has >= |S|/2 neighbors inside it."""
     s = len(vertices)
     if s < 3:
         raise DomainError("minimum-degree check needs |S| >= 3")
-    mask = _vertex_mask(vertices, view.n)
-    return all(2 * (view.adj_mask(v) & mask).bit_count() >= s for v in vertices)
+    mask = _vertex_mask(vertices, g.n)
+    return all(2 * (g.adj[v] & mask).bit_count() >= s for v in vertices)
 
 
 # ---------------------------------------------------------------------------

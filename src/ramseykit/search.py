@@ -26,10 +26,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Sequence
 
-from .coloring import EdgeColoring, pair_count, pair_index
+from .coloring import (
+    EdgeColoring,
+    _apply_perm,
+    _bits_from_adj,
+    _min_relabeling,
+    pair_count,
+    pair_index,
+)
 from .counting import Pattern, copy_edge_masks, count_mono
 from .errors import CapabilityError, DomainError
 from .formulas import r_cycle, r_path
@@ -176,27 +184,12 @@ def _least_witness(n: int, candidates) -> int:
 # exhaustive minimization
 # ---------------------------------------------------------------------------
 
-def _apply_perm(adj: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
-    n = len(adj)
-    out = []
-    for p in range(n):
-        a = adj[perm[p]]
-        m = 0
-        for q in range(n):
-            if a >> perm[q] & 1:
-                m |= 1 << q
-        out.append(m)
-    return tuple(out)
-
-
 def canonical_graph_reps(n: int) -> list[tuple[int, ...]]:
     """One canonically labeled representative per graph-isomorphism class.
 
     Built level by level: every class on m vertices arises by attaching a
     new vertex to a representative on m-1 vertices, then canonicalizing.
     """
-    from .coloring import _min_relabeling
-
     reps: dict[tuple[int, ...], None] = {(0,): None}
     for m in range(2, n + 1):
         nxt: dict[tuple[int, ...], None] = {}
@@ -213,15 +206,11 @@ def canonical_graph_reps(n: int) -> list[tuple[int, ...]]:
     return sorted(reps) if n >= 1 else [()]
 
 
-def _bits_from_adj(adj: tuple[int, ...], n: int) -> int:
-    """Red bits of K_n whose red graph on vertices 0..len(adj)-1 is adj and
-    whose other edges are all blue."""
-    bits = 0
-    for i in range(len(adj)):
-        for j in range(i + 1, len(adj)):
-            if adj[i] >> j & 1:
-                bits |= 1 << pair_index(n, i, j)
-    return bits
+@lru_cache(maxsize=None)
+def _extension_states(n: int) -> tuple[int, ...]:
+    """Red bits of each class representative on n-1 vertices, embedded in
+    K_n with every edge at vertex n-1 blue; built once per process."""
+    return tuple(_bits_from_adj(adj, n) for adj in canonical_graph_reps(n - 1))
 
 
 def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
@@ -229,8 +218,9 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
 
     Sweeps by vertex extension.  Counts are invariant under relabeling, and
     every coloring of K_n restricted to vertices 0..n-2 is isomorphic to a
-    representative r of ``canonical_graph_reps(n - 1)``, so it suffices to
-    try each r with each red neighbourhood N of the last vertex v = n-1.
+    representative r of ``canonical_graph_reps(n - 1)`` (built once per n
+    and process), so it suffices to try each r with each red neighbourhood
+    N of the last vertex v = n-1.
     One engine pass over the r, with every edge at v blue, gives each copy's
     red-edge count, and then
 
@@ -257,7 +247,7 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
 
     engine = _CopyEngine(pattern, n)
     v = n - 1
-    states = [_bits_from_adj(adj, n) for adj in canonical_graph_reps(v)]
+    states = _extension_states(n)
     spoke = [pair_index(n, i, v) for i in range(v)]
     at_v = np.zeros(engine.nbits, dtype=np.intp)
     at_v[spoke] = 1 << np.arange(v)

@@ -56,9 +56,6 @@ class SimpleGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def adj_mask(self, v: int) -> int:
-        return self.adj[v]
-
     def neighbors(self, v: int) -> list[int]:
         return list(_bits(self.adj[v]))
 
@@ -281,6 +278,9 @@ class DisjointPathCert:
         return len(self.paths)
 
     def validate(self, g: SimpleGraph) -> None:
+        for w in (self.u, self.v, *(w for path in self.paths for w in path)):
+            if not 0 <= w < g.n:
+                raise DomainError(f"vertex {w} out of range for n={g.n}")
         seen_interior = 0
         seen_paths = set()
         for path in self.paths:
@@ -588,6 +588,8 @@ def well_connected_check(
         raise DomainError("witness_set must be vertices of g")
     if t < 1:
         raise DomainError("t must be at least 1")
+    if max_len < 1:
+        raise DomainError("max_len must be at least 1")
     report = WellConnectedReport("certified", t, max_len, tuple(ws))
     for i, u in enumerate(ws):
         for v in ws[i + 1:]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Iterator, NamedTuple
 
-from .coloring import BLUE, RED, ColorView, EdgeColoring, split_coloring
+from .coloring import BLUE, RED, EdgeColoring, split_coloring
 from .counting import Pattern, count_mono, formula_split_paths, total_copies_in_complete
 from .errors import DomainError
 from .formulas import conjectured_m, m_star, r_path
@@ -271,7 +271,7 @@ def _disjoint_paths_greedy_vs_exact(rng: Random, seed: int) -> Results:
 
 @_suite("structure")
 def _well_connected_split_vs_cliques(rng: Random, seed: int) -> Results:
-    red = ColorView(split_coloring(8, 8), RED).graph()
+    red = split_coloring(8, 8).view(RED)
     rep = well_connected_check(red, range(16), t=7, max_len=3)
     two_cliques = SimpleGraph.from_edges(
         8, [(i, j) for i in range(8) for j in range(i + 1, 8) if i // 4 == j // 4]
@@ -505,8 +505,8 @@ def _near_split_and_degree(rng: Random, seed: int) -> Results:
     five_cycle = EdgeColoring.from_red_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     yield (
         "minimum-degree-threshold",
-        dirac_check(ColorView(split_coloring(6, 3), BLUE), range(6))
-        and not dirac_check(ColorView(five_cycle, RED), range(5)),
+        dirac_check(split_coloring(6, 3).view(BLUE), range(6))
+        and not dirac_check(five_cycle.view(RED), range(5)),
         "clique side passes, five-cycle fails the half-degree condition",
     )
 

@@ -306,7 +306,7 @@ def test_ac8_annealing_reaches_known_minimums() -> None:
 
 def test_ac9_split_red_graph_is_well_connected() -> None:
     start = time.perf_counter()
-    red = split_coloring(8, 8).view(RED).graph()
+    red = split_coloring(8, 8).view(RED)
     cert = well_connected_check(red, list(range(16)), t=7, max_len=3)
 
     cliques = list(combinations(range(4), 2)) + [

@@ -11,9 +11,8 @@ from ramseykit import (
     DomainError,
     EdgeColoring,
     InvalidSpecError,
-    SplitSpec,
+    SimpleGraph,
     canonical_key,
-    construct_split,
     split_coloring,
 )
 
@@ -91,20 +90,30 @@ def test_split_coloring_structure() -> None:
         assert c.color_of(i, j) == expected
 
 
-def test_construct_split_agrees_with_helper() -> None:
-    spec = SplitSpec(a=5, b=3, flips=((0, 5), (1, 6)))
-    assert construct_split(spec) == split_coloring(5, 3, flips=[(0, 5), (1, 6)])
-
-
 def test_views_partition_edges() -> None:
     c = EdgeColoring.random(8, random.Random(11))
     red, blue = c.view(RED), c.view(BLUE)
-    assert red.edge_count() + blue.edge_count() == 28
-    assert red.edge_count() == c.red_edge_count
+    assert red.edge_count + blue.edge_count == 28
+    assert red.edge_count == c.red_edge_count
     for u in range(8):
-        assert red.adj_mask(u) & blue.adj_mask(u) == 0
-        assert red.adj_mask(u) | blue.adj_mask(u) == (255 ^ (1 << u))
-        assert red.degree(u) == bin(red.adj_mask(u)).count("1")
+        assert red.adj[u] & blue.adj[u] == 0
+        assert red.adj[u] | blue.adj[u] == (255 ^ (1 << u))
+        assert red.degree(u) == bin(red.adj[u]).count("1")
+
+
+@given(st.integers(0, 12), st.integers(0, 2**66))
+@settings(max_examples=60, deadline=None)
+def test_view_is_the_graph_of_its_color(n: int, bits: int) -> None:
+    c = EdgeColoring(n, bits % (1 << (n * (n - 1) // 2)))
+    for color in (RED, BLUE):
+        edges = [e for e in combinations(range(n), 2) if c.color_of(*e) == color]
+        assert c.view(color) == SimpleGraph.from_edges(n, edges)
+
+
+def test_view_does_not_share_the_cached_masks() -> None:
+    c = split_coloring(3, 2)
+    c.view(RED).adj[0] = 0
+    assert c.view(RED).adj[0] == 0b11000
 
 
 def test_random_is_deterministic_per_seed() -> None:

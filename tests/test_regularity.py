@@ -410,6 +410,33 @@ def test_large_split_coloring_is_detected_as_extremal() -> None:
     assert set(verdict.a_side) == set(range(18))
 
 
+@st.composite
+def flipped_splits(draw):
+    n = draw(st.integers(3, 18))
+    a = draw(st.integers(0, n))
+    pairs = list(combinations(range(n), 2))
+    flips = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True))
+    return split_coloring(a, n - a, flips)
+
+
+@given(flipped_splits(), st.sampled_from([Fraction(0), Fraction(1, 20), Fraction(1, 5),
+                                          Fraction(2, 5), Fraction(3, 5)]))
+@settings(max_examples=80, deadline=None)
+def test_extremal_densities_match_a_color_recount(c, alpha) -> None:
+    verdict = extremal_detect(c, alpha)
+    if not verdict.is_extremal:
+        return
+    a, b, inner = verdict.a_side, verdict.b_side, verdict.inner_color
+    cross = BLUE if inner == RED else RED
+    inside = sum(c.color_of(u, v) == inner for u, v in combinations(a, 2))
+    expected_in = Fraction(inside, len(a) * (len(a) - 1) // 2) if len(a) >= 2 else 1
+    between = sum(c.color_of(u, v) == cross for u in a for v in b)
+    expected_cross = Fraction(between, len(a) * len(b)) if a and b else 1
+    assert verdict.inner_density == expected_in
+    assert verdict.cross_density == expected_cross
+    assert verdict.inner_density >= 1 - alpha and verdict.cross_density >= 1 - alpha
+
+
 def test_random_coloring_is_not_extremal_at_tight_tolerance() -> None:
     c = EdgeColoring.random(30, random.Random(13))
     verdict = extremal_detect(c, Fraction(1, 20))

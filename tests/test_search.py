@@ -104,6 +104,18 @@ def test_exhaustive_sweeps_every_extension_of_the_smaller_classes() -> None:
     assert runs[7].best_count == 1
 
 
+def test_exhaustive_builds_each_class_list_once(monkeypatch) -> None:
+    first = exhaustive_min(parse_pattern("P_5"), 7)
+    calls = []
+    build = search.canonical_graph_reps
+    monkeypatch.setattr(search, "canonical_graph_reps", lambda n: calls.append(n) or build(n))
+    again = exhaustive_min(parse_pattern("P_5"), 7)
+    assert calls == []
+    assert (again.best_count, again.witness, again.explored) == (
+        first.best_count, first.witness, first.explored
+    )
+
+
 # every family, on every host small enough to sweep all 2^C(n,2) colorings
 BRUTE_CASES = [
     (label, n)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ramseykit import (
     RED,
+    DisjointPathCert,
     DomainError,
     SimpleGraph,
     disjoint_short_paths,
@@ -141,8 +142,24 @@ def test_certificate_validation_rejects_missing_edges() -> None:
         fake.validate(g)
 
 
+@pytest.mark.parametrize("u, v, path", [(-1, 2, (-1, 2)), (3, 2, (3, -4, 2)), (0, 4, (0, 4))])
+def test_certificate_validation_rejects_vertices_out_of_range(u, v, path) -> None:
+    # on the path 0-1-2-3, adj[-1] would read vertex 3's row
+    g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    cert = DisjointPathCert(u, v, 4, (path,), True)
+    with pytest.raises(DomainError, match="out of range"):
+        cert.validate(g)
+
+
+@pytest.mark.parametrize("witness", [[0], [], [0, 1]])
+def test_well_connected_check_rejects_max_len_below_one(witness) -> None:
+    g = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(DomainError, match="max_len"):
+        well_connected_check(g, witness, 1, 0)
+
+
 def test_cross_pair_vertices_in_split_graph_are_well_connected() -> None:
-    red = split_coloring(8, 8).view(RED).graph()
+    red = split_coloring(8, 8).view(RED)
     report = well_connected_check(red, list(range(16)), t=7, max_len=3)
     assert report.status == "certified"
     assert report.failing_pair is None
