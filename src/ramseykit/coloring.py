@@ -111,21 +111,22 @@ class EdgeColoring:
         if cached is not None:
             return cached
         n = self.n
-        masks = [0] * n
-        bits = self.red_bits
-        e = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if bits >> e & 1:
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-                e += 1
         if color == BLUE:
             full = (1 << n) - 1
-            masks = [(full & ~m) & ~(1 << v) for v, m in enumerate(masks)]
-        elif color != RED:
+            out = tuple(full & ~m & ~(1 << v) for v, m in enumerate(self.adj_masks(RED)))
+        elif color == RED:
+            masks = [0] * n
+            bits = self.red_bits
+            e = 0
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if bits >> e & 1:
+                        masks[i] |= 1 << j
+                        masks[j] |= 1 << i
+                    e += 1
+            out = tuple(masks)
+        else:
             raise DomainError(f"unknown color {color!r}")
-        out = tuple(masks)
         self._masks[color] = out
         return out
 
@@ -177,6 +178,8 @@ class EdgeColoring:
             raise DomainError("bad magic line")
         if not parts[1].isdigit():
             raise DomainError("vertex count must be a decimal integer")
+        if parts[1] != b"0" and parts[1].startswith(b"0"):
+            raise DomainError("vertex count must not have a leading zero")
         n = int(parts[1])
         nbits = pair_count(n)
         nbytes = (nbits + 7) // 8

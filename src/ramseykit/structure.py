@@ -357,102 +357,55 @@ def _greedy_paths(
 
 
 def _exact_le4(g: SimpleGraph, u: int, v: int, max_len: int) -> list[tuple[int, ...]]:
-    """Maximum family for length bound <= 4 via role reduction.
+    """Maximum family for length bound <= 4 via role reduction and one matching.
 
     Interiors can be normalized so that length-2 paths use common neighbors,
     the first interior lies in A = N(u)\\N(v), the last in B = N(v)\\N(u),
-    and any middle vertex avoids N(u) and N(v).  Length-3 then reduces to an
-    A-B matching and length-4 adds unit-capacity middles; both are one small
-    unit-capacity max-flow, with no middles at length 3.
+    and any middle vertex avoids N(u), N(v), u and v.  The rest is one
+    bipartite graph: a node per A and B vertex, and per middle z (length 4
+    only, with neighbors in both A and B) a pair z_in - z_out joined by an
+    edge, plus edges a-b, a-z_in for a ~ z and z_out-b for z ~ b.  Every
+    maximum matching has |Z| + (most paths) edges, and each path is a
+    matched a whose mate is a b, or a z_in whose z_out is matched to a b.
     """
     paths: list[tuple[int, ...]] = []
-    if max_len >= 1 and g.has_edge(u, v):
+    if g.has_edge(u, v):
         paths.append((u, v))
     if max_len == 1:
         return paths
     nu, nv = g.adj[u], g.adj[v]
     ends = (1 << u) | (1 << v)
-    common = nu & nv & ~ends
-    for c in _bits(common):
+    for c in _bits(nu & nv & ~ends):
         paths.append((u, c, v))
     if max_len == 2:
         return paths
-    a_side = list(_bits(nu & ~nv & ~ends))
-    b_side = list(_bits(nv & ~nu & ~ends))
-    if max_len > 4:
-        raise DomainError("role reduction applies to max_len <= 4 only")
-    outside = nu | nv | ends
-    middle = [w for w in range(g.n) if not outside >> w & 1] if max_len == 4 else []
-    # unit-capacity flow: S -> a -> (z) -> b -> T
-    source, sink = ("S",), ("T",)
-    cap: dict[tuple, dict[tuple, int]] = {source: {}, sink: {}}
-    forward: dict[tuple, list[tuple]] = {}
-
-    def arc(x: tuple, y: tuple) -> None:
-        cap.setdefault(x, {})[y] = 1
-        cap.setdefault(y, {}).setdefault(x, 0)
-        forward.setdefault(x, []).append(y)
-
-    for a in a_side:
-        arc(source, ("a", a))
-    for b in b_side:
-        arc(("b", b), sink)
-    for a in a_side:
-        for b in b_side:
-            if g.has_edge(a, b):
-                arc(("a", a), ("b", b))
-    for z in middle:
-        arc(("zi", z), ("zo", z))
-        for a in a_side:
-            if g.has_edge(a, z):
-                arc(("a", a), ("zi", z))
-        for b in b_side:
-            if g.has_edge(z, b):
-                arc(("zo", z), ("b", b))
-
-    def augment() -> bool:
-        prev: dict[tuple, tuple] = {source: source}
-        q = deque([source])
-        while q:
-            x = q.popleft()
-            for y, c in cap[x].items():
-                if c > 0 and y not in prev:
-                    prev[y] = x
-                    if y == sink:
-                        while y != source:
-                            x = prev[y]
-                            cap[x][y] -= 1
-                            cap[y][x] += 1
-                            y = x
-                        return True
-                    q.append(y)
-        return False
-
-    while augment():
-        pass
-
-    def used(x: tuple, y: tuple) -> bool:
-        return cap[x][y] == 0  # unit forward arc is saturated iff it carries flow
-
-    for a in a_side:
-        if not used(source, ("a", a)):
+    a_mask, b_mask = nu & ~nv & ~ends, nv & ~nu & ~ends
+    a_side, b_side = list(_bits(a_mask)), list(_bits(b_mask))
+    outside = ((1 << g.n) - 1) & ~(nu | nv | ends) if max_len == 4 else 0
+    # a middle needs a neighbor on both sides to lie on any path
+    middle = [z for z in _bits(outside) if g.adj[z] & a_mask and g.adj[z] & b_mask]
+    # nodes: A, then B, then z_in = first + 2i and z_out = first + 2i + 1
+    index = {w: i for i, w in enumerate(a_side + b_side)}
+    first = len(index)
+    edges = [(index[a], index[b]) for a in a_side for b in _bits(g.adj[a] & b_mask)]
+    for i, z in enumerate(middle):
+        z_in = first + 2 * i
+        edges.append((z_in, z_in + 1))
+        edges += [(index[a], z_in) for a in _bits(g.adj[z] & a_mask)]
+        edges += [(z_in + 1, index[b]) for b in _bits(g.adj[z] & b_mask)]
+    mate: dict[int, int] = {}
+    for x, y in max_matching(SimpleGraph.from_edges(first + 2 * len(middle), edges)):
+        mate[x], mate[y] = y, x
+    for i, a in enumerate(a_side):
+        m = mate.get(i)
+        if m is None:
             continue
-        node: tuple = ("a", a)
-        hops = [a]
-        while node != sink:
-            for y in forward[node]:
-                if used(node, y):
-                    cap[node][y] = 1  # consume so shared arcs are not reused
-                    node = y
-                    break
-            else:
-                raise AssertionError("flow decomposition lost an arc")
-            if node[0] == "zo" or node == sink:
-                continue
-            hops.append(node[1])
-            if node[0] == "zi":
-                node = ("zo", node[1])
-        paths.append(tuple([u] + hops + [v]))
+        if m < first:
+            paths.append((u, a, b_side[m - len(a_side)], v))
+            continue
+        b = mate.get(m + 1)
+        if b is not None:
+            paths.append((u, a, middle[(m - first) // 2], b_side[b - len(a_side)], v))
     return paths
 
 
@@ -530,9 +483,9 @@ def disjoint_short_paths(
     method="greedy": shortest-first extraction; a valid family and hence a
     lower bound, not necessarily maximum.  Stops once t_target paths are found.
 
-    method="exact": true maximum.  Polynomial for max_len <= 4 (common
-    neighbors, then an A-B matching, then a unit-capacity flow with middles);
-    for max_len >= 5 exhaustive packing guarded to n <= BACKTRACK_MAX_N.
+    method="exact": true maximum.  For max_len <= 4, the common neighbors
+    plus one blossom matching on the A, B and split middle vertices; for
+    max_len >= 5 exhaustive packing guarded to n <= BACKTRACK_MAX_N.
     """
     if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
         raise DomainError("u and v must be distinct vertices of g")

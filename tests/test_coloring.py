@@ -101,11 +101,12 @@ def test_views_partition_edges() -> None:
         assert red.degree(u) == bin(red.adj[u]).count("1")
 
 
-@given(st.integers(0, 12), st.integers(0, 2**66))
+@given(st.integers(0, 12), st.integers(0, 2**66), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_view_is_the_graph_of_its_color(n: int, bits: int) -> None:
+def test_view_is_the_graph_of_its_color(n: int, bits: int, blue_first: bool) -> None:
     c = EdgeColoring(n, bits % (1 << (n * (n - 1) // 2)))
-    for color in (RED, BLUE):
+    # blue rows complement the cached red rows, so try both fill orders
+    for color in (BLUE, RED) if blue_first else (RED, BLUE):
         edges = [e for e in combinations(range(n), 2) if c.color_of(*e) == color]
         assert c.view(color) == SimpleGraph.from_edges(n, edges)
 
@@ -134,6 +135,8 @@ def test_random_is_deterministic_per_seed() -> None:
         b"RMC1 3\n",
         b"RMC1 3\n7\nextra\n",
         b"RMC1 two\n0\n",
+        b"RMC1 03\n80\n",
+        b"RMC1 00\n\n",
     ],
 )
 def test_parse_rejects_malformed_payloads(payload: bytes) -> None:

@@ -99,7 +99,7 @@ def test_bipartite_check_rejects_edges_inside_a_part() -> None:
         konig_edge_bound_check(g, ([0, 1], [2, 3]))
 
 
-@given(st.integers(2, 7), st.integers(0, 10_000), st.integers(1, 4))
+@given(st.integers(2, 9), st.integers(0, 10_000), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_disjoint_path_certificates_validate_and_exact_is_optimal(
     n: int, seed: int, max_len: int
@@ -107,7 +107,7 @@ def test_disjoint_path_certificates_validate_and_exact_is_optimal(
     rng = random.Random(seed)
     edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
     g = SimpleGraph.from_edges(n, edges)
-    u, v = 0, n - 1
+    u, v = rng.sample(range(n), 2)
     adj = [list(g.neighbors(w)) for w in range(n)]
     want = max_disjoint_short_paths(adj, u, v, max_len)
 
@@ -118,6 +118,19 @@ def test_disjoint_path_certificates_validate_and_exact_is_optimal(
     greedy = disjoint_short_paths(g, u, v, max_len, method="greedy")
     greedy.validate(g)
     assert len(greedy.paths) <= want
+
+
+def test_exact_paths_use_the_middle_layer_at_length_four() -> None:
+    g = SimpleGraph.from_edges(
+        8, [(0, 2), (0, 5), (1, 4), (1, 5), (1, 7), (2, 4), (5, 6), (6, 7)]
+    )
+    adj = [g.neighbors(w) for w in range(8)]
+    exact = disjoint_short_paths(g, 0, 7, 4, method="exact")
+    exact.validate(g)
+    assert exact.count == max_disjoint_short_paths(adj, 0, 7, 4) == 2
+    assert (0, 2, 4, 1, 7) in exact.paths
+    assert disjoint_short_paths(g, 0, 7, 4, method="greedy").count == 1
+    assert disjoint_short_paths(g, 0, 7, 3, method="exact").count < 2
 
 
 def test_certificate_validation_rejects_tampering() -> None:
