@@ -333,43 +333,42 @@ def copy_edge_masks(pattern: Pattern, n: int) -> list[int]:
 
     masks: list[int] = []
     k = pattern.k
-    if pattern.kind == "path":
-        if k == 1:
+    if pattern.kind in ("path", "cycle"):
+        if pattern.kind == "path" and k == 1:
             return [0] * n
         if k > n:
             return []
-
-        def extend(seq: list[int], used: int, mask: int) -> None:
-            if len(seq) == k:
-                if seq[0] < seq[-1]:
-                    masks.append(mask)
+        # bit[u][w]: the bit of edge {u, w}, looked up once per n
+        bit = [[0 if u == w else 1 << pair_index(n, u, w) for w in range(n)] for u in range(n)]
+    if pattern.kind == "path":
+        def extend(first: int, last: int, depth: int, used: int, mask: int) -> None:
+            row = bit[last]
+            if depth == k - 1:  # each path once, from its smaller end
+                masks.extend(mask | row[w] for w in range(first + 1, n) if not used >> w & 1)
                 return
             for w in range(n):
-                if used >> w & 1:
-                    continue
-                extend(seq + [w], used | (1 << w),
-                       mask | (1 << pair_index(n, seq[-1], w)))
+                if not used >> w & 1:
+                    extend(first, w, depth + 1, used | 1 << w, mask | row[w])
 
         for v in range(n):
-            extend([v], 1 << v, 0)
+            extend(v, v, 1, 1 << v, 0)
         return masks
     if pattern.kind == "cycle":
-        if k > n:
-            return []
-
-        def extend_cycle(seq: list[int], used: int, mask: int) -> None:
-            if len(seq) == k:
-                if seq[1] < seq[-1]:
-                    masks.append(mask | (1 << pair_index(n, seq[-1], seq[0])))
+        def extend_cycle(first: int, second: int, last: int, depth: int,
+                         used: int, mask: int) -> None:
+            row = bit[last]
+            if depth == k - 1:  # least vertex first, then each direction once
+                close = bit[first]
+                masks.extend(mask | row[w] | close[w]
+                             for w in range(second + 1, n) if not used >> w & 1)
                 return
-            for w in range(seq[0] + 1, n):
-                if used >> w & 1:
-                    continue
-                extend_cycle(seq + [w], used | (1 << w),
-                             mask | (1 << pair_index(n, seq[-1], w)))
+            for w in range(first + 1, n):
+                if not used >> w & 1:
+                    extend_cycle(first, second if depth > 1 else w, w, depth + 1,
+                                 used | 1 << w, mask | row[w])
 
         for v in range(n - k + 1):
-            extend_cycle([v], 1 << v, 0)
+            extend_cycle(v, v, v, 1, 1 << v, 0)
         return masks
     if pattern.kind == "star":
         if k > n - 1:

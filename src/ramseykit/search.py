@@ -15,7 +15,10 @@ Python integers, so no host size is capped by a machine word.
   because the count is relabeling-invariant.
 * ``anneal_min`` -- simulated annealing with single-edge-flip moves and
   restarts, exact=False.  Deterministic for a fixed config: restart i uses
-  a seed derived from (config.seed, i) with a stable hash.
+  a seed derived from (config.seed, i) with a stable hash.  On hosts with
+  long per-edge rows the engine keeps, per edge, a histogram of the red
+  counts of the copies through it: a proposal's delta is O(1), and an
+  accepted flip costs O(c_e * s) for c_e copies per edge of s edges each.
 
 Witness tie-break everywhere: the serialized form that is lexicographically
 least among optimal colorings found.  numpy is imported by the engine, not
@@ -48,9 +51,11 @@ EXHAUSTIVE_MAX_N = 7
 # extension; perfbench/workloads.py names its exhaustive spans by it
 RAW_ENUM_MAX_N = 6
 _CHUNK = 4096  # copies handled per numpy pass
-# per-edge rows up to this many copies are tallied by bytes.count, which
-# costs less than a numpy call there (P_6/8 has 1,800, P_7/9 has 15,120)
-_BYTES_TALLY_MAX = 4096
+# per-edge rows up to this many copies are gathered and tallied by
+# bytes.count; longer rows keep a histogram, whose update on an accepted
+# flip costs more than a gather where many proposals are accepted (K3/12
+# has 10 copies per edge, C_4/12 90, P_7/9 15,120)
+_GATHER_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,11 @@ class _CopyEngine:
     copies through edge e, and the rows are those of one rectangular
     (C(n,2), c_e) array.  ``_red_counts`` counts a batch of colorings through
     ``edges``; ``start``, ``delta`` and ``flip`` walk one coloring an edge at
-    a time through ``rows``, each step costing O(c_e).
+    a time.  On short rows ``delta`` gathers the counts of the copies through
+    e and ``flip`` writes them back, each O(c_e).  On long rows ``hist[e, r]``
+    counts the copies through e with r red edges, so ``delta`` reads two
+    cells, O(1), and ``flip`` moves each edge of every copy through e one
+    cell, O(c_e * s), paid only on accepted moves.
     """
 
     def __init__(self, pattern: Pattern, n: int):
@@ -129,10 +138,17 @@ class _CopyEngine:
         if filled != [width] * nbits:
             raise AssertionError("copies are not spread evenly over the edges")
         self.rows = list(inc)
-        self._count = np.count_nonzero  # numpy is not a module global here
-        self._bytes_tally = 0 < width <= _BYTES_TALLY_MAX and self.size < 256
+        # bytes.count tallies only counts below 256
+        self._gather = width <= _GATHER_MAX and self.size < 256
+        self._cell_dtype = np.min_scalar_type(nbits * (self.size + 1))
+        # (gain, loss) red counts for a blue and for a red edge e: blue -> red
+        # makes copies at s - 1 all red and those at 0 no longer all blue;
+        # red -> blue makes copies at 1 all blue and those at s no longer all
+        # red.  An edgeless pattern (s = 0) has no copy through any edge.
+        self._gain_loss = ((max(self.size - 1, 0), 0), (1, self.size))
         self.bits = 0
         self.red = np.zeros(self.copies, dtype=np.min_scalar_type(self.size))
+        self.hist = None
         self._edge, self._gathered = -1, None
 
     def _red_counts(self, states: Sequence[int]):
@@ -147,30 +163,53 @@ class _CopyEngine:
 
     def start(self, bits: int) -> int:
         """Make ``bits`` the current coloring; returns its monochromatic count."""
+        import numpy as np
+
         self.bits = bits
-        self.red = self._red_counts([bits])[:, 0]
+        red = self.red = self._red_counts([bits])[:, 0]
         self._edge = -1
-        return int(self._count(self.red == 0) + self._count(self.red == self.size))
+        if not self._gather:  # row by row, so no (copies, s) temporary
+            self.hist = np.stack([
+                np.bincount(red.take(row), minlength=self.size + 1) for row in self.rows
+            ])
+        return int(np.count_nonzero(red == 0) + np.count_nonzero(red == self.size))
 
     def delta(self, e: int) -> int:
         """Change in the count if edge e flipped color."""
+        gain, loss = self._gain_loss[self.bits >> e & 1]
+        if not self._gather:
+            return self.hist.item(e, gain) - self.hist.item(e, loss)
         g = self._gathered = self.red.take(self.rows[e])
         self._edge = e
-        # red -> blue: copies at 1 turn blue, copies at s stop being red
-        gain, loss = (1, self.size) if self.bits >> e & 1 else (self.size - 1, 0)
-        if self._bytes_tally:  # on short rows bytes.count beats a numpy call
-            b = g.tobytes()
-            return b.count(gain) - b.count(loss)
-        return int(self._count(g == gain) - self._count(g == loss))
+        b = g.tobytes()
+        return b.count(gain) - b.count(loss)
 
     def flip(self, e: int) -> None:
         """Flip edge e, reusing the copy counts the last ``delta(e)`` gathered."""
-        g = self._gathered if self._edge == e else self.red.take(self.rows[e])
-        if self.bits >> e & 1:
+        row = self.rows[e]
+        g = self._gathered if self._edge == e else self.red.take(row)
+        down = self.bits >> e & 1  # red -> blue: every count through e drops
+        if not self._gather:
+            import numpy as np
+
+            # each edge of each copy through e leaves cell r for r -/+ 1,
+            # within its own block of s + 1 cells since 0 < r (or r < s)
+            s1 = self.size + 1
+            cells = self.edges.take(row, axis=0).astype(self._cell_dtype)
+            cells *= s1
+            cells += g[:, None]
+            moved = np.bincount(cells.ravel(), minlength=self.nbits * s1)
+            hist = self.hist.reshape(-1)
+            hist -= moved
+            if down:
+                hist[:-1] += moved[1:]
+            else:
+                hist[1:] += moved[:-1]
+        if down:
             g -= 1
         else:
             g += 1
-        self.red[self.rows[e]] = g
+        self.red[row] = g
         self.bits ^= 1 << e
         self._edge = -1
 
@@ -287,8 +326,8 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
 # simulated annealing
 # ---------------------------------------------------------------------------
 
-def _anneal_restart(job: tuple) -> tuple[int, int]:
-    engine, seed_i, steps, t0, cooling, initial_bits = job
+def _anneal_restart(engine: _CopyEngine, job: tuple) -> tuple[int, int]:
+    seed_i, steps, t0, cooling, initial_bits = job
     rng = Random(seed_i)
     nbits = engine.nbits
     bits = rng.getrandbits(nbits) if initial_bits is None and nbits else (initial_bits or 0)
@@ -319,8 +358,9 @@ def anneal_min(
     Single-edge-flip proposals with Metropolis acceptance and geometric
     cooling; restart i runs from an independent random start (or from
     ``initial`` if given) under seed derived from (config.seed, i).  The
-    engine is built once and handed to every restart, in process or in a
-    worker.  The returned best_count is re-verified against the DP counter.
+    engine is built once and handed to every restart, in process or once
+    per worker.  The returned best_count is re-verified against the DP
+    counter.
     """
     config.validate()
     if initial is not None and initial.n != n:
@@ -330,7 +370,6 @@ def anneal_min(
     init_bits = initial.red_bits if initial is not None else None
     jobs = [
         (
-            engine,
             job_seed(config.seed, i),
             config.steps_per_restart,
             config.initial_temperature,
@@ -339,7 +378,7 @@ def anneal_min(
         )
         for i in range(config.restarts)
     ]
-    outcomes = parallel_map(_anneal_restart, jobs, threads)
+    outcomes = parallel_map(_anneal_restart, jobs, threads, engine)
     best = min(cnt for cnt, _ in outcomes)
     witness = EdgeColoring(n, _least_witness(n, (b for cnt, b in outcomes if cnt == best)))
     check = count_mono(witness, pattern)

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -22,6 +23,8 @@ from ramseykit import (
     split_coloring,
     total_copies_in_complete,
 )
+from ramseykit.coloring import pair_index
+from ramseykit.counting import copy_edge_masks
 
 from .oracles import brute_cycles, brute_paths, brute_stars, brute_triangles
 
@@ -125,6 +128,22 @@ def test_complete_graph_cycle_total() -> None:
         for k in range(3, n + 1):
             want = factorial(n) // factorial(n - k) // (2 * k)
             assert total_copies_in_complete(n, parse_pattern(f"C_{k}")) == want
+
+
+def test_path_and_cycle_masks_follow_the_vertex_sequences_in_order() -> None:
+    # search results depend on the copy order, so pin it: permutations()
+    # yields vertex sequences in lexicographic order, as the walk visits them
+    def mask(seq) -> int:
+        return sum(1 << pair_index(n, u, w) for u, w in zip(seq, seq[1:]))
+
+    for n in range(9):
+        for k in range(2, n + 2):
+            seqs = list(permutations(range(n), k))
+            paths = [mask(s) for s in seqs if s[0] < s[-1]]
+            assert copy_edge_masks(parse_pattern(f"P_{k}"), n) == paths
+            if k >= 3:
+                cycles = [mask(s + s[:1]) for s in seqs if s[0] == min(s) and s[1] < s[-1]]
+                assert copy_edge_masks(parse_pattern(f"C_{k}"), n) == cycles
 
 
 def test_split_path_formula_matches_count() -> None:

@@ -3,17 +3,23 @@ import concurrent.futures
 import pytest
 
 from ramseykit.errors import DomainError
+from ramseykit import parallel
 from ramseykit.parallel import job_seed, parallel_map
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in process."""
+    """Stands in for ProcessPoolExecutor: records its size, its initializer
+    arguments and the jobs it is handed, and runs them in process."""
 
     sizes: list[int] = []
+    initargs: list[tuple] = []
+    jobs: list[list] = []
 
-    def __init__(self, max_workers: int, mp_context) -> None:
+    def __init__(self, max_workers: int, mp_context, initializer, initargs) -> None:
         assert mp_context.get_start_method() == "spawn"
         RecordingPool.sizes.append(max_workers)
+        RecordingPool.initargs.append(initargs)
+        initializer(*initargs)
 
     def __enter__(self) -> "RecordingPool":
         return self
@@ -22,6 +28,8 @@ class RecordingPool:
         return None
 
     def map(self, fn, jobs):
+        jobs = list(jobs)
+        RecordingPool.jobs.append(jobs)
         return map(fn, jobs)
 
 
@@ -45,6 +53,28 @@ def test_one_thread_or_one_job_runs_inline(monkeypatch) -> None:
     assert parallel_map(str, [7], 8) == ["7"]
     assert parallel_map(str, [], 8) == []
     assert RecordingPool.sizes == []
+
+
+def scaled(table: dict, job: int) -> int:
+    return table[job] * job
+
+
+def test_shared_arguments_go_once_to_each_worker(monkeypatch) -> None:
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for name in ("sizes", "initargs", "jobs"):
+        monkeypatch.setattr(RecordingPool, name, [])
+    monkeypatch.setattr(parallel, "_shared", ())
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    table = {j: j + 1 for j in range(6)}
+    want = [scaled(table, j) for j in range(6)]
+    assert parallel_map(scaled, range(6), 1, table) == want  # inline
+    assert RecordingPool.sizes == []
+    assert parallel_map(scaled, range(6), 3, table) == want
+    # the table reaches the pool once, as initializer arguments, and the
+    # jobs the pool sends to its workers are the bare jobs
+    assert RecordingPool.sizes == [3]
+    assert len(RecordingPool.initargs) == 1 and RecordingPool.initargs[0][0] is table
+    assert RecordingPool.jobs == [list(range(6))]
 
 
 @pytest.mark.parametrize("threads", [0, -5])

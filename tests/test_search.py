@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,32 +56,16 @@ def test_exhaustive_minimum_values(text: str, n: int, minimum: int) -> None:
     assert count_mono(res.witness, parse_pattern(text)) == minimum
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_copy_engine_matches_mask_recount(data) -> None:
-    label = data.draw(
-        st.sampled_from(["P_1", "P_2", "P_3", "P_4", "C_3", "C_4", "C_5", "S_1", "S_3", "K3", "K4"])
-    )
-    n = data.draw(st.integers(0, 12))
-    pattern = parse_pattern(label)
-    masks = copy_edge_masks(pattern, n)
+def _walk_matches_mask_recount(engine, masks, bits, moves) -> None:
+    """Start at ``bits`` and flip each move's edge, asking ``delta`` first
+    where the move says so; every count must match the copy-mask recount."""
 
     def recount(bits: int) -> int:
         return sum((m & bits == m) + (m & bits == 0) for m in masks)
 
-    nbits = pair_count(n)
-    colorings = st.integers(0, (1 << nbits) - 1)
-    engine = _CopyEngine(pattern, n)
-    # rows this short are tallied by bytes.count; check the numpy tally too
-    engine._bytes_tally &= data.draw(st.booleans())
-    states = data.draw(st.lists(colorings, min_size=1, max_size=6))
-    red = engine._red_counts(states).T.tolist()
-    assert red == [[(m & b).bit_count() for m in masks] for b in states]
-    bits = data.draw(colorings)
     cur = engine.start(bits)
     assert type(cur) is int and cur == recount(bits)
-    moves = st.tuples(st.integers(0, max(nbits - 1, 0)), st.booleans())
-    for e, ask_first in data.draw(st.lists(moves, max_size=12 if nbits else 0)):
+    for e, ask_first in moves:
         if ask_first:
             d = engine.delta(e)
             assert type(d) is int and d == recount(bits ^ 1 << e) - recount(bits)
@@ -89,7 +75,48 @@ def test_copy_engine_matches_mask_recount(data) -> None:
         bits ^= 1 << e
         cur += d
         assert engine.bits == bits
+        if ask_first:  # the reverse move undoes it, on the updated counts
+            assert engine.delta(e) == -d
     assert engine.start(bits) == cur == recount(bits)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_copy_engine_matches_mask_recount(data) -> None:
+    label = data.draw(
+        st.sampled_from(["P_1", "P_2", "P_3", "P_4", "C_3", "C_4", "C_5", "S_1", "S_3", "K3", "K4"])
+    )
+    n = data.draw(st.integers(0, 12))
+    pattern = parse_pattern(label)
+    masks = copy_edge_masks(pattern, n)
+    nbits = pair_count(n)
+    colorings = st.integers(0, (1 << nbits) - 1)
+    engine = _CopyEngine(pattern, n)
+    # short rows gather and tally by bytes.count, long rows read a per-edge
+    # histogram: check either path on any rows (an edgeless pattern has no
+    # copy through any edge, so only the gather path applies)
+    engine._gather = data.draw(st.booleans()) or engine.size == 0
+    states = data.draw(st.lists(colorings, min_size=1, max_size=6))
+    red = engine._red_counts(states).T.tolist()
+    assert red == [[(m & b).bit_count() for m in masks] for b in states]
+    moves = st.tuples(st.integers(0, max(nbits - 1, 0)), st.booleans())
+    _walk_matches_mask_recount(
+        engine, masks, data.draw(colorings), data.draw(st.lists(moves, max_size=12 if nbits else 0))
+    )
+
+
+@pytest.mark.parametrize("gather", [False, True])
+@pytest.mark.parametrize("label,n", [("C_5", 9), ("P_5", 8)])
+def test_copy_engine_long_rows_match_mask_recount(label: str, n: int, gather: bool) -> None:
+    pattern = parse_pattern(label)
+    engine = _CopyEngine(pattern, n)
+    assert len(engine.rows[0]) > search._GATHER_MAX and not engine._gather
+    engine._gather = gather
+    rng = Random(n)
+    nbits = pair_count(n)
+    moves = [(rng.randrange(nbits), rng.random() < 0.7) for _ in range(40)]
+    moves += moves[::-1]  # walk back through the same cells
+    _walk_matches_mask_recount(engine, copy_edge_masks(pattern, n), rng.getrandbits(nbits), moves)
 
 
 def test_exhaustive_sweeps_every_extension_of_the_smaller_classes() -> None:
@@ -193,10 +220,11 @@ def test_anneal_accepts_warm_start() -> None:
 
 def test_anneal_with_worker_pool_stays_deterministic() -> None:
     cfg = SearchConfig(seed=11, restarts=4, steps_per_restart=300)
-    solo = anneal_min(parse_pattern("K3"), 6, cfg, threads=1)
-    pooled = anneal_min(parse_pattern("K3"), 6, cfg, threads=2)
-    assert solo.best_count == pooled.best_count
-    assert solo.witness == pooled.witness
+    for label, n in [("K3", 6), ("C_5", 8)]:  # short rows, long rows
+        solo = anneal_min(parse_pattern(label), n, cfg, threads=1)
+        pooled = anneal_min(parse_pattern(label), n, cfg, threads=2)
+        assert solo.best_count == pooled.best_count
+        assert solo.witness == pooled.witness
 
 
 def test_anneal_refuses_threads_before_building_the_engine(monkeypatch) -> None:
