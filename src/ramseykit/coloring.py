@@ -312,6 +312,18 @@ def _refinement_order(adj: Sequence[int], n: int) -> list[int]:
 _ROW_SENTINEL = 1 << 60
 
 
+def _twin_masks(adj: Sequence[int], n: int) -> list[int]:
+    """twin[v]: bitmask of the vertices w whose neighbourhoods equal v's apart
+    from v and w themselves, so that swapping v and w is an automorphism."""
+    twin = [0] * n
+    for v in range(n):
+        for w in range(v + 1, n):
+            if adj[v] & ~(1 << w) == adj[w] & ~(1 << v):
+                twin[v] |= 1 << w
+                twin[w] |= 1 << v
+    return twin
+
+
 def _min_relabeling(adj: Sequence[int], n: int) -> list[int]:
     """Permutation (position -> original vertex) minimizing the adjacency string.
 
@@ -325,12 +337,7 @@ def _min_relabeling(adj: Sequence[int], n: int) -> list[int]:
     if n == 0:
         return []
     order_hint = _refinement_order(adj, n)
-    twin = [0] * n  # twin[v]: bitmask of vertices interchangeable with v
-    for v in range(n):
-        for w in range(v + 1, n):
-            if adj[v] & ~(1 << w) == adj[w] & ~(1 << v):
-                twin[v] |= 1 << w
-                twin[w] |= 1 << v
+    twin = _twin_masks(adj, n)
     best_rows = [_ROW_SENTINEL] * n
     best_perm: list[int] = list(order_hint)
     perm = [0] * n
@@ -363,6 +370,48 @@ def _min_relabeling(adj: Sequence[int], n: int) -> list[int]:
 
     rec(0, 0)
     return best_perm
+
+
+def _is_canonical(adj: Sequence[int], n: int) -> bool:
+    """Whether adj's own labeling has the least adjacency string, that is
+    whether ``_apply_perm(adj, _min_relabeling(adj, n)) == tuple(adj)``.
+
+    The branch-and-bound of ``_min_relabeling`` with adj's own rows as the
+    fixed incumbent: at each node a candidate row smaller than adj's row at
+    that depth proves adj is not least, a larger one is dropped, and the
+    ties are descended once every candidate has been compared.  Twins are
+    skipped as there.  rows[w] is w's row against the placed prefix.
+    """
+    target = []
+    for p in range(n):
+        r = 0
+        for q in range(p):
+            r = (r << 1) | (adj[p] >> q & 1)
+        target.append(r)
+    twin = _twin_masks(adj, n)
+
+    def rec(depth: int, used: int, rows: list[int]) -> bool:
+        if depth == n:
+            return True
+        t = target[depth]
+        ties = []
+        tried = 0
+        for v in range(n):
+            if used >> v & 1 or twin[v] & tried:
+                continue
+            tried |= 1 << v
+            if rows[v] < t:
+                return False
+            if rows[v] == t:
+                ties.append(v)
+        for v in ties:
+            av = adj[v]
+            nxt = [(rows[w] << 1) | (av >> w & 1) for w in range(n)]
+            if not rec(depth + 1, used | (1 << v), nxt):
+                return False
+        return True
+
+    return rec(0, 0, [0] * n)
 
 
 def canonical_key(coloring: EdgeColoring, swap_colors: bool = False) -> bytes:

@@ -8,11 +8,17 @@ edgeless copy is both, so it counts once in each color.  Colorings are
 Python integers, so no host size is capped by a machine word.
 
 * ``exhaustive_min`` -- exact minimum by vertex extension.  It takes one
-  representative per graph-isomorphism class on n-1 vertices (generated by
-  vertex augmentation with canonical relabeling) and every red
+  representative per graph-isomorphism class on n-1 vertices and every red
   neighbourhood of the last vertex: one engine pass over the classes and a
   subset-sum transform count all those extensions at once.  This is sound
   because the count is relabeling-invariant.
+* ``canonical_graph_reps`` -- the class representatives, by orderly
+  generation.  A representative is the labeling with the least
+  column-major adjacency string, and that form has a prefix property: its
+  first m-1 rows are the representative of the graph they induce.  So each
+  level extends every representative on m-1 vertices by every last row and
+  keeps the extensions that are already canonical; nothing is relabeled or
+  deduplicated.
 * ``anneal_min`` -- simulated annealing with single-edge-flip moves and
   restarts, exact=False.  Deterministic for a fixed config: restart i uses
   a seed derived from (config.seed, i) with a stable hash.  On hosts with
@@ -35,9 +41,8 @@ from typing import Sequence
 
 from .coloring import (
     EdgeColoring,
-    _apply_perm,
     _bits_from_adj,
-    _min_relabeling,
+    _is_canonical,
     pair_count,
     pair_index,
 )
@@ -224,25 +229,31 @@ def _least_witness(n: int, candidates) -> int:
 # ---------------------------------------------------------------------------
 
 def canonical_graph_reps(n: int) -> list[tuple[int, ...]]:
-    """One canonically labeled representative per graph-isomorphism class.
+    """One canonically labeled representative per graph-isomorphism class on
+    n vertices, as adjacency masks, in sorted order.
 
-    Built level by level: every class on m vertices arises by attaching a
-    new vertex to a representative on m-1 vertices, then canonicalizing.
+    The canonical labeling is the one with the least column-major adjacency
+    string (``coloring._min_relabeling``).  Its first m-1 rows are the
+    canonical form of the graph they induce: a smaller prefix would give a
+    smaller string with the last vertex kept last.  So every class on m
+    vertices is a representative on m-1 vertices plus one last row, and the
+    levels are generated orderly (Read, 1978): each representative is
+    extended by every row, and an extension is kept only if it is already
+    canonical.  Each class arises once, with no relabeling and no
+    deduplication.
     """
-    reps: dict[tuple[int, ...], None] = {(0,): None}
-    for m in range(2, n + 1):
-        nxt: dict[tuple[int, ...], None] = {}
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    reps: list[tuple[int, ...]] = [()]
+    for m in range(1, n + 1):
+        level = []
         for adj in reps:
-            base = list(adj)
-            for ext in range(1 << (m - 1)):
-                adj2 = [
-                    base[i] | (((ext >> i) & 1) << (m - 1)) for i in range(m - 1)
-                ]
-                adj2.append(ext)
-                perm = _min_relabeling(adj2, m)
-                nxt[_apply_perm(tuple(adj2), perm)] = None
-        reps = nxt
-    return sorted(reps) if n >= 1 else [()]
+            for ext in range(1 << (m - 1)):  # ext: the last vertex's neighbours
+                adj2 = tuple(a | (ext >> i & 1) << (m - 1) for i, a in enumerate(adj)) + (ext,)
+                if _is_canonical(adj2, m):
+                    level.append(adj2)
+        reps = level
+    return sorted(reps)
 
 
 @lru_cache(maxsize=None)

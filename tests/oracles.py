@@ -5,7 +5,8 @@ the package's own counting or matching code: permutation enumeration for
 paths and cycles, subset enumeration for matchings and pair regularity,
 plain backtracking for disjoint-path packing, and a sweep of every coloring
 for minimum monochromatic counts (which takes its list of copies from
-``copy_edge_masks``).  Only usable at small sizes.
+``copy_edge_masks``), and every vertex order for canonical graph forms.
+Only usable at small sizes.
 """
 
 from __future__ import annotations
@@ -94,6 +95,22 @@ def brute_min(pattern: Pattern, n: int) -> int:
     """Fewest monochromatic copies over all 2^C(n,2) colorings of K_n."""
     masks = copy_edge_masks(pattern, n)
     return min(mono_copies(masks, bits) for bits in range(1 << comb(n, 2)))
+
+
+def brute_canonical(adj: Sequence[int], n: int) -> tuple[int, ...]:
+    """Adjacency masks of the labeling of the graph adj whose column-major
+    rows are least: row p lists, most significant first, the edges from
+    position p to positions 0..p-1.  Scans every vertex order."""
+
+    def rows(order: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(adj[order[p]] >> order[q] & 1 for q in range(p)) for p in range(n)
+        )
+
+    order = min(permutations(range(n)), key=rows)
+    return tuple(
+        sum(1 << q for q in range(n) if adj[order[p]] >> order[q] & 1) for p in range(n)
+    )
 
 
 def brute_regularity(

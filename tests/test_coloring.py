@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,9 @@ from ramseykit import (
     canonical_key,
     split_coloring,
 )
+from ramseykit.coloring import _apply_perm, _is_canonical, _min_relabeling
+
+from .oracles import brute_canonical
 
 
 def colorings(max_n: int = 9) -> st.SearchStrategy[EdgeColoring]:
@@ -51,6 +55,32 @@ def test_relabeling_preserves_canonical_key(c: EdgeColoring, rng: random.Random)
     relab = c.relabeled(perm)
     assert relab.red_edge_count == c.red_edge_count
     assert canonical_key(relab) == canonical_key(c)
+
+
+@given(colorings(6))
+def test_is_canonical_agrees_with_the_brute_form(c: EdgeColoring) -> None:
+    adj = c.adj_masks(RED)
+    form = brute_canonical(adj, c.n)
+    assert _is_canonical(adj, c.n) == (form == adj)
+    assert _is_canonical(form, c.n)
+    assert _apply_perm(adj, _min_relabeling(adj, c.n)) == form
+
+
+def test_twin_swaps_keep_canonical_searches_small() -> None:
+    # every labeling of these graphs ties, and 9! = 362,880 of them would
+    # take seconds; skipping twins leaves one branch per depth
+    n = 9
+    full = (1 << n) - 1
+    graphs = [
+        (0,) * n,
+        tuple(full ^ (1 << v) for v in range(n)),
+        tuple(full ^ 0b1111 if v < 4 else 0b1111 for v in range(n)),  # K_{4,5}
+    ]
+    start = time.perf_counter()
+    for adj in graphs:
+        form = _apply_perm(adj, _min_relabeling(adj, n))
+        assert _is_canonical(form, n)
+    assert time.perf_counter() - start < 1.0
 
 
 @given(colorings(7))

@@ -1,3 +1,5 @@
+import hashlib
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -11,6 +13,7 @@ from ramseykit import (
     SearchConfig,
     anneal_min,
     canonical_graph_reps,
+    canonical_key,
     count_mono,
     exhaustive_min,
     parse_pattern,
@@ -23,7 +26,7 @@ from ramseykit.coloring import pair_count
 from ramseykit.counting import copy_edge_masks
 from ramseykit.search import _CopyEngine
 
-from .oracles import brute_min, mono_copies
+from .oracles import brute_canonical, brute_min, mono_copies
 
 
 @pytest.mark.parametrize(
@@ -166,7 +169,63 @@ def test_exhaustive_rejects_large_hosts() -> None:
 
 
 def test_graph_isomorphism_class_counts() -> None:
-    assert [len(canonical_graph_reps(n)) for n in range(1, 6)] == [1, 2, 4, 11, 34]
+    assert [len(canonical_graph_reps(n)) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+
+
+# sha256 of repr(canonical_graph_reps(n)) for n = 0..7, recorded while each
+# level was still built by canonical relabeling and a dict: the exhaustive
+# witnesses depend on these exact labels and this order
+CLASS_LIST_SHA256 = [
+    "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
+    "78fce9491f4b0e3b895728f3c6efe71e16e4ae77f5f6db9148e6e0584bc5fd42",
+    "3639c5501f6c3f516eb14a915d6ae1583a1c70be2c1a5b8618c0ad78858d6ace",
+    "b47aa914fd7f2a63688ff13c4a3513a29f7e4464081a496eb8a4257b0e6b9b32",
+    "335bfe9c819f870673e3c414845904bf8c8f6529752c7bb65d91be33d9b27da4",
+    "0026a11c3b89b769021e2710d788a6261501703a99961d57fd00e95c395bab59",
+    "3da8217166819d238a1b3c71826a8f05b0a4d2cab2ceb6a3ece54fbfaa19e3ef",
+    "7bcd025c566b00384b92521209eeccdfbc8e8661610d15dbd5366676828166f0",
+]
+
+
+def test_class_lists_are_pinned() -> None:
+    digests = [
+        hashlib.sha256(repr(canonical_graph_reps(n)).encode()).hexdigest() for n in range(8)
+    ]
+    assert digests == CLASS_LIST_SHA256
+
+
+def test_class_reps_are_their_own_brute_canonical_form() -> None:
+    for n in range(7):
+        for rep in canonical_graph_reps(n):
+            assert brute_canonical(rep, n) == rep
+
+
+def test_class_reps_are_the_brute_forms_of_every_small_graph() -> None:
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        forms = set()
+        for bits in range(1 << len(pairs)):
+            adj = [0] * n
+            for k, (i, j) in enumerate(pairs):
+                if bits >> k & 1:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            forms.add(brute_canonical(adj, n))
+        assert forms == set(canonical_graph_reps(n))
+
+
+def test_canonical_key_leaves_every_class_rep_unchanged() -> None:
+    for n in range(7):
+        for rep in canonical_graph_reps(n):
+            red = [(i, j) for i, j in combinations(range(n), 2) if rep[i] >> j & 1]
+            coloring = EdgeColoring.from_red_edges(n, red)
+            assert canonical_key(coloring) == coloring.serialize()
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+def test_class_reps_reject_negative_n(n: int) -> None:
+    with pytest.raises(DomainError):
+        canonical_graph_reps(n)
 
 
 def test_canonical_reps_are_pairwise_distinct() -> None:
