@@ -287,147 +287,92 @@ def _bits_from_adj(adj: Sequence[int], n: int) -> int:
 # canonical keys (isomorphism-invariant serialization)
 # ---------------------------------------------------------------------------
 
-def _refinement_order(adj: Sequence[int], n: int) -> list[int]:
-    """Vertices sorted by iterated degree refinement; a good search hint."""
-    colors = [adj[v].bit_count() for v in range(n)]
-    for _ in range(n):
-        sig = []
-        for v in range(n):
-            m = adj[v]
-            neigh = []
-            while m:
-                b = m & -m
-                m ^= b
-                neigh.append(colors[b.bit_length() - 1])
-            neigh.sort()
-            sig.append((colors[v], tuple(neigh)))
-        ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
-        new = [ranks[s] for s in sig]
-        if new == colors:
-            break
-        colors = new
-    return sorted(range(n), key=lambda v: (colors[v], v))
+def _least_labeling(adj: Sequence[int], n: int, own: bool = False) -> list[int] | None:
+    """A labeling (position -> original vertex) with the least adjacency string.
 
+    The string is column-major: each placed vertex contributes its row, its
+    adjacency to the vertices placed before it, first placed first.  The
+    least row sequence is unique, so every labeling attaining it gives the
+    same relabeled graph.
 
-_ROW_SENTINEL = 1 << 60
+    A depth-first descent carries each unplaced vertex's row against the
+    placed prefix and keeps an incumbent row per depth.  At a node every
+    candidate is compared before any is descended: a larger row is dropped,
+    a smaller one becomes the incumbent and clears the incumbents below it,
+    and only the ties with the incumbent are descended.  Every node at one
+    depth has the same prefix rows, so a larger row there loses whatever
+    follows.  Twins (neighbourhoods equal apart from each other) are
+    swapped by an automorphism fixing the prefix, so one per twin group is
+    tried at a node; this keeps cliques and complete multipartite graphs
+    cheap.
 
-
-def _twin_masks(adj: Sequence[int], n: int) -> list[int]:
-    """twin[v]: bitmask of the vertices w whose neighbourhoods equal v's apart
-    from v and w themselves, so that swapping v and w is an automorphism."""
+    With own=True the incumbents are adj's own rows and are never replaced:
+    the result is None at the first smaller row, when adj is not canonical.
+    """
     twin = [0] * n
     for v in range(n):
         for w in range(v + 1, n):
             if adj[v] & ~(1 << w) == adj[w] & ~(1 << v):
                 twin[v] |= 1 << w
                 twin[w] |= 1 << v
-    return twin
-
-
-def _min_relabeling(adj: Sequence[int], n: int) -> list[int]:
-    """Permutation (position -> original vertex) minimizing the adjacency string.
-
-    Minimizes the column-major bit sequence (each placed vertex contributes
-    its adjacency row to the already-placed prefix).  Branch-and-bound with
-    per-level incumbent rows.  Twin vertices (identical neighborhoods apart
-    from each other) generate swap automorphisms, so at any node only one
-    candidate per twin group needs exploring; this keeps cliques, empty
-    graphs and complete multipartite views cheap.
-    """
-    if n == 0:
-        return []
-    order_hint = _refinement_order(adj, n)
-    twin = _twin_masks(adj, n)
-    best_rows = [_ROW_SENTINEL] * n
-    best_perm: list[int] = list(order_hint)
-    perm = [0] * n
-
-    def rec(depth: int, used: int) -> None:
-        nonlocal best_perm
-        if depth == n:
-            best_perm = perm.copy()
-            return
-        tried = 0
-        for v in order_hint:
-            if used >> v & 1:
-                continue
-            if twin[v] & tried:
-                continue
-            tried |= 1 << v
-            av = adj[v]
+    unset = 1 << n  # above every row
+    best = [unset] * n
+    if own:  # row p: p's neighbours among 0..p-1, vertex 0 the top bit
+        for p in range(n):
             r = 0
-            for q in range(depth):
-                r = (r << 1) | (av >> perm[q] & 1)
-            br = best_rows[depth]
-            if r > br:
-                continue
-            if r < br:
-                best_rows[depth] = r
-                for q in range(depth + 1, n):
-                    best_rows[q] = _ROW_SENTINEL
-            perm[depth] = v
-            rec(depth + 1, used | (1 << v))
-
-    rec(0, 0)
-    return best_perm
-
-
-def _is_canonical(adj: Sequence[int], n: int) -> bool:
-    """Whether adj's own labeling has the least adjacency string, that is
-    whether ``_apply_perm(adj, _min_relabeling(adj, n)) == tuple(adj)``.
-
-    The branch-and-bound of ``_min_relabeling`` with adj's own rows as the
-    fixed incumbent: at each node a candidate row smaller than adj's row at
-    that depth proves adj is not least, a larger one is dropped, and the
-    ties are descended once every candidate has been compared.  Twins are
-    skipped as there.  rows[w] is w's row against the placed prefix.
-    """
-    target = []
-    for p in range(n):
-        r = 0
-        for q in range(p):
-            r = (r << 1) | (adj[p] >> q & 1)
-        target.append(r)
-    twin = _twin_masks(adj, n)
+            for q in range(p):
+                r = (r << 1) | (adj[p] >> q & 1)
+            best[p] = r
+    perm = [0] * n
+    least: list[int] = []
 
     def rec(depth: int, used: int, rows: list[int]) -> bool:
         if depth == n:
+            least[:] = perm
             return True
-        t = target[depth]
+        t = best[depth]
         ties = []
         tried = 0
         for v in range(n):
             if used >> v & 1 or twin[v] & tried:
                 continue
             tried |= 1 << v
-            if rows[v] < t:
-                return False
-            if rows[v] == t:
+            r = rows[v]
+            if r < t:
+                if own:
+                    return False
+                t = best[depth] = r
+                best[depth + 1:] = [unset] * (n - depth - 1)
+                ties = []
+            if r == t:
                 ties.append(v)
         for v in ties:
+            perm[depth] = v
             av = adj[v]
             nxt = [(rows[w] << 1) | (av >> w & 1) for w in range(n)]
             if not rec(depth + 1, used | (1 << v), nxt):
                 return False
         return True
 
-    return rec(0, 0, [0] * n)
+    return least if rec(0, 0, [0] * n) else None
 
 
 def canonical_key(coloring: EdgeColoring, swap_colors: bool = False) -> bytes:
     """Serialization of a canonical relabeling; equal iff colorings are isomorphic.
 
     With swap_colors=True the key is additionally invariant under exchanging
-    red and blue.  Guarded to n <= CANONICAL_MAX_N: the search is exponential
-    in the worst case even with pruning.
+    red and blue.  The key serializes the relabeling by ``_least_labeling``,
+    so every isomorphic coloring gets the same bytes.  Guarded to
+    n <= CANONICAL_MAX_N: the search is exponential in the worst case even
+    with pruning.
     """
     n = coloring.n
     if n > CANONICAL_MAX_N:
         raise CapabilityError(f"canonical_key limited to n <= {CANONICAL_MAX_N} (got {n})")
-    perm = _min_relabeling(coloring.adj_masks(RED), n)
+    perm = _least_labeling(coloring.adj_masks(RED), n)
     key = coloring.relabeled(perm).serialize()
     if swap_colors:
         comp = coloring.complemented()
-        perm2 = _min_relabeling(comp.adj_masks(RED), n)
+        perm2 = _least_labeling(comp.adj_masks(RED), n)
         key = min(key, comp.relabeled(perm2).serialize())
     return key

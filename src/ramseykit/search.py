@@ -42,7 +42,7 @@ from typing import Sequence
 from .coloring import (
     EdgeColoring,
     _bits_from_adj,
-    _is_canonical,
+    _least_labeling,
     pair_count,
     pair_index,
 )
@@ -55,6 +55,9 @@ EXHAUSTIVE_MAX_N = 7
 # nothing in the package branches on this since every n sweeps by vertex
 # extension; perfbench/workloads.py names its exhaustive spans by it
 RAW_ENUM_MAX_N = 6
+# n = 8 (12,346 classes from 133,632 canonicity tests) takes 9.5-10.6 s on a
+# shared two-core host, Python 3.11; n = 9 would run about 3.2 M tests
+CLASS_REPS_MAX_N = 8
 _CHUNK = 4096  # copies handled per numpy pass
 # per-edge rows up to this many copies are gathered and tallied by
 # bytes.count; longer rows keep a histogram, whose update on an accepted
@@ -77,8 +80,9 @@ class SearchConfig:
     def validate(self) -> None:
         if self.restarts < 1 or self.steps_per_restart < 0:
             raise DomainError("restarts must be >= 1 and steps nonnegative")
-        if self.initial_temperature <= 0:
-            raise DomainError("initial temperature must be positive")
+        # an infinite temperature accepts every proposal: a random walk
+        if not 0 < self.initial_temperature < math.inf:
+            raise DomainError("initial temperature must be positive and finite")
         if not 0 < self.cooling_rate < 1:
             raise DomainError("cooling rate must lie in (0, 1)")
 
@@ -233,24 +237,28 @@ def canonical_graph_reps(n: int) -> list[tuple[int, ...]]:
     n vertices, as adjacency masks, in sorted order.
 
     The canonical labeling is the one with the least column-major adjacency
-    string (``coloring._min_relabeling``).  Its first m-1 rows are the
+    string (``coloring._least_labeling``).  Its first m-1 rows are the
     canonical form of the graph they induce: a smaller prefix would give a
     smaller string with the last vertex kept last.  So every class on m
     vertices is a representative on m-1 vertices plus one last row, and the
     levels are generated orderly (Read, 1978): each representative is
     extended by every row, and an extension is kept only if it is already
-    canonical.  Each class arises once, with no relabeling and no
-    deduplication.
+    canonical: ``_least_labeling(adj, m, own=True)`` finds no smaller row
+    than adj's own.  Each class arises once, with no relabeling and no
+    deduplication.  Guarded to n <= CLASS_REPS_MAX_N before any level is
+    built.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
+    if n > CLASS_REPS_MAX_N:
+        raise CapabilityError(f"canonical_graph_reps limited to n <= {CLASS_REPS_MAX_N} (got {n})")
     reps: list[tuple[int, ...]] = [()]
     for m in range(1, n + 1):
         level = []
         for adj in reps:
             for ext in range(1 << (m - 1)):  # ext: the last vertex's neighbours
                 adj2 = tuple(a | (ext >> i & 1) << (m - 1) for i, a in enumerate(adj)) + (ext,)
-                if _is_canonical(adj2, m):
+                if _least_labeling(adj2, m, own=True) is not None:
                     level.append(adj2)
         reps = level
     return sorted(reps)

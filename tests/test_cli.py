@@ -229,6 +229,15 @@ def test_threads_env_fallback(split_file, capsys, monkeypatch) -> None:
     assert "upper bound" in stdout or "anneal" in stdout
 
 
+def test_non_finite_temperature_is_a_usage_error(capsys) -> None:
+    code, _, stderr = run_cli(
+        capsys, "search", "--pattern", "K3", "--n", "6", "--anneal", "--seed", "1",
+        "--t0", "nan",
+    )
+    assert code == 2
+    assert "temperature" in stderr
+
+
 def test_threads_below_one_is_a_usage_error(capsys) -> None:
     code, _, stderr = run_cli(
         capsys, "search", "--pattern", "K3", "--n", "6", "--anneal", "--seed", "1",

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -16,7 +17,7 @@ from ramseykit import (
     canonical_key,
     split_coloring,
 )
-from ramseykit.coloring import _apply_perm, _is_canonical, _min_relabeling
+from ramseykit.coloring import _apply_perm, _least_labeling
 
 from .oracles import brute_canonical
 
@@ -61,9 +62,9 @@ def test_relabeling_preserves_canonical_key(c: EdgeColoring, rng: random.Random)
 def test_is_canonical_agrees_with_the_brute_form(c: EdgeColoring) -> None:
     adj = c.adj_masks(RED)
     form = brute_canonical(adj, c.n)
-    assert _is_canonical(adj, c.n) == (form == adj)
-    assert _is_canonical(form, c.n)
-    assert _apply_perm(adj, _min_relabeling(adj, c.n)) == form
+    assert (_least_labeling(adj, c.n, own=True) is not None) == (form == adj)
+    assert _least_labeling(form, c.n, own=True) is not None
+    assert _apply_perm(adj, _least_labeling(adj, c.n)) == form
 
 
 def test_twin_swaps_keep_canonical_searches_small() -> None:
@@ -78,8 +79,52 @@ def test_twin_swaps_keep_canonical_searches_small() -> None:
     ]
     start = time.perf_counter()
     for adj in graphs:
-        form = _apply_perm(adj, _min_relabeling(adj, n))
-        assert _is_canonical(form, n)
+        form = _apply_perm(adj, _least_labeling(adj, n))
+        assert _least_labeling(form, n, own=True) is not None
+    assert time.perf_counter() - start < 1.0
+
+
+def _red_graph(n: int, joined) -> EdgeColoring:
+    return EdgeColoring.from_red_edges(n, [e for e in combinations(range(n), 2) if joined(*e)])
+
+
+# K_3 box K_4 (cell v = (v // 4, v % 4)), C_12, the Petersen graph (outer
+# 5-cycle 0..4, spokes v-v+5, inner pentagram) and 3K_4, as red graphs
+ROOK = _red_graph(12, lambda a, b: a // 4 == b // 4 or a % 4 == b % 4)
+C12 = _red_graph(12, lambda a, b: (b - a) % 12 in (1, 11))
+PETERSEN = _red_graph(
+    10,
+    lambda a, b: (b < 5 and (b - a) % 5 in (1, 4))
+    or b == a + 5
+    or (a >= 5 and (b - a) % 5 in (2, 3)),
+)
+THREE_K4 = _red_graph(12, lambda a, b: a // 4 == b // 4)
+
+# sha256 over the keys, with and without swap_colors, of 20 random colorings
+# for each n = 8..12 and the four symmetric graphs above, recorded while the
+# key came from a separate branch-and-bound with a degree-refinement hint
+KEY_PANEL_SHA256 = "699ca7876fe2426193d64bf6238c4423f784668d2b156cd8bf99405816c33e9d"
+
+
+def test_canonical_keys_are_pinned() -> None:
+    panel = [
+        EdgeColoring.random(n, random.Random(f"key:{n}:{i}"))
+        for n in range(8, 13)
+        for i in range(20)
+    ] + [ROOK, C12, PETERSEN, THREE_K4]
+    digest = hashlib.sha256()
+    for c in panel:
+        for swap in (False, True):
+            digest.update(canonical_key(c, swap_colors=swap))
+    assert digest.hexdigest() == KEY_PANEL_SHA256
+
+
+def test_canonical_key_is_fast_on_symmetric_graphs() -> None:
+    # many labelings tie on these rows; comparing every candidate at a node
+    # before descending keeps each search to tens of ms, not seconds
+    start = time.perf_counter()
+    canonical_key(ROOK)
+    canonical_key(C12)
     assert time.perf_counter() - start < 1.0
 
 

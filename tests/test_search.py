@@ -228,9 +228,33 @@ def test_class_reps_reject_negative_n(n: int) -> None:
         canonical_graph_reps(n)
 
 
+def test_class_reps_refuse_hosts_above_the_cap() -> None:
+    with pytest.raises(CapabilityError):
+        canonical_graph_reps(search.CLASS_REPS_MAX_N + 1)
+
+
 def test_canonical_reps_are_pairwise_distinct() -> None:
     reps = canonical_graph_reps(5)
     assert len(set(reps)) == len(reps)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("restarts", 0),
+        ("steps_per_restart", -1),
+        ("initial_temperature", 0.0),
+        ("initial_temperature", -1.0),
+        ("initial_temperature", float("nan")),
+        ("initial_temperature", float("inf")),
+        ("cooling_rate", 0.0),
+        ("cooling_rate", 1.0),
+        ("cooling_rate", float("nan")),
+    ],
+)
+def test_search_config_refuses_bad_schedules(field: str, value: float) -> None:
+    with pytest.raises(DomainError):
+        SearchConfig(seed=1, **{field: value}).validate()
 
 
 @given(st.integers(0, 2**31 - 1))
