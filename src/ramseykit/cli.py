@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Sequence
@@ -46,18 +45,6 @@ def _pair_arg(text: str) -> tuple[int, int]:
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected integers: {text!r}") from exc
-
-
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("RML_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError(f"RML_THREADS must be an integer, got {env!r}")
-    return 1
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -143,7 +130,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             initial_temperature=args.t0,
             cooling_rate=args.cooling,
         )
-        result = anneal_min(pattern, args.n, config, threads=_threads(args))
+        result = anneal_min(pattern, args.n, config)
     payload = result.witness.serialize()
     if args.out:
         with open(args.out, "wb") as fh:
@@ -248,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cooling", type=float, default=SearchConfig.cooling_rate)
     p.add_argument("--out", default=None, metavar="FILE")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="run a named verification suite")

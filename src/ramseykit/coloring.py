@@ -20,6 +20,7 @@ afterwards.
 
 from __future__ import annotations
 
+import hashlib
 from random import Random
 from typing import Iterable, Sequence
 
@@ -43,6 +44,12 @@ def other_color(color: str) -> str:
     if color == BLUE:
         return RED
     raise DomainError(f"unknown color {color!r}")
+
+
+def job_seed(*parts: object) -> int:
+    """64-bit seed of one job: blake2b of its parts joined by ':'."""
+    text = ":".join(map(str, parts))
+    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
 def pair_count(n: int) -> int:
@@ -102,9 +109,6 @@ class EdgeColoring:
     def blue_edge_count(self) -> int:
         return pair_count(self.n) - self.red_edge_count
 
-    def red_edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in range(i + 1, self.n) if self.is_red(i, j)]
-
     def adj_masks(self, color: str) -> tuple[int, ...]:
         """Per-vertex neighbor bitmasks in the given color (cached)."""
         cached = self._masks.get(color)
@@ -137,11 +141,15 @@ class EdgeColoring:
     # -- transformations ---------------------------------------------------
 
     def with_flipped(self, pairs: Sequence[tuple[int, int]]) -> "EdgeColoring":
-        """Toggle the listed edges, in order.  Duplicate pairs are rejected."""
+        """Toggle the listed edges, in order.  Loops, pairs out of range and
+        duplicate pairs are rejected."""
         bits = self.red_bits
         seen = set()
         for i, j in pairs:
-            e = pair_index(self.n, i, j)
+            try:
+                e = pair_index(self.n, i, j)
+            except DomainError:
+                raise InvalidSpecError(f"flip ({i},{j}) is not an edge of K_{self.n}") from None
             if e in seen:
                 raise InvalidSpecError(f"duplicate flip ({i},{j})")
             seen.add(e)
@@ -239,19 +247,10 @@ def split_coloring(a: int, b: int, flips: Sequence[tuple[int, int]] = ()) -> Edg
     for i in range(a):
         for j in range(a, n):
             bits |= 1 << pair_index(n, i, j)
-    seen = set()
     for flip in flips:
         if len(flip) != 2:
             raise InvalidSpecError(f"flip {flip!r} is not a pair")
-        i, j = flip
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise InvalidSpecError(f"flip ({i},{j}) is not an edge of K_{n}")
-        e = pair_index(n, i, j)
-        if e in seen:
-            raise InvalidSpecError(f"duplicate flip ({i},{j})")
-        seen.add(e)
-        bits ^= 1 << e
-    return EdgeColoring(n, bits)
+    return EdgeColoring(n, bits).with_flipped(flips)
 
 
 # ---------------------------------------------------------------------------

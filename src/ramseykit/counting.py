@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial, perm
 from typing import Sequence
 
 from .coloring import BLUE, RED, EdgeColoring
@@ -259,16 +259,6 @@ def count_mono(coloring: EdgeColoring, pattern: Pattern) -> int:
 # closed forms
 # ---------------------------------------------------------------------------
 
-def falling(n: int, k: int) -> int:
-    """Falling factorial (n)_k; zero once the factors run out."""
-    out = 1
-    for i in range(k):
-        out *= n - i
-        if out == 0:
-            return 0
-    return out
-
-
 def formula_split_paths(a: int, b: int, k: int) -> int:
     """Monochromatic P_k count in chi(a, b) in closed form.
 
@@ -283,12 +273,12 @@ def formula_split_paths(a: int, b: int, k: int) -> int:
         return 0
     if k == 1:
         return 2 * (a + b)
-    blue = (falling(a, k) + falling(b, k)) // 2
+    blue = (perm(a, k) + perm(b, k)) // 2
     if k % 2 == 0:
-        red = falling(a, k // 2) * falling(b, k // 2)
+        red = perm(a, k // 2) * perm(b, k // 2)
     else:
         h = (k + 1) // 2
-        red = (falling(a, h) * falling(b, k // 2) + falling(b, h) * falling(a, k // 2)) // 2
+        red = (perm(a, h) * perm(b, k // 2) + perm(b, h) * perm(a, k // 2)) // 2
     return blue + red
 
 
@@ -301,21 +291,14 @@ def total_copies_in_complete(n: int, pattern: Pattern) -> int:
     if pattern.kind == "path":
         if k == 1:
             return n
-        return comb(n, k) * _half_fact(k)
+        return comb(n, k) * (factorial(k) // 2)
     if pattern.kind == "cycle":
-        return comb(n, k) * _half_fact(k - 1)
+        return comb(n, k) * (factorial(k - 1) // 2)
     if pattern.kind == "star":
         return n * comb(n - 1, k)
     if pattern.kind == "clique":
         return comb(n, k)
     raise DomainError(f"unknown pattern kind {pattern.kind!r}")
-
-
-def _half_fact(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out // 2 if m >= 2 else out
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,9 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .coloring import BLUE, RED, EdgeColoring, other_color
-from .counting import count_walks, falling
+from .coloring import BLUE, RED, EdgeColoring, job_seed, other_color
+from .counting import count_walks
 from .errors import CapabilityError, DomainError
-from .parallel import job_seed, parallel_map
 from .structure import SimpleGraph, _bits, max_matching
 
 EXACT_REGULARITY_MAX = 14
@@ -115,10 +114,6 @@ def pair_density(g: SimpleGraph, xs: Sequence[int], ys: Sequence[int]) -> Fracti
     ymask = _vertex_mask(ys, g.n)
     ordered = sum((g.adj[x] & ymask).bit_count() for x in _bits(xmask))
     return Fraction(ordered, xmask.bit_count() * ymask.bit_count())
-
-
-def _ceil_frac(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +197,8 @@ def eps_regular_exact(
     swapped = len(ys_s) < len(xs_s)
     enum_side, scan_side = (ys_s, xs_s) if swapped else (xs_s, ys_s)
     base = pair_density(g, xs_s, ys_s)
-    enum_min = _ceil_frac(epsf * len(enum_side))
-    scan_min = _ceil_frac(epsf * len(scan_side))
+    enum_min = math.ceil(epsf * len(enum_side))
+    scan_min = math.ceil(epsf * len(scan_side))
 
     worst_dev = Fraction(0)
     worst_pair: tuple[tuple[int, ...], tuple[int, ...]] | None = None
@@ -276,8 +271,8 @@ def eps_regular_sample(
         raise DomainError("trials must be nonnegative")
     nx, ny = len(xs_s), len(ys_s)
     base = pair_density(g, xs_s, ys_s)
-    u_min = _ceil_frac(epsf * nx)
-    v_min = _ceil_frac(epsf * ny)
+    u_min = math.ceil(epsf * nx)
+    v_min = math.ceil(epsf * ny)
     if u_min > nx or v_min > ny:
         return SampleVerdict(
             status="no-violation-found", eps=epsf, base_density=base, trials=0
@@ -456,32 +451,6 @@ class ReducedGraph:
         return SimpleGraph.from_edges(self.M, self.edges(color))
 
 
-def _annotate_pair(job: tuple) -> PairAnnotation:
-    """Annotate parts i and j; job is (coloring, parts, i, j, eps, mode, trials, seed)."""
-    coloring, parts, i, j, eps, mode, trials, seed = job
-    density: dict[str, Fraction] = {}
-    regular: dict[str, str] = {}
-    for color in (RED, BLUE):
-        gc = coloring.view(color)
-        density[color] = pair_density(gc, parts[i], parts[j])
-        if mode == "exact":
-            res = eps_regular_exact(gc, parts[i], parts[j], eps)
-            regular[color] = "regular" if res.regular else "irregular"
-        else:
-            verdict = eps_regular_sample(
-                gc,
-                parts[i],
-                parts[j],
-                eps,
-                trials=trials,
-                seed=job_seed(seed, i, j, color),
-            )
-            regular[color] = verdict.status
-    return PairAnnotation(
-        i=i, j=j, density=density, regular=regular, evidence_only=mode != "exact"
-    )
-
-
 def build_reduced(
     coloring: EdgeColoring,
     partition: VertexPartition,
@@ -490,14 +459,13 @@ def build_reduced(
     mode: str = "exact",
     trials: int = 2000,
     seed: int = 0,
-    threads: int = 1,
 ) -> ReducedGraph:
     """Annotated reduced graph of a coloring over a partition.
 
     In exact mode every part pair is exhaustively tested for regularity
     in each color (part sizes capped at EXACT_REGULARITY_MAX); in sample
-    mode the verdicts are evidence-level and flagged as such.  Pairs are
-    independent, so `threads` > 1 distributes them over processes.
+    mode the verdicts are evidence-level and flagged as such; the sampler
+    for parts i, j in one color is seeded from (seed, i, j, color).
     """
     if mode not in ("exact", "sample"):
         raise DomainError("mode must be 'exact' or 'sample'")
@@ -514,9 +482,26 @@ def build_reduced(
                 f"exact mode caps part size at {EXACT_REGULARITY_MAX}; "
                 "use mode='sample'"
             )
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    jobs = [(coloring, parts, i, j, epsf, mode, trials, seed) for i, j in pairs]
-    annotations = dict(zip(pairs, parallel_map(_annotate_pair, jobs, threads)))
+    views = {color: coloring.view(color) for color in (RED, BLUE)}
+    annotations = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            density: dict[str, Fraction] = {}
+            regular: dict[str, str] = {}
+            for color, gc in views.items():
+                density[color] = pair_density(gc, parts[i], parts[j])
+                if mode == "exact":
+                    res = eps_regular_exact(gc, parts[i], parts[j], epsf)
+                    regular[color] = "regular" if res.regular else "irregular"
+                else:
+                    verdict = eps_regular_sample(
+                        gc, parts[i], parts[j], epsf, trials=trials,
+                        seed=job_seed(seed, i, j, color),
+                    )
+                    regular[color] = verdict.status
+            annotations[i, j] = PairAnnotation(
+                i=i, j=j, density=density, regular=regular, evidence_only=mode != "exact"
+            )
     red = frozenset(k for k, a in annotations.items() if a.admits(RED, df))
     blue = frozenset(k for k, a in annotations.items() if a.admits(BLUE, df))
     return ReducedGraph(
@@ -561,9 +546,11 @@ def dichotomy_classify(rg: ReducedGraph, lam: object) -> DichotomyVerdict:
     vertices; failing that, for a blue matching of the same size whose
     matched vertices all sit within distance three of some single
     vertex.  Returns certificates, or a not-case1 verdict with the best
-    coverage found per color.
+    coverage found per color.  lam must be nonnegative.
     """
     lamf = as_fraction(lam)
+    if lamf < 0:
+        raise DomainError("lam must be nonnegative")
     threshold = (Fraction(2, 3) + lamf) * rg.M
 
     red_graph = rg.graph(RED)
@@ -978,7 +965,7 @@ def dense_bipartite_bound(
     else:
         f2 = 0.0
     f3 = max(1 - 6 * sb, 0.0) ** (k / 2)
-    bound = f1 * f2 * f3 * falling(nu, k // 2) * falling(nv, (k + 1) // 2)
+    bound = f1 * f2 * f3 * math.perm(nu, k // 2) * math.perm(nv, (k + 1) // 2)
     exact = sum(count_walks(adj, (v,), k - 1) for v in _bits(vmask))
     return BoundReport(
         mode="dense-bipartite",

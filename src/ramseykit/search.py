@@ -20,8 +20,9 @@ Python integers, so no host size is capped by a machine word.
   keeps the extensions that are already canonical; nothing is relabeled or
   deduplicated.
 * ``anneal_min`` -- simulated annealing with single-edge-flip moves and
-  restarts, exact=False.  Deterministic for a fixed config: restart i uses
-  a seed derived from (config.seed, i) with a stable hash.  On hosts with
+  restarts, exact=False.  The restarts run one after another on one engine.
+  Deterministic for a fixed config: restart i uses a seed derived from
+  (config.seed, i) with a stable hash.  On hosts with
   long per-edge rows the engine keeps, per edge, a histogram of the red
   counts of the copies through it: a proposal's delta is O(1), and an
   accepted flip costs O(c_e * s) for c_e copies per edge of s edges each.
@@ -43,13 +44,13 @@ from .coloring import (
     EdgeColoring,
     _bits_from_adj,
     _least_labeling,
+    job_seed,
     pair_count,
     pair_index,
 )
 from .counting import Pattern, copy_edge_masks, count_mono
 from .errors import CapabilityError, DomainError
 from .formulas import r_cycle, r_path
-from .parallel import check_threads, job_seed, parallel_map
 
 EXHAUSTIVE_MAX_N = 7
 # nothing in the package branches on this since every n sweeps by vertex
@@ -345,15 +346,16 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
 # simulated annealing
 # ---------------------------------------------------------------------------
 
-def _anneal_restart(engine: _CopyEngine, job: tuple) -> tuple[int, int]:
-    seed_i, steps, t0, cooling, initial_bits = job
-    rng = Random(seed_i)
+def _anneal_restart(
+    engine: _CopyEngine, seed: int, config: SearchConfig, initial_bits: int | None
+) -> tuple[int, int]:
+    rng = Random(seed)
     nbits = engine.nbits
     bits = rng.getrandbits(nbits) if initial_bits is None and nbits else (initial_bits or 0)
     cur = engine.start(bits)
     best, best_bits = cur, bits
-    temp = t0
-    for _ in range(steps if nbits else 0):
+    temp = config.initial_temperature
+    for _ in range(config.steps_per_restart if nbits else 0):
         e = rng.randrange(nbits)
         d = engine.delta(e)
         if d <= 0 or rng.random() < math.exp(-d / temp):
@@ -361,7 +363,7 @@ def _anneal_restart(engine: _CopyEngine, job: tuple) -> tuple[int, int]:
             cur += d
             if cur < best:
                 best, best_bits = cur, engine.bits
-        temp *= cooling
+        temp *= config.cooling_rate
     return best, best_bits
 
 
@@ -370,34 +372,24 @@ def anneal_min(
     n: int,
     config: SearchConfig,
     initial: EdgeColoring | None = None,
-    threads: int = 1,
 ) -> MinimizationResult:
     """Simulated-annealing upper bound on the minimum monochromatic count.
 
     Single-edge-flip proposals with Metropolis acceptance and geometric
     cooling; restart i runs from an independent random start (or from
     ``initial`` if given) under seed derived from (config.seed, i).  The
-    engine is built once and handed to every restart, in process or once
-    per worker.  The returned best_count is re-verified against the DP
-    counter.
+    engine is built once and every restart runs on it in turn.  The
+    returned best_count is re-verified against the DP counter.
     """
     config.validate()
     if initial is not None and initial.n != n:
         raise DomainError("initial coloring has the wrong vertex count")
-    check_threads(threads)
     engine = _CopyEngine(pattern, n)
     init_bits = initial.red_bits if initial is not None else None
-    jobs = [
-        (
-            job_seed(config.seed, i),
-            config.steps_per_restart,
-            config.initial_temperature,
-            config.cooling_rate,
-            init_bits,
-        )
+    outcomes = [
+        _anneal_restart(engine, job_seed(config.seed, i), config, init_bits)
         for i in range(config.restarts)
     ]
-    outcomes = parallel_map(_anneal_restart, jobs, threads, engine)
     best = min(cnt for cnt, _ in outcomes)
     witness = EdgeColoring(n, _least_witness(n, (b for cnt, b in outcomes if cnt == best)))
     check = count_mono(witness, pattern)

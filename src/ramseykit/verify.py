@@ -12,6 +12,7 @@ and are compared with exact counts.  Suites are quick health checks
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -24,7 +25,6 @@ from .formulas import conjectured_m, m_star, r_path
 from .regularity import (
     VertexPartition,
     _alternating_falling,
-    _ceil_frac,
     build_reduced,
     degree_deviation_check,
     dichotomy_classify,
@@ -413,8 +413,8 @@ def _regularity_subset_inheritance(rng: Random, seed: int) -> Results:
         if not pair.regular:
             continue
         alpha = rng.choice([Fraction(1, 2), Fraction(2, 3)])
-        sx = max(1, _ceil_frac(alpha * nx))
-        sy = max(1, _ceil_frac(alpha * ny))
+        sx = max(1, math.ceil(alpha * nx))
+        sy = max(1, math.ceil(alpha * ny))
         xs = rng.sample(range(nx), sx)
         ys = rng.sample(range(nx, nx + ny), sy)
         sub = eps_regular_exact(g, xs, ys, max(eps / alpha, 2 * eps))

@@ -208,27 +208,6 @@ def test_verify_unknown_suite_is_a_usage_error(capsys) -> None:
     assert exc.value.code == 2
 
 
-def test_threads_env_fallback(split_file, capsys, monkeypatch) -> None:
-    monkeypatch.setenv("RML_THREADS", "2")
-    code, stdout, _ = run_cli(
-        capsys,
-        "search",
-        "--pattern",
-        "K3",
-        "--n",
-        "6",
-        "--anneal",
-        "--seed",
-        "3",
-        "--restarts",
-        "2",
-        "--steps",
-        "400",
-    )
-    assert code == 0
-    assert "upper bound" in stdout or "anneal" in stdout
-
-
 def test_non_finite_temperature_is_a_usage_error(capsys) -> None:
     code, _, stderr = run_cli(
         capsys, "search", "--pattern", "K3", "--n", "6", "--anneal", "--seed", "1",
@@ -238,22 +217,14 @@ def test_non_finite_temperature_is_a_usage_error(capsys) -> None:
     assert "temperature" in stderr
 
 
-def test_threads_below_one_is_a_usage_error(capsys) -> None:
-    code, _, stderr = run_cli(
-        capsys, "search", "--pattern", "K3", "--n", "6", "--anneal", "--seed", "1",
-        "--threads", "-5",
-    )
-    assert code == 2
-    assert "threads" in stderr
-
-
-def test_threads_env_below_one_is_a_usage_error(capsys, monkeypatch) -> None:
+def test_thread_settings_are_gone(capsys, monkeypatch) -> None:
+    argv = ["search", "--pattern", "K3", "--n", "6", "--anneal", "--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", "2"])
+    assert exc.value.code == 2
     monkeypatch.setenv("RML_THREADS", "0")
-    code, _, stderr = run_cli(
-        capsys, "search", "--pattern", "K3", "--n", "6", "--anneal", "--seed", "1"
-    )
-    assert code == 2
-    assert "threads" in stderr
+    code, _, _ = run_cli(capsys, *argv, "--restarts", "2", "--steps", "200")
+    assert code == 0
 
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())

@@ -17,7 +17,7 @@ from ramseykit import (
     canonical_key,
     split_coloring,
 )
-from ramseykit.coloring import _apply_perm, _least_labeling
+from ramseykit.coloring import _apply_perm, _least_labeling, job_seed
 
 from .oracles import brute_canonical
 
@@ -242,7 +242,27 @@ def test_split_rejects_negative_sides() -> None:
 
 def test_flip_rejects_loops_and_foreign_vertices() -> None:
     c = split_coloring(3, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidSpecError):
         c.with_flipped([(0, 0)])
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidSpecError):
         c.with_flipped([(0, 9)])
+
+
+
+@pytest.mark.parametrize(
+    "flips, message",
+    [
+        ([(0, 1, 2)], r"flip \(0, 1, 2\) is not a pair"),
+        ([(0, 0)], r"flip \(0,0\) is not an edge of K_4"),
+        ([(1, 4)], r"flip \(1,4\) is not an edge of K_4"),
+        ([(0, 1), (1, 0)], r"duplicate flip \(1,0\)"),
+    ],
+)
+def test_split_flip_errors_keep_their_messages(flips, message) -> None:
+    with pytest.raises(InvalidSpecError, match=message):
+        split_coloring(3, 1, flips=flips)
+
+def test_job_seeds_are_pinned() -> None:
+    # anneal restart i of seed 7, and the red sample of parts 1, 2 at seed 0
+    assert job_seed(7, 3) == 12296769318780836496
+    assert job_seed(0, 1, 2, "red") == 10834123606138540087

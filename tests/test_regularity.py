@@ -357,22 +357,6 @@ def test_reduced_graph_sample_mode_marks_evidence_only() -> None:
     assert rg.red_edges and rg.blue_edges
 
 
-def test_reduced_graph_worker_pool_matches_serial_build() -> None:
-    c = split_coloring(12, 6)
-    partition = VertexPartition.of_size(18, 3)
-    solo = build_reduced(c, partition, Fraction(1, 5), Fraction(1, 2), threads=1)
-    pooled = build_reduced(c, partition, Fraction(1, 5), Fraction(1, 2), threads=2)
-    assert solo.red_edges == pooled.red_edges
-    assert solo.blue_edges == pooled.blue_edges
-
-
-@pytest.mark.parametrize("threads", [0, -5])
-def test_reduced_graph_refuses_fewer_than_one_thread(threads) -> None:
-    partition = VertexPartition.of_size(9, 3)
-    with pytest.raises(DomainError):
-        build_reduced(split_coloring(6, 3), partition, 0.2, 0.5, threads=threads)
-
-
 # --- dichotomy and near-split detection ----------------------------------
 
 
@@ -392,6 +376,13 @@ def test_split_host_avoids_the_matching_case() -> None:
     verdict = dichotomy_classify(rg, Fraction(1, 20))
     assert not verdict.case1
     assert verdict.diagnostics
+
+
+@pytest.mark.parametrize("lam", [Fraction(-2, 3), -1])
+def test_dichotomy_refuses_negative_lam(lam) -> None:
+    rg = build_reduced(split_coloring(18, 9), VertexPartition.of_size(27, 3), 0.2, 0.5)
+    with pytest.raises(DomainError, match="lam"):
+        dichotomy_classify(rg, lam)
 
 
 def test_split_coloring_is_detected_as_extremal() -> None:

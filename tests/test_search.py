@@ -301,24 +301,6 @@ def test_anneal_accepts_warm_start() -> None:
     assert res.best_count <= count_mono(split_coloring(6, 2), pattern)
 
 
-def test_anneal_with_worker_pool_stays_deterministic() -> None:
-    cfg = SearchConfig(seed=11, restarts=4, steps_per_restart=300)
-    for label, n in [("K3", 6), ("C_5", 8)]:  # short rows, long rows
-        solo = anneal_min(parse_pattern(label), n, cfg, threads=1)
-        pooled = anneal_min(parse_pattern(label), n, cfg, threads=2)
-        assert solo.best_count == pooled.best_count
-        assert solo.witness == pooled.witness
-
-
-def test_anneal_refuses_threads_before_building_the_engine(monkeypatch) -> None:
-    def unbuilt(*args):
-        raise AssertionError("copy engine built for a refused run")
-
-    monkeypatch.setattr(search, "_CopyEngine", unbuilt)
-    with pytest.raises(DomainError, match="threads must be >= 1"):
-        anneal_min(parse_pattern("K3"), 6, SearchConfig(seed=1), threads=0)
-
-
 def test_ramsey_search_agrees_with_path_formula() -> None:
     res = ramsey_via_search(parse_pattern("P_4"), 6)
     assert res.value == r_path(4).value == 5
