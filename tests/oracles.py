@@ -3,6 +3,7 @@
 Everything here is written for clarity over speed and deliberately avoids
 the package's own counting or matching code: permutation enumeration for
 paths and cycles, subset enumeration for matchings and pair regularity,
+a counterpart scan in exact fractions for pair regularity at mid sizes,
 plain backtracking for disjoint-path packing, and a sweep of every coloring
 for minimum monochromatic counts (which takes its list of copies from
 ``copy_edge_masks``), and every vertex order for canonical graph forms.
@@ -132,6 +133,43 @@ def brute_regularity(
                 for vs in combinations(ys, b):
                     worst = max(worst, abs(density(us, vs) - base))
     return worst
+
+
+def fraction_regularity(
+    has_edge: EdgePredicate, xs: Sequence[int], ys: Sequence[int], eps: Fraction
+) -> tuple[bool, Fraction, Fraction, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+    """(regular, base density, worst deviation, witness) by a counterpart
+    scan in Fractions, at every candidate.
+
+    Every U of the smaller side (X on a tie) is visited in increasing
+    bitmask order over the sorted side.  For each size s >= eps|other side|
+    in increasing order, the s vertices of the other side of largest and
+    then of smallest degree into U (ties broken by label) give one
+    candidate each.  The witness is the first candidate of the largest
+    deviation, oriented as (part of X, part of Y).
+    """
+    xs, ys = sorted(xs), sorted(ys)
+    swapped = len(ys) < len(xs)
+    side, other = (ys, xs) if swapped else (xs, ys)
+    base = Fraction(sum(has_edge(x, y) for x in xs for y in ys), len(xs) * len(ys))
+    worst = Fraction(0)
+    witness = None
+    for umask in range(1, 1 << len(side)):
+        us = [side[i] for i in range(len(side)) if umask >> i & 1]
+        if len(us) < eps * len(side):
+            continue
+        degs = sorted((sum(has_edge(u, w) for u in us), w) for w in other)
+        for s in range(1, len(other) + 1):
+            if s < eps * len(other):
+                continue
+            for pick in (degs[len(degs) - s :], degs[:s]):
+                dev = abs(Fraction(sum(d for d, _ in pick), len(us) * s) - base)
+                if dev > worst:
+                    worst = dev
+                    vs = sorted(w for _, w in pick)
+                    witness = (tuple(vs), tuple(us)) if swapped else (tuple(us), tuple(vs))
+    regular = worst <= eps
+    return regular, base, worst, None if regular else witness
 
 
 def matching_number(n: int, edges: Sequence[tuple[int, int]]) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -28,7 +29,7 @@ from ramseykit import (
     verify_count_bounds,
 )
 
-from .oracles import brute_regularity, brute_walks
+from .oracles import brute_regularity, brute_walks, fraction_regularity
 
 
 def complete_bipartite(a: int, b: int):
@@ -124,6 +125,63 @@ def test_regularity_is_invariant_under_bipartite_complement(
     assert res_g.deviation == res_h.deviation
 
 
+PIN_EPS = (
+    Fraction(1, 10), Fraction(1, 5), Fraction(1, 4), Fraction(2, 5), Fraction(1, 2),
+    0.15, Fraction(7, 13),
+)
+EXACT_PANEL_SHA256 = "7a8eab080bd5db12108d38429fd047a2e664e1da2e61cd9fea562cd1500aaf37"
+SAMPLE_PANEL_SHA256 = "dc51358026d0856c26c90af25af42eff5af08c47011463244a96046a6e7ce7c4"
+
+
+def noisy_pair(a: int, b: int, rng: random.Random):
+    """Sides of a and b vertices on shuffled labels, a cross density drawn
+    per pair, and random edges inside each side."""
+    from ramseykit import SimpleGraph
+
+    labels = list(range(a + b))
+    rng.shuffle(labels)
+    xs, ys = labels[:a], labels[a:]
+    p = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+    inside = set(xs)
+    edges = [
+        (u, v) for u, v in combinations(range(a + b), 2)
+        if rng.random() < (p if (u in inside) != (v in inside) else 0.5)
+    ]
+    return SimpleGraph.from_edges(a + b, edges), xs, ys
+
+
+def exact_panel_digest() -> str:
+    digest = hashlib.sha256()
+    for i in range(42):
+        rng = random.Random(f"exact:{i}")
+        a = 1 + i % 14
+        g, xs, ys = noisy_pair(a, rng.randint(max(a - 2, 1), 14), rng)
+        res = eps_regular_exact(g, xs, ys, rng.choice(PIN_EPS))
+        digest.update(repr((res.regular, res.deviation, res.witness)).encode())
+    return digest.hexdigest()
+
+
+def sample_panel_digest() -> str:
+    digest = hashlib.sha256()
+    for seed in range(60):
+        rng = random.Random(f"sample:{seed}")
+        g, xs, ys = noisy_pair(rng.randint(1, 20), rng.randint(1, 20), rng)
+        eps, trials = rng.choice(PIN_EPS), rng.choice((1, 5, 50, 300))
+        v = eps_regular_sample(g, xs, ys, eps, trials=trials, seed=seed)
+        digest.update(repr((v.status, v.trials, v.deviation, v.witness)).encode())
+    return digest.hexdigest()
+
+
+def test_exact_verdicts_are_pinned() -> None:
+    # sides 1-14 with shuffled labels and edges inside each side; the
+    # digest covers the verdict, the worst deviation and its witness
+    assert exact_panel_digest() == EXACT_PANEL_SHA256
+
+
+def test_sampled_verdicts_are_pinned() -> None:
+    assert sample_panel_digest() == SAMPLE_PANEL_SHA256
+
+
 def minus_matching(a: int):
     """Complete bipartite pair with a perfect matching removed."""
     from ramseykit import SimpleGraph
@@ -171,9 +229,29 @@ def test_exact_check_rejects_bad_inputs() -> None:
 
 
 def test_exact_check_refuses_oversized_sides() -> None:
-    g = complete_bipartite(15, 15)
+    g = complete_bipartite(19, 19)
     with pytest.raises(CapabilityError):
-        eps_regular_exact(g, range(15), range(15, 30), Fraction(1, 5))
+        eps_regular_exact(g, range(19), range(19, 38), Fraction(1, 5))
+    partition = VertexPartition.of_size(38, 19)
+    with pytest.raises(CapabilityError, match="mode='sample'"):
+        build_reduced(split_coloring(19, 19), partition, Fraction(1, 5), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("eps", ["abc", "nan", "inf", "1/0"])
+def test_unreadable_tolerances_are_domain_errors(eps) -> None:
+    g = complete_bipartite(3, 3)
+    with pytest.raises(DomainError, match="exact rational"):
+        eps_regular_exact(g, range(3), range(3, 6), eps)
+
+
+@pytest.mark.parametrize("trials", [True, 1.5, "3", -1])
+def test_sampler_refuses_bad_trials(trials) -> None:
+    g = complete_bipartite(3, 3)
+    with pytest.raises(DomainError, match="trials"):
+        eps_regular_sample(g, range(3), range(3, 6), 0.2, trials=trials)
+    partition = VertexPartition.of_size(6, 3)
+    with pytest.raises(DomainError, match="trials"):
+        build_reduced(split_coloring(3, 3), partition, 0.2, 0.5, mode="sample", trials=trials)
 
 
 def test_float_tolerances_are_read_as_decimals() -> None:
@@ -273,6 +351,20 @@ def test_counterpart_scan_matches_subset_enumeration(case, seed) -> None:
         assert qualifies(verdict.witness)
         local = abs(pair_density(g, *verdict.witness) - verdict.base_density)
         assert local == verdict.deviation > eps
+
+
+@given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 10**6),
+       st.fractions(Fraction(1, 20), Fraction(4, 5), max_denominator=20))
+@settings(max_examples=50, deadline=None)
+def test_exact_check_matches_the_fraction_scan(a, b, seed, eps) -> None:
+    # the oracle compares every candidate in Fractions; the checker compares
+    # integers and only the least admissible counterpart size
+    g, xs, ys = noisy_pair(a, b, random.Random(seed))
+    res = eps_regular_exact(g, xs, ys, eps)
+    assert res.eps == eps
+    assert (res.regular, res.base_density, res.deviation, res.witness) == (
+        fraction_regularity(g.has_edge, xs, ys, eps)
+    )
 
 
 # --- degree deviation ---------------------------------------------------
