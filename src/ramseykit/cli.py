@@ -28,15 +28,6 @@ def canonical_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2)
 
 
-def _report(command: str, inputs: dict, results: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
-
-
 def _pair_arg(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -47,21 +38,26 @@ def _pair_arg(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected integers: {text!r}") from exc
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _write_out(path: str | None, payload: bytes) -> None:
+    """Write an RMC1 payload to --out, if one was given."""
+    if path:
+        with open(path, "wb") as fh:
+            fh.write(payload)
+
+
+# each command returns (inputs, results, text lines, exit code); `main` builds
+# the report from them and prints it as JSON or as the lines
+Outcome = tuple[dict, dict, list[str], int]
+
+
+def cmd_construct(args: argparse.Namespace) -> Outcome:
     a, b = args.split
     coloring = split_coloring(a, b, flips=args.flip)
     payload = coloring.serialize()
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
-    report = _report(
-        "construct",
-        {
-            "split": [a, b],
-            "flips": [list(f) for f in args.flip],
-            "out": args.out,
-        },
+    _write_out(args.out, payload)
+    wrote = f" -> {args.out}" if args.out else ""
+    return (
+        {"split": [a, b], "flips": [list(f) for f in args.flip], "out": args.out},
         {
             "n": coloring.n,
             "red_edges": str(coloring.red_edge_count),
@@ -69,54 +65,31 @@ def cmd_construct(args: argparse.Namespace) -> int:
             "payload": payload.decode("ascii"),
             "provenance": "exact",
         },
-        started,
-    )
-    if args.json:
-        print(canonical_json(report))
-    else:
-        wrote = f" -> {args.out}" if args.out else ""
-        print(
+        [
             f"n={coloring.n} red_edges={coloring.red_edge_count} "
             f"blue_edges={coloring.blue_edge_count}{wrote}"
-        )
-    return 0
+        ],
+        0,
+    )
 
 
-def cmd_count(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_count(args: argparse.Namespace) -> Outcome:
     with open(args.infile, "rb") as fh:
         coloring = EdgeColoring.parse(fh.read())
     pattern = parse_pattern(args.pattern)
     wanted = (RED, BLUE) if args.color == "both" else (args.color,)
     counts = {color: count_in_view(coloring.view(color), pattern) for color in wanted}
-    results: dict = {color: str(value) for color, value in counts.items()}
     if args.color == "both":
-        results["total"] = str(sum(counts.values()))
+        counts["total"] = sum(counts.values())
+    results: dict = {name: str(value) for name, value in counts.items()}
     results["provenance"] = "exact"
-    report = _report(
-        "count",
-        {
-            "in": args.infile,
-            "pattern": pattern.label,
-            "color": args.color,
-            "n": coloring.n,
-        },
-        results,
-        started,
-    )
-    if args.json:
-        print(canonical_json(report))
-    else:
-        print(f"pattern {pattern.label} on n={coloring.n}")
-        for color in wanted:
-            print(f"{color} {counts[color]}")
-        if args.color == "both":
-            print(f"total {sum(counts.values())}")
-    return 0
+    lines = [f"pattern {pattern.label} on n={coloring.n}"]
+    lines += [f"{name} {value}" for name, value in counts.items()]
+    inputs = {"in": args.infile, "pattern": pattern.label, "color": args.color, "n": coloring.n}
+    return inputs, results, lines, 0
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_search(args: argparse.Namespace) -> Outcome:
     pattern = parse_pattern(args.pattern)
     if args.exhaustive:
         result = exhaustive_min(pattern, args.n)
@@ -132,11 +105,15 @@ def cmd_search(args: argparse.Namespace) -> int:
         )
         result = anneal_min(pattern, args.n, config)
     payload = result.witness.serialize()
+    _write_out(args.out, payload)
+    tag = "exact minimum" if result.exact else "upper bound"
+    lines = [
+        f"min {pattern.label} count over n={args.n}: "
+        f"{result.best_count} ({tag}, {result.method})"
+    ]
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
-    report = _report(
-        "search",
+        lines.append(f"witness -> {args.out}")
+    return (
         {
             "pattern": pattern.label,
             "n": args.n,
@@ -151,27 +128,17 @@ def cmd_search(args: argparse.Namespace) -> int:
             "provenance": "exact" if result.exact else "upper-bound",
             "witness": payload.decode("ascii"),
         },
-        started,
+        lines,
+        0,
     )
-    if args.json:
-        print(canonical_json(report))
-    else:
-        tag = "exact minimum" if result.exact else "upper bound"
-        print(
-            f"min {pattern.label} count over n={args.n}: "
-            f"{result.best_count} ({tag}, {result.method})"
-        )
-        if args.out:
-            print(f"witness -> {args.out}")
-    return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_verify(args: argparse.Namespace) -> Outcome:
     checks = run_suite(args.suite, seed=args.seed)
     passed = sum(1 for c in checks if c.passed)
-    report = _report(
-        "verify",
+    lines = [f"{'PASS' if c.passed else 'FAIL'} {args.suite}/{c.name}: {c.detail}" for c in checks]
+    lines.append(f"{passed}/{len(checks)} checks passed")
+    return (
         {"suite": args.suite, "seed": args.seed},
         {
             "checks": [
@@ -181,15 +148,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "passed": passed,
             "failed": len(checks) - passed,
         },
-        started,
+        lines,
+        0 if passed == len(checks) else 1,
     )
-    if args.json:
-        print(canonical_json(report))
-    else:
-        for c in checks:
-            print(f"{'PASS' if c.passed else 'FAIL'} {args.suite}/{c.name}: {c.detail}")
-        print(f"{passed}/{len(checks)} checks passed")
-    return 0 if passed == len(checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,8 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        inputs, results, lines, code = args.func(args)
     except (InvalidSpecError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -259,6 +221,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        print(canonical_json({
+            "command": args.command,
+            "inputs": inputs,
+            "results": results,
+            "wall_time_s": round(time.perf_counter() - started, 6),
+        }))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

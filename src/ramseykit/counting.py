@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, factorial, perm
 from typing import Sequence
 
-from .coloring import BLUE, RED, EdgeColoring
+from .coloring import BLUE, RED, EdgeColoring, pair_index
 from .errors import CapabilityError, DomainError
 from .structure import SimpleGraph
 
@@ -197,40 +198,27 @@ def count_stars(g: SimpleGraph, k: int) -> int:
     return sum(comb(g.degree(u), k) for u in range(g.n))
 
 
-def count_triangles(g: SimpleGraph) -> int:
-    n = g.n
-    adj = g.adj
-    total = 0
-    for u in range(n):
-        rest = adj[u] >> (u + 1) << (u + 1)
-        m = rest
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            total += (adj[u] & adj[v] & (-1 << (v + 1))).bit_count()
-    return total
-
-
 def count_cliques(g: SimpleGraph, k: int) -> int:
+    """Number of k-vertex cliques in g (2 <= k <= 5).
+
+    Each clique is grown in increasing vertex order from the common
+    neighbours above its last vertex; the last vertex is not chosen but
+    counted, one ``bit_count`` per clique on k - 1 vertices.
+    """
     if not 2 <= k <= 5:
         raise DomainError("cliques are supported for 2 <= k <= 5")
-    n = g.n
     adj = g.adj
 
-    def rec(cand: int, depth: int, lo: int) -> int:
-        if depth == 0:
-            return 1
+    def rec(cand: int, depth: int) -> int:
         total = 0
-        m = cand & (-1 << lo)
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            total += rec(cand & adj[v], depth - 1, v + 1)
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            above = cand & adj[b.bit_length() - 1]
+            total += above.bit_count() if depth == 2 else rec(above, depth - 1)
         return total
 
-    return rec((1 << n) - 1, k, 0)
+    return rec((1 << g.n) - 1, k)
 
 
 def count_in_view(g: SimpleGraph, pattern: Pattern) -> int:
@@ -242,8 +230,6 @@ def count_in_view(g: SimpleGraph, pattern: Pattern) -> int:
     if pattern.kind == "star":
         return count_stars(g, pattern.k)
     if pattern.kind == "clique":
-        if pattern.k == 3:
-            return count_triangles(g)
         return count_cliques(g, pattern.k)
     raise DomainError(f"unknown pattern kind {pattern.kind!r}")
 
@@ -295,7 +281,7 @@ def total_copies_in_complete(n: int, pattern: Pattern) -> int:
     if pattern.kind == "cycle":
         return comb(n, k) * (factorial(k - 1) // 2)
     if pattern.kind == "star":
-        return n * comb(n - 1, k)
+        return n * comb(max(n - 1, 0), k)
     if pattern.kind == "clique":
         return comb(n, k)
     raise DomainError(f"unknown pattern kind {pattern.kind!r}")
@@ -312,17 +298,14 @@ def copy_edge_masks(pattern: Pattern, n: int) -> list[int]:
     independent realization of the counts: a copy is monochromatic in a
     coloring exactly when its mask lands entirely inside one color class.
     """
-    from .coloring import pair_index  # local to avoid a cycle at import time
-
-    masks: list[int] = []
     k = pattern.k
-    if pattern.kind in ("path", "cycle"):
-        if pattern.kind == "path" and k == 1:
-            return [0] * n
-        if k > n:
-            return []
-        # bit[u][w]: the bit of edge {u, w}, looked up once per n
-        bit = [[0 if u == w else 1 << pair_index(n, u, w) for w in range(n)] for u in range(n)]
+    if pattern.kind == "path" and k == 1:
+        return [0] * n
+    if pattern.vertex_count > n:
+        return []
+    # bit[u][w]: the bit of edge {u, w}, looked up once per n
+    bit = [[0 if u == w else 1 << pair_index(n, u, w) for w in range(n)] for u in range(n)]
+    masks: list[int] = []
     if pattern.kind == "path":
         def extend(first: int, last: int, depth: int, used: int, mask: int) -> None:
             row = bit[last]
@@ -335,8 +318,7 @@ def copy_edge_masks(pattern: Pattern, n: int) -> list[int]:
 
         for v in range(n):
             extend(v, v, 1, 1 << v, 0)
-        return masks
-    if pattern.kind == "cycle":
+    elif pattern.kind == "cycle":
         def extend_cycle(first: int, second: int, last: int, depth: int,
                          used: int, mask: int) -> None:
             row = bit[last]
@@ -352,30 +334,11 @@ def copy_edge_masks(pattern: Pattern, n: int) -> list[int]:
 
         for v in range(n - k + 1):
             extend_cycle(v, v, v, 1, 1 << v, 0)
-        return masks
-    if pattern.kind == "star":
-        if k > n - 1:
-            return []
-        from itertools import combinations
-
-        for center in range(n):
-            others = [w for w in range(n) if w != center]
-            for leaves in combinations(others, k):
-                m = 0
-                for leaf in leaves:
-                    m |= 1 << pair_index(n, center, leaf)
-                masks.append(m)
-        return masks
-    if pattern.kind == "clique":
-        from itertools import combinations
-
-        if k > n:
-            return []
+    elif pattern.kind == "star":
+        # the edge bits are distinct powers of two, so a sum is their union
+        for center, row in enumerate(bit):
+            masks.extend(map(sum, combinations(row[:center] + row[center + 1:], k)))
+    else:
         for verts in combinations(range(n), k):
-            m = 0
-            for i, u in enumerate(verts):
-                for v in verts[i + 1:]:
-                    m |= 1 << pair_index(n, u, v)
-            masks.append(m)
-        return masks
-    raise DomainError(f"unknown pattern kind {pattern.kind!r}")
+            masks.append(sum(bit[u][w] for u, w in combinations(verts, 2)))
+    return masks

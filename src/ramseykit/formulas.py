@@ -56,14 +56,12 @@ def r_cycle(k: int) -> RamseyValue:
 def m_star(k: int) -> MultiplicityValue:
     """Threshold multiplicity of the star with k leaves (exact).
 
-    1 for even k and for the single edge k = 1; 2k for odd k >= 3.
+    1 for even k and 2k for odd k.  With a distinguished centre, the single
+    edge k = 1 is two stars, one from each end: K_2 holds 2 copies of S_1.
     """
     if k < 1:
         raise DomainError("stars need k >= 1 leaves")
-    if k == 1 or k % 2 == 0:
-        value = 1
-    else:
-        value = 2 * k
+    value = 1 if k % 2 == 0 else 2 * k
     return MultiplicityValue(Pattern.star(k), value, EXACT)
 
 

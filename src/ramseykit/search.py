@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .coloring import (
     EdgeColoring,
@@ -48,7 +48,7 @@ from .coloring import (
     pair_count,
     pair_index,
 )
-from .counting import Pattern, copy_edge_masks, count_mono
+from .counting import Pattern, copy_edge_masks, count_mono, total_copies_in_complete
 from .errors import CapabilityError, DomainError
 from .formulas import r_cycle, r_path
 
@@ -60,6 +60,15 @@ RAW_ENUM_MAX_N = 6
 # shared two-core host, Python 3.11; n = 9 would run about 3.2 M tests
 CLASS_REPS_MAX_N = 8
 _CHUNK = 4096  # copies handled per numpy pass
+# engine build cost, measured on a shared two-core host (Python 3.11): about
+# 3 us per copy listed by copy_edge_masks plus 12 ns per (copy, edge of K_n)
+# cell of the incidence scan.  P_7/9 (90,720 copies, 3.3 M cells) builds in
+# 0.29 s at 40 MB max RSS, P_8/10 (907,200 copies, 41 M cells) in 3.0 s at
+# 116 MB, K4/40 (91,390 copies, 71 M cells) in 1.2 s, and S_3/60 (1.95 M
+# copies, 3.5 G cells) in 41 s at 423 MB; so a build within both budgets
+# stays near 4 s and 120 MB
+ENGINE_COPY_BUDGET = 1_000_000
+ENGINE_CELL_BUDGET = 100_000_000
 # per-edge rows up to this many copies are gathered and tallied by
 # bytes.count; longer rows keep a histogram, whose update on an accepted
 # flip costs more than a gather where many proposals are accepted (K3/12
@@ -79,6 +88,10 @@ class SearchConfig:
     cooling_rate: float = 0.995
 
     def validate(self) -> None:
+        for name in ("seed", "restarts", "steps_per_restart"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DomainError(f"{name} must be an int, not {value!r}")
         if self.restarts < 1 or self.steps_per_restart < 0:
             raise DomainError("restarts must be >= 1 and steps nonnegative")
         # an infinite temperature accepts every proposal: a random walk
@@ -121,10 +134,20 @@ class _CopyEngine:
     e and ``flip`` writes them back, each O(c_e).  On long rows ``hist[e, r]``
     counts the copies through e with r red edges, so ``delta`` reads two
     cells, O(1), and ``flip`` moves each edge of every copy through e one
-    cell, O(c_e * s), paid only on accepted moves.
+    cell, O(c_e * s), paid only on accepted moves.  A host whose estimated
+    build exceeds ENGINE_COPY_BUDGET copies or ENGINE_CELL_BUDGET cells is
+    refused before any copy is listed.
     """
 
     def __init__(self, pattern: Pattern, n: int):
+        copies = total_copies_in_complete(n, pattern)
+        cells = copies * pair_count(n)
+        if copies > ENGINE_COPY_BUDGET or cells > ENGINE_CELL_BUDGET:
+            raise CapabilityError(
+                f"copy engine too large: estimated {copies:,} copies of {pattern.label} "
+                f"in K_{n} ({cells:,} copy-edge cells), budget {ENGINE_COPY_BUDGET:,} "
+                f"copies and {ENGINE_CELL_BUDGET:,} cells"
+            )
         import numpy as np
 
         masks = copy_edge_masks(pattern, n)
@@ -224,9 +247,22 @@ class _CopyEngine:
         self._edge = -1
 
 
-def _least_witness(n: int, candidates) -> int:
-    """The red bits whose serialized coloring is lexicographically least."""
-    return min(candidates, key=lambda bits: EdgeColoring(n, bits).serialize())
+def _finish(
+    pattern: Pattern,
+    n: int,
+    best: int,
+    candidates: Iterable[int],
+    exact: bool,
+    explored: int,
+    method: str,
+) -> MinimizationResult:
+    """The result whose witness is the least serialized of the tied
+    ``candidates`` (red bits), once the DP counter has recounted it."""
+    witness = min((EdgeColoring(n, bits) for bits in candidates), key=EdgeColoring.serialize)
+    check = count_mono(witness, pattern)
+    if check != best:
+        raise AssertionError(f"witness recount mismatch: {method} said {best}, DP says {check}")
+    return MinimizationResult(pattern, n, best, witness, exact, explored, method)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +337,7 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
         )
     method = "exhaustive-canonical"
     if n == 0:  # one coloring, and no pattern fits in an empty host
-        return MinimizationResult(pattern, 0, 0, EdgeColoring(0), True, 1, method)
+        return _finish(pattern, 0, 0, [0], True, 1, method)
     import numpy as np
 
     engine = _CopyEngine(pattern, n)
@@ -330,16 +366,11 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     counts = inner + zeta(red == others[:, None]) + zeta(red == 0)[::-1]
     best = int(counts.min())
     hoods, reps = (counts == best).nonzero()
-    witness = EdgeColoring(n, _least_witness(n, (
+    tied = (
         states[r] | sum(1 << spoke[i] for i in range(v) if h >> i & 1)
         for h, r in zip(hoods.tolist(), reps.tolist())
-    )))
-    check = count_mono(witness, pattern)
-    if check != best:
-        raise AssertionError(
-            f"witness recount mismatch: enumeration said {best}, DP says {check}"
-        )
-    return MinimizationResult(pattern, n, best, witness, True, counts.size, method)
+    )
+    return _finish(pattern, n, best, tied, True, counts.size, method)
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +422,9 @@ def anneal_min(
         for i in range(config.restarts)
     ]
     best = min(cnt for cnt, _ in outcomes)
-    witness = EdgeColoring(n, _least_witness(n, (b for cnt, b in outcomes if cnt == best)))
-    check = count_mono(witness, pattern)
-    if check != best:
-        raise AssertionError(
-            f"witness recount mismatch: annealer said {best}, DP says {check}"
-        )
-    return MinimizationResult(
-        pattern,
-        n,
-        best,
-        witness,
-        False,
-        config.restarts * config.steps_per_restart,
-        "anneal",
+    tied = (bits for cnt, bits in outcomes if cnt == best)
+    return _finish(
+        pattern, n, best, tied, False, config.restarts * config.steps_per_restart, "anneal"
     )
 
 

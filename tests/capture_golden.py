@@ -3,8 +3,11 @@
 Re-runs every case already in the file, plus each extra command line given
 as an argument, through ``ramseykit.cli.main`` in a scratch directory that
 holds the file's input colorings, and rewrites the file with the reports
-normalised by :func:`normalise`.  ``test_json_reports_match_golden_outputs``
-compares through the same :func:`capture`, so the two cannot drift.  Run it
+normalised by :func:`normalise`.  A command line ending in ``--json`` pins
+a JSON report, one without ``--json`` the plain-text summary;
+``test_json_reports_match_golden_outputs`` and
+``test_text_reports_match_golden_outputs`` compare through the same
+:func:`capture`, so the two cannot drift.  Run it
 at the commit whose outputs are to be pinned, from the repository root::
 
     PYTHONPATH=src python tests/capture_golden.py "verify --suite formulas --json"

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,16 @@ def test_search_exhaustive_on_large_host_suggests_annealing(capsys) -> None:
     assert "anneal" in stderr
 
 
+def test_search_anneal_past_the_copy_budget_is_refused_quickly(capsys) -> None:
+    started = time.perf_counter()
+    code, _, stderr = run_cli(
+        capsys, "search", "--pattern", "P_8", "--n", "14", "--anneal", "--seed", "1"
+    )
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert "capability error" in stderr and "60,540,480 copies" in stderr
+
+
 def test_verify_prints_one_line_per_check(capsys) -> None:
     code, stdout, _ = run_cli(capsys, "verify", "--suite", "formulas")
     assert code == 0
@@ -228,14 +239,20 @@ def test_thread_settings_are_gone(capsys, monkeypatch) -> None:
 
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+JSON_CASES = [case for case in GOLDEN["cases"] if case["argv"][-1] == "--json"]
+TEXT_CASES = [case for case in GOLDEN["cases"] if case not in JSON_CASES]
 
 
-@pytest.mark.parametrize(
-    "case", GOLDEN["cases"], ids=lambda case: " ".join(case["argv"][:-1])
-)
+@pytest.mark.parametrize("case", JSON_CASES, ids=lambda case: " ".join(case["argv"][:-1]))
 def test_json_reports_match_golden_outputs(case) -> None:
     # pinned reports of exact counts and verdicts: byte-identical apart from
     # wall_time_s, whatever counting engine produces them
+    assert capture(case["argv"], GOLDEN["files"]) == case["stdout"]
+
+
+@pytest.mark.parametrize("case", TEXT_CASES, ids=lambda case: " ".join(case["argv"]))
+def test_text_reports_match_golden_outputs(case) -> None:
+    # the plain-text summaries, byte-identical
     assert capture(case["argv"], GOLDEN["files"]) == case["stdout"]
 
 

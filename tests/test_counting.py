@@ -1,5 +1,6 @@
+import hashlib
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -12,12 +13,13 @@ from ramseykit import (
     CapabilityError,
     DomainError,
     EdgeColoring,
+    Pattern,
+    count_cliques,
     count_cycles,
     count_in_view,
     count_mono,
     count_paths,
     count_stars,
-    count_triangles,
     formula_split_paths,
     parse_pattern,
     split_coloring,
@@ -73,7 +75,7 @@ def test_triangle_counts_match_triple_scan(params: tuple[int, int]) -> None:
     c = random_coloring(n, seed)
     for color in (RED, BLUE):
         view = c.view(color)
-        assert count_triangles(view) == brute_triangles(view.has_edge, n)
+        assert count_cliques(view, 3) == brute_triangles(view.has_edge, n)
 
 
 @pytest.mark.parametrize("text", ["P_5", "C_5", "S_3", "K3"])
@@ -91,7 +93,7 @@ def test_dispatch_agrees_with_specialized_counters() -> None:
     assert count_in_view(view, parse_pattern("P_5")) == count_paths(view, 5)
     assert count_in_view(view, parse_pattern("C_4")) == count_cycles(view, 4)
     assert count_in_view(view, parse_pattern("S_2")) == count_stars(view, 2)
-    assert count_in_view(view, parse_pattern("K3")) == count_triangles(view)
+    assert count_in_view(view, parse_pattern("K3")) == count_cliques(view, 3)
 
 
 def test_mono_count_sums_both_views() -> None:
@@ -113,6 +115,11 @@ def test_single_color_complete_graph_attains_total(text: str, n: int) -> None:
         n, pattern
     )
     assert count_in_view(all_red.view(BLUE), pattern) == 0
+
+
+def test_empty_host_holds_no_copy() -> None:
+    for text in ("P_1", "P_2", "C_3", "S_1", "S_3", "K2", "K5"):
+        assert total_copies_in_complete(0, parse_pattern(text)) == 0
 
 
 def test_complete_graph_path_total_is_half_falling_factorial() -> None:
@@ -171,17 +178,27 @@ def test_unsupported_patterns_rejected(text: str) -> None:
 
 
 def test_clique_counts_match_subset_scan() -> None:
-    from itertools import combinations
+    for n in (0, 1, 4, 7, 9, 12):
+        for seed in (15, 16, 17):
+            view = random_coloring(n, seed).view(BLUE)
+            for k in (2, 3, 4, 5):
+                want = sum(
+                    1
+                    for vs in combinations(range(n), k)
+                    if all(view.has_edge(a, b) for a, b in combinations(vs, 2))
+                )
+                assert count_in_view(view, parse_pattern(f"K{k}")) == want
 
-    c = random_coloring(7, 15)
-    view = c.view(BLUE)
-    for k in (2, 3, 4):
-        want = sum(
-            1
-            for vs in combinations(range(7), k)
-            if all(view.has_edge(a, b) for a, b in combinations(vs, 2))
-        )
-        assert count_in_view(view, parse_pattern(f"K{k}")) == want
+
+def test_star_and_clique_masks_are_pinned() -> None:
+    # sha256 of every star and clique mask list for n <= 9, recorded before
+    # the masks were built from the shared bit[u][w] table
+    h = hashlib.sha256()
+    for kind, ks in (("star", range(1, 10)), ("clique", range(2, 6))):
+        for k in ks:
+            for n in range(-1, 10):
+                h.update(repr((kind, k, n, copy_edge_masks(Pattern(kind, k), n))).encode())
+    assert h.hexdigest() == "114d6e2000c3a408b61a86a03eeb84df6e4f68c6db036550ad52d264aa2aea55"
 
 
 def test_oversized_host_raises_capability_error() -> None:

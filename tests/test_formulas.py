@@ -44,7 +44,7 @@ def test_cycle_ramsey_closed_form_beyond_small_cases(k: int) -> None:
     assert r_cycle(k).value == want
 
 
-@pytest.mark.parametrize("k,value", [(1, 1), (2, 1), (3, 6), (4, 1), (5, 10)])
+@pytest.mark.parametrize("k,value", [(1, 2), (2, 1), (3, 6), (4, 1), (5, 10)])
 def test_star_threshold_multiplicities(k: int, value: int) -> None:
     mv = m_star(k)
     assert mv.value == value
@@ -54,10 +54,18 @@ def test_star_threshold_multiplicities(k: int, value: int) -> None:
 @given(st.integers(1, 40))
 def test_star_threshold_parity_rule(k: int) -> None:
     value = m_star(k).value
-    if k == 1 or k % 2 == 0:
+    if k % 2 == 0:
         assert value == 1
     else:
         assert value == 2 * k
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_star_closed_form_matches_exhaustive_threshold(k: int) -> None:
+    # a star is a distinguished centre with k leaves, so K_2 holds 2 copies
+    # of S_1: one per end of its edge
+    pattern = parse_pattern(f"S_{k}")
+    assert m_star(k).value == threshold_multiplicity(pattern).value
 
 
 @pytest.mark.parametrize(

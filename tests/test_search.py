@@ -1,4 +1,5 @@
 import hashlib
+import time
 from itertools import combinations
 from random import Random
 
@@ -20,6 +21,7 @@ from ramseykit import (
     r_path,
     ramsey_via_search,
     split_coloring,
+    total_copies_in_complete,
 )
 from ramseykit import search
 from ramseykit.coloring import pair_count
@@ -250,11 +252,37 @@ def test_canonical_reps_are_pairwise_distinct() -> None:
         ("cooling_rate", 0.0),
         ("cooling_rate", 1.0),
         ("cooling_rate", float("nan")),
+        ("restarts", True),
+        ("restarts", 1.5),
+        ("restarts", "2"),
+        ("steps_per_restart", False),
+        ("steps_per_restart", 10.0),
+        ("seed", None),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", "1"),
     ],
 )
 def test_search_config_refuses_bad_schedules(field: str, value: float) -> None:
     with pytest.raises(DomainError):
-        SearchConfig(seed=1, **{field: value}).validate()
+        SearchConfig(**{"seed": 1, field: value}).validate()
+
+
+def test_anneal_refuses_a_host_past_the_copy_budget_quickly() -> None:
+    # P_8 in K_14 has 60,540,480 copies; the refusal comes before any is listed
+    started = time.perf_counter()
+    with pytest.raises(CapabilityError, match="60,540,480 copies"):
+        anneal_min(parse_pattern("P_8"), 14, SearchConfig(seed=1))
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("text,n", [("S_1", 700), ("K4", 60)])
+def test_engine_refuses_wide_hosts_by_cells(text: str, n: int) -> None:
+    # under the copy budget, but the incidence scan would read too many cells
+    pattern = parse_pattern(text)
+    assert total_copies_in_complete(n, pattern) <= search.ENGINE_COPY_BUDGET
+    with pytest.raises(CapabilityError, match="cells"):
+        anneal_min(pattern, n, SearchConfig(seed=1))
 
 
 @given(st.integers(0, 2**31 - 1))
