@@ -22,10 +22,11 @@ Python integers, so no host size is capped by a machine word.
 * ``anneal_min`` -- simulated annealing with single-edge-flip moves and
   restarts, exact=False.  The restarts run one after another on one engine.
   Deterministic for a fixed config: restart i uses a seed derived from
-  (config.seed, i) with a stable hash.  On hosts with
-  long per-edge rows the engine keeps, per edge, a histogram of the red
-  counts of the copies through it: a proposal's delta is O(1), and an
-  accepted flip costs O(c_e * s) for c_e copies per edge of s edges each.
+  (config.seed, i) with a stable hash.  The engine keeps one flat
+  histogram of the red counts of the copies through each edge, so a
+  proposal reads two cells, O(1), on every host, and an accepted flip
+  costs O(c_e * s) for c_e copies per edge of s edges each: in Python
+  lists on short rows, by numpy on long ones.
 
 Witness tie-break everywhere: the serialized form that is lexicographically
 least among optimal colorings found.  numpy is imported by the engine, not
@@ -35,6 +36,7 @@ by the package.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -61,19 +63,23 @@ RAW_ENUM_MAX_N = 6
 CLASS_REPS_MAX_N = 8
 _CHUNK = 4096  # copies handled per numpy pass
 # engine build cost, measured on a shared two-core host (Python 3.11): about
-# 3 us per copy listed by copy_edge_masks plus 12 ns per (copy, edge of K_n)
-# cell of the incidence scan.  P_7/9 (90,720 copies, 3.3 M cells) builds in
-# 0.29 s at 40 MB max RSS, P_8/10 (907,200 copies, 41 M cells) in 3.0 s at
-# 116 MB, K4/40 (91,390 copies, 71 M cells) in 1.2 s, and S_3/60 (1.95 M
-# copies, 3.5 G cells) in 41 s at 423 MB; so a build within both budgets
-# stays near 4 s and 120 MB
+# 2 us per copy listed by copy_edge_masks plus 8 ns per (copy, edge of K_n)
+# cell to unpack the masks into bits; sorting the copy-edge keys is a few ms
+# per 100,000 copies.  P_7/9 (90,720 copies, 3.3 M cells) builds in 0.3 s at
+# 42 MB max RSS, P_8/10 (907,200 copies, 41 M cells) in 2.4-2.7 s at 99 MB,
+# K4/40 (91,390 copies, 71 M cells) in 0.8 s at 54 MB and K3/60 (34,220
+# copies, 61 M cells) in 0.6 s at 62 MB; so a build within both budgets
+# stays near 3 s and 100 MB
 ENGINE_COPY_BUDGET = 1_000_000
 ENGINE_CELL_BUDGET = 100_000_000
-# per-edge rows up to this many copies are gathered and tallied by
-# bytes.count; longer rows keep a histogram, whose update on an accepted
-# flip costs more than a gather where many proposals are accepted (K3/12
-# has 10 copies per edge, C_4/12 90, P_7/9 15,120)
-_GATHER_MAX = 64
+# an accepted flip on rows of c_e copies with s edges each moves c_e * s
+# histogram cells: up to _LIST_FLIP_MAX in Python lists, more by numpy.
+# Past _SKIP_FLIP_MIN, with s >= 5, numpy first drops the copies whose move
+# no proposal reads; its extra calls cost about 5 us a flip, which shorter
+# rows do not win back (K4/14: 11 us a flip without, 16 us with; P_7/9:
+# 530 us without, 390 us with).  Both measured on a shared two-core host.
+_LIST_FLIP_MAX = 128
+_SKIP_FLIP_MIN = 4096
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,10 @@ class SearchConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise DomainError(f"{name} must be an int, not {value!r}")
+        for name in ("initial_temperature", "cooling_rate"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{name} must be a real number, not {value!r}")
         if self.restarts < 1 or self.steps_per_restart < 0:
             raise DomainError("restarts must be >= 1 and steps nonnegative")
         # an infinite temperature accepts every proposal: a random walk
@@ -126,15 +136,24 @@ class _CopyEngine:
     """Copy-edge incidence of a pattern in K_n, with a red-edge count per copy.
 
     ``edges[c]`` lists the s edges of copy c.  K_n is edge-transitive, so
-    every edge lies in the same number c_e of copies: ``rows[e]`` lists the
-    copies through edge e, and the rows are those of one rectangular
-    (C(n,2), c_e) array.  ``_red_counts`` counts a batch of colorings through
-    ``edges``; ``start``, ``delta`` and ``flip`` walk one coloring an edge at
-    a time.  On short rows ``delta`` gathers the counts of the copies through
-    e and ``flip`` writes them back, each O(c_e).  On long rows ``hist[e, r]``
-    counts the copies through e with r red edges, so ``delta`` reads two
-    cells, O(1), and ``flip`` moves each edge of every copy through e one
-    cell, O(c_e * s), paid only on accepted moves.  A host whose estimated
+    every edge lies in the same number c_e of copies, listed in row e of the
+    (C(n,2), c_e) array ``inc``.  ``_red_counts`` counts a batch of
+    colorings through ``edges``; ``start`` and ``flip`` walk one coloring an
+    edge at a time.
+
+    The walk keeps one flat histogram: ``hist[e * (s + 1) + r]`` counts the
+    copies through edge e with r red edges, read through the bound getter
+    ``cell``.  Flipping a blue edge e changes the count by
+    cell(b + s - 1) - cell(b) for b = e * (s + 1), and a red one by
+    cell(b + 1) - cell(b + s), so a proposal reads two cells and nothing
+    else.  An accepted flip moves each copy through e one red count up or
+    down, and each edge of such a copy one cell, by one of two kernels:
+    rows with c_e * s <= _LIST_FLIP_MAX move in Python lists, built on the
+    first ``start``; longer rows move by one numpy ``bincount``.  On rows
+    with c_e * s > _SKIP_FLIP_MIN and s >= 5 the numpy kernel first drops
+    the copies whose move neither enters nor leaves a cell in
+    {0, 1, s - 1, s}, so the other cells of ``hist`` go stale there; only
+    those four are ever read.  A host whose estimated
     build exceeds ENGINE_COPY_BUDGET copies or ENGINE_CELL_BUDGET cells is
     refused before any copy is listed.
     """
@@ -153,43 +172,44 @@ class _CopyEngine:
         masks = copy_edge_masks(pattern, n)
         self.nbits = nbits = pair_count(n)
         self.copies = len(masks)
-        self.size = bin(masks[0]).count("1") if masks else 0
-        width = self.copies * self.size // max(nbits, 1)
-        self.edges = np.empty((self.copies, self.size), dtype=np.min_scalar_type(nbits))
-        inc = np.empty((nbits, width), dtype=np.intp)
-        # a chunk of masks at a time, so no temporary outgrows inc, and each
-        # chunk is freed once copied, so masks and inc do not peak together
-        filled = [0] * nbits
+        self.size = s = bin(masks[0]).count("1") if masks else 0
+        width = self.copies * s // max(nbits, 1)
+        self.edges = np.empty((self.copies, s), dtype=np.min_scalar_type(nbits))
+        # one key per copy-edge cell, edge << 32 | its index in edges.ravel()
+        # (below ENGINE_CELL_BUDGET, so 32 bits hold it): the keys are
+        # distinct, so sorting them lists every edge's copies in increasing
+        # order, in place, at 8 bytes a cell
+        key = np.empty(self.copies * s, dtype=np.uint64)
+        spread = np.zeros(nbits, dtype=np.intp)
+        # a chunk of masks at a time, so no temporary outgrows key, and each
+        # chunk is freed once copied, so masks and key do not peak together
         for lo in range(0, self.copies, _CHUNK):
             bits = _bit_matrix(masks[:_CHUNK], nbits)
             del masks[:_CHUNK]
-            self.edges[lo:lo + len(bits)] = bits.nonzero()[1].reshape(len(bits), self.size)
-            for e in range(nbits):
-                hit = np.flatnonzero(bits[:, e])
-                inc[e, filled[e]:filled[e] + len(hit)] = hit + lo
-                filled[e] += len(hit)
-        if filled != [width] * nbits:
+            part = bits.nonzero()[1]  # the edges of each copy, in order
+            self.edges[lo:lo + len(bits)] = part.reshape(len(bits), s)
+            at = np.arange(lo * s, lo * s + len(part), dtype=np.uint64)
+            key[lo * s:lo * s + len(part)] = part.astype(np.uint64) << 32 | at
+            spread += np.bincount(part, minlength=nbits)
+        if spread.tolist() != [width] * nbits:
             raise AssertionError("copies are not spread evenly over the edges")
-        self.rows = list(inc)
-        # bytes.count tallies only counts below 256
-        self._gather = width <= _GATHER_MAX and self.size < 256
-        self._cell_dtype = np.min_scalar_type(nbits * (self.size + 1))
-        # (gain, loss) red counts for a blue and for a red edge e: blue -> red
-        # makes copies at s - 1 all red and those at 0 no longer all blue;
-        # red -> blue makes copies at 1 all blue and those at s no longer all
-        # red.  An edgeless pattern (s = 0) has no copy through any edge.
-        self._gain_loss = ((max(self.size - 1, 0), 0), (1, self.size))
+        key.sort()
+        key &= 0xFFFFFFFF
+        key //= max(s, 1)
+        self.inc = key.view(np.intp).reshape(nbits, width)
+        self.lists = width * s <= _LIST_FLIP_MAX
+        self.skip = s >= 5 and width * s > _SKIP_FLIP_MIN
         self.bits = 0
-        self.red = np.zeros(self.copies, dtype=np.min_scalar_type(self.size))
-        self.hist = None
-        self._edge, self._gathered = -1, None
+        self._count_dtype = np.min_scalar_type(s)
+        self.red = self.hist = self.cell = None
+        self._base = None  # edges * (s + 1): each copy's cell blocks, built by start
 
     def _red_counts(self, states: Sequence[int]):
         """(copies, len(states)) red-edge counts, a column per coloring."""
         import numpy as np
 
         bits = np.ascontiguousarray(_bit_matrix(states, self.nbits).T)
-        red = np.zeros((self.copies, len(states)), dtype=self.red.dtype)
+        red = np.zeros((self.copies, len(states)), dtype=self._count_dtype)
         for column in self.edges.T:  # the j-th edge of every copy
             red += bits.take(column, axis=0)
         return red
@@ -198,53 +218,70 @@ class _CopyEngine:
         """Make ``bits`` the current coloring; returns its monochromatic count."""
         import numpy as np
 
+        s1 = self.size + 1
+        if self._base is None:
+            self._base = self.edges.astype(np.min_scalar_type(self.nbits * s1)) * s1
+            if self.lists:
+                # per edge e: each copy through e with the blocks of its other edges
+                blocks = self._base.tolist()
+                self._others = [
+                    [(c, [b for b in blocks[c] if b != e * s1]) for c in row]
+                    for e, row in enumerate(self.inc.tolist())
+                ]
         self.bits = bits
         red = self.red = self._red_counts([bits])[:, 0]
-        self._edge = -1
-        if not self._gather:  # row by row, so no (copies, s) temporary
-            self.hist = np.stack([
-                np.bincount(red.take(row), minlength=self.size + 1) for row in self.rows
-            ])
+        # an edge of the copies at a time, so no (copies, s) temporary
+        self.hist = np.zeros(self.nbits * s1, dtype=np.intp)
+        for column in self._base.T:
+            self.hist += np.bincount(column + red, minlength=len(self.hist))
+        if self.lists:
+            self.red, self.hist = red.tolist(), self.hist.tolist()
+            self.cell = self.hist.__getitem__
+        else:
+            self.cell = self.hist.item
         return int(np.count_nonzero(red == 0) + np.count_nonzero(red == self.size))
 
-    def delta(self, e: int) -> int:
-        """Change in the count if edge e flipped color."""
-        gain, loss = self._gain_loss[self.bits >> e & 1]
-        if not self._gather:
-            return self.hist.item(e, gain) - self.hist.item(e, loss)
-        g = self._gathered = self.red.take(self.rows[e])
-        self._edge = e
-        b = g.tobytes()
-        return b.count(gain) - b.count(loss)
-
     def flip(self, e: int) -> None:
-        """Flip edge e, reusing the copy counts the last ``delta(e)`` gathered."""
-        row = self.rows[e]
-        g = self._gathered if self._edge == e else self.red.take(row)
-        down = self.bits >> e & 1  # red -> blue: every count through e drops
-        if not self._gather:
-            import numpy as np
-
-            # each edge of each copy through e leaves cell r for r -/+ 1,
-            # within its own block of s + 1 cells since 0 < r (or r < s)
-            s1 = self.size + 1
-            cells = self.edges.take(row, axis=0).astype(self._cell_dtype)
-            cells *= s1
-            cells += g[:, None]
-            moved = np.bincount(cells.ravel(), minlength=self.nbits * s1)
-            hist = self.hist.reshape(-1)
-            hist -= moved
-            if down:
-                hist[:-1] += moved[1:]
-            else:
-                hist[1:] += moved[:-1]
-        if down:
-            g -= 1
-        else:
-            g += 1
-        self.red[row] = g
+        """Flip edge e: every copy through it gains (or loses) a red edge."""
+        up = not self.bits >> e & 1
         self.bits ^= 1 << e
-        self._edge = -1
+        s, hist, red = self.size, self.hist, self.red
+        if self.lists:
+            # the other edges of each copy through e move one cell; e's own
+            # block, which holds every copy through e, shifts by one
+            step = 1 if up else -1
+            for c, blocks in self._others[e]:
+                r = red[c]
+                red[c] = r + step
+                for b in blocks:
+                    i = b + r
+                    hist[i] -= 1
+                    hist[i + step] += 1
+            b = e * (s + 1)
+            block = hist[b:b + s + 1]
+            hist[b:b + s + 1] = [0] + block[:-1] if up else block[1:] + [0]
+            return
+        import numpy as np
+
+        row = self.inc[e]
+        g = red.take(row)
+        red[row] = g + 1 if up else g - 1
+        if self.skip:
+            # keep the moves that enter or leave a cell in {0, 1, s - 1, s}:
+            # r in {0, 1, s - 2, s - 1} going up, r in {1, 2, s - 1, s} down
+            low, high = (1, s - 2) if up else (2, s - 1)
+            kept = np.flatnonzero((g <= low) | (g >= high))
+            row, g = row.take(kept), g.take(kept)
+        # each edge of each copy through e leaves cell r for r -/+ 1, within
+        # its own block of s + 1 cells since 0 < r (or r < s)
+        cells = self._base.take(row, axis=0)
+        cells += g.astype(cells.dtype)[:, None]
+        moved = np.bincount(cells.ravel(), minlength=len(hist))
+        hist -= moved
+        if up:
+            hist[1:] += moved[:-1]
+        else:
+            hist[:-1] += moved[1:]
 
 
 def _finish(
@@ -381,20 +418,32 @@ def _anneal_restart(
     engine: _CopyEngine, seed: int, config: SearchConfig, initial_bits: int | None
 ) -> tuple[int, int]:
     rng = Random(seed)
-    nbits = engine.nbits
+    nbits, s = engine.nbits, engine.size
     bits = rng.getrandbits(nbits) if initial_bits is None and nbits else (initial_bits or 0)
     cur = engine.start(bits)
     best, best_bits = cur, bits
-    temp = config.initial_temperature
-    for _ in range(config.steps_per_restart if nbits else 0):
-        e = rng.randrange(nbits)
-        d = engine.delta(e)
-        if d <= 0 or rng.random() < math.exp(-d / temp):
-            engine.flip(e)
+    temp, cooling = config.initial_temperature, config.cooling_rate
+    cell, flip, exp = engine.cell, engine.flip, math.exp
+    getrandbits, random = rng.getrandbits, rng.random
+    k, s1 = nbits.bit_length(), s + 1
+    # an edgeless pattern has no copy through any edge: every delta is 0
+    for _ in range(config.steps_per_restart if nbits and s else 0):
+        # rng.randrange(nbits), drawn as Random._randbelow_with_getrandbits does
+        e = getrandbits(k)
+        while e >= nbits:
+            e = getrandbits(k)
+        b = e * s1
+        if bits >> e & 1:
+            d = cell(b + 1) - cell(b + s)
+        else:
+            d = cell(b + s - 1) - cell(b)
+        if d <= 0 or random() < exp(-d / temp):
+            flip(e)
+            bits ^= 1 << e
             cur += d
             if cur < best:
-                best, best_bits = cur, engine.bits
-        temp *= config.cooling_rate
+                best, best_bits = cur, bits
+        temp *= cooling
     return best, best_bits
 
 

@@ -24,7 +24,7 @@ from ramseykit import (
     total_copies_in_complete,
 )
 from ramseykit import search
-from ramseykit.coloring import pair_count
+from ramseykit.coloring import job_seed, pair_count
 from ramseykit.counting import copy_edge_masks
 from ramseykit.search import _CopyEngine
 
@@ -61,67 +61,153 @@ def test_exhaustive_minimum_values(text: str, n: int, minimum: int) -> None:
     assert count_mono(res.witness, parse_pattern(text)) == minimum
 
 
+def _delta(engine, e: int) -> int:
+    """The change flipping edge e would make, read from two histogram cells
+    as ``_anneal_restart`` reads it."""
+    s, b = engine.size, e * (engine.size + 1)
+    if s == 0:  # no copy through any edge, as _anneal_restart assumes
+        return 0
+    if engine.bits >> e & 1:
+        return engine.cell(b + 1) - engine.cell(b + s)
+    return engine.cell(b + s - 1) - engine.cell(b)
+
+
 def _walk_matches_mask_recount(engine, masks, bits, moves) -> None:
-    """Start at ``bits`` and flip each move's edge, asking ``delta`` first
-    where the move says so; every count must match the copy-mask recount."""
+    """Start at ``bits`` and flip each move's edge; every count and every
+    delta, before and after the flip, must match the copy-mask recount, and
+    so must every cell a proposal reads once the walk ends."""
 
     def recount(bits: int) -> int:
         return sum((m & bits == m) + (m & bits == 0) for m in masks)
 
     cur = engine.start(bits)
     assert type(cur) is int and cur == recount(bits)
-    for e, ask_first in moves:
-        if ask_first:
-            d = engine.delta(e)
-            assert type(d) is int and d == recount(bits ^ 1 << e) - recount(bits)
-        else:
-            d = recount(bits ^ 1 << e) - recount(bits)
+    for e in moves:
+        d = _delta(engine, e)
+        assert type(d) is int and d == recount(bits ^ 1 << e) - recount(bits)
         engine.flip(e)
         bits ^= 1 << e
         cur += d
         assert engine.bits == bits
-        if ask_first:  # the reverse move undoes it, on the updated counts
-            assert engine.delta(e) == -d
+        assert _delta(engine, e) == -d  # the reverse move undoes it
+    s = engine.size
+    for e in range(engine.nbits):  # cells 0, 1, s - 1 and s are never stale
+        through = [(m & bits).bit_count() for m in masks if m >> e & 1]
+        for r in {0, 1, s - 1, s} if s else ():
+            assert engine.cell(e * (s + 1) + r) == through.count(r)
     assert engine.start(bits) == cur == recount(bits)
+
+
+# the largest host drawn for each label, so the mask recount stays cheap;
+# P_6, C_6 and S_5 (s >= 5 edges) can run the numpy kernel's unread-cell filter
+ENGINE_LABELS = {"P_1": 12, "P_2": 12, "P_3": 12, "P_4": 12, "C_3": 12, "C_4": 12, "C_5": 12,
+                 "S_1": 12, "S_3": 12, "K3": 12, "K4": 12, "P_6": 8, "C_6": 8, "S_5": 10}
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_copy_engine_matches_mask_recount(data) -> None:
-    label = data.draw(
-        st.sampled_from(["P_1", "P_2", "P_3", "P_4", "C_3", "C_4", "C_5", "S_1", "S_3", "K3", "K4"])
-    )
-    n = data.draw(st.integers(0, 12))
+    label = data.draw(st.sampled_from(sorted(ENGINE_LABELS)))
+    n = data.draw(st.integers(0, ENGINE_LABELS[label]))
     pattern = parse_pattern(label)
     masks = copy_edge_masks(pattern, n)
     nbits = pair_count(n)
     colorings = st.integers(0, (1 << nbits) - 1)
     engine = _CopyEngine(pattern, n)
-    # short rows gather and tally by bytes.count, long rows read a per-edge
-    # histogram: check either path on any rows (an edgeless pattern has no
-    # copy through any edge, so only the gather path applies)
-    engine._gather = data.draw(st.booleans()) or engine.size == 0
+    # either flip kernel, and numpy with or without the unread-cell filter,
+    # whatever the row length
+    engine.lists = data.draw(st.booleans())
+    engine.skip = not engine.lists and engine.size >= 5 and data.draw(st.booleans())
     states = data.draw(st.lists(colorings, min_size=1, max_size=6))
     red = engine._red_counts(states).T.tolist()
     assert red == [[(m & b).bit_count() for m in masks] for b in states]
-    moves = st.tuples(st.integers(0, max(nbits - 1, 0)), st.booleans())
-    _walk_matches_mask_recount(
-        engine, masks, data.draw(colorings), data.draw(st.lists(moves, max_size=12 if nbits else 0))
-    )
+    moves = data.draw(st.lists(st.integers(0, max(nbits - 1, 0)), max_size=12 if nbits else 0))
+    _walk_matches_mask_recount(engine, masks, data.draw(colorings), moves + moves[::-1])
 
 
-@pytest.mark.parametrize("gather", [False, True])
-@pytest.mark.parametrize("label,n", [("C_5", 9), ("P_5", 8)])
-def test_copy_engine_long_rows_match_mask_recount(label: str, n: int, gather: bool) -> None:
+@pytest.mark.parametrize("lists", [False, True])
+@pytest.mark.parametrize(
+    "label,n", [("C_5", 9), ("P_5", 8), ("P_6", 8), ("C_6", 8), ("K4", 10), ("S_5", 9)]
+)
+def test_copy_engine_long_rows_match_mask_recount(label: str, n: int, lists: bool) -> None:
     pattern = parse_pattern(label)
     engine = _CopyEngine(pattern, n)
-    assert len(engine.rows[0]) > search._GATHER_MAX and not engine._gather
-    engine._gather = gather
+    assert engine.inc.shape[1] * engine.size > search._LIST_FLIP_MAX and not engine.lists
+    engine.lists = lists
     rng = Random(n)
     nbits = pair_count(n)
-    moves = [(rng.randrange(nbits), rng.random() < 0.7) for _ in range(40)]
+    moves = [rng.randrange(nbits) for _ in range(40)]
     moves += moves[::-1]  # walk back through the same cells
-    _walk_matches_mask_recount(engine, copy_edge_masks(pattern, n), rng.getrandbits(nbits), moves)
+    masks, bits = copy_edge_masks(pattern, n), rng.getrandbits(nbits)
+    for skip in [False, True] if not lists and engine.size >= 5 else [False]:
+        engine.skip = skip
+        _walk_matches_mask_recount(engine, masks, bits, moves)
+
+
+def test_copy_engine_rows_list_the_copies_through_each_edge_in_order() -> None:
+    for label, n in [("P_4", 6), ("S_3", 7), ("K4", 8)]:
+        masks = copy_edge_masks(parse_pattern(label), n)
+        engine = _CopyEngine(parse_pattern(label), n)
+        assert engine.inc.tolist() == [
+            [c for c, m in enumerate(masks) if m >> e & 1] for e in range(pair_count(n))
+        ]
+
+
+# the anneal bench instances, three long-row hosts, one short and one edgeless
+RESTART_PIN_CASES = [
+    ("P_4", 5), ("S_3", 6), ("K3", 6), ("C_5", 9), ("P_6", 8), ("K3", 12),
+    ("C_4", 12), ("P_7", 9), ("S_3", 12), ("K4", 14), ("P_2", 4), ("P_1", 3),
+]
+# sha256 of repr(_restart_outcomes()), recorded while proposals still
+# gathered short rows and called rng.randrange
+RESTART_OUTCOMES_SHA256 = "49f39f7a83c67237a218dea0467109b7bcc8d7b5eebf1fdf16956a9387b1adb1"
+
+
+def _restart_outcomes() -> list:
+    out = []
+    for label, n in RESTART_PIN_CASES:
+        pattern = parse_pattern(label)
+        engine = _CopyEngine(pattern, n)
+        nbits = pair_count(n)
+        for seed in (1, 2, 3):
+            warm = Random(seed).getrandbits(nbits)
+            for config, initial in [
+                (SearchConfig(seed=seed), None),
+                (SearchConfig(seed=seed, steps_per_restart=0), None),
+                (SearchConfig(seed=seed, initial_temperature=50.0, cooling_rate=0.999), warm),
+            ]:
+                out.append(search._anneal_restart(engine, job_seed(seed, 0), config, initial))
+        res = anneal_min(pattern, n, SearchConfig(seed=4, restarts=1), initial=EdgeColoring(n, 0))
+        out.append((res.best_count, res.witness.serialize()))
+    return out
+
+
+def test_anneal_restart_outcomes_are_pinned() -> None:
+    digest = hashlib.sha256(repr(_restart_outcomes()).encode()).hexdigest()
+    assert digest == RESTART_OUTCOMES_SHA256
+
+
+class _ZeroDeltas:
+    """Engine stand-in: every proposal reads delta 0, so it is accepted with
+    no acceptance draw, and each flipped edge is recorded."""
+
+    def __init__(self, nbits: int):
+        self.nbits, self.size, self.flips = nbits, 1, []
+
+    def start(self, bits: int) -> int:
+        self.cell = lambda i: 0
+        return 0
+
+    def flip(self, e: int) -> None:
+        self.flips.append(e)
+
+
+def test_anneal_draws_each_edge_as_randrange() -> None:
+    for nbits in range(1, 67):
+        engine = _ZeroDeltas(nbits)
+        search._anneal_restart(engine, nbits, SearchConfig(seed=0, steps_per_restart=200), 0)
+        rng = Random(nbits)
+        assert engine.flips == [rng.randrange(nbits) for _ in range(200)]
 
 
 def test_exhaustive_sweeps_every_extension_of_the_smaller_classes() -> None:
@@ -252,6 +338,13 @@ def test_canonical_reps_are_pairwise_distinct() -> None:
         ("cooling_rate", 0.0),
         ("cooling_rate", 1.0),
         ("cooling_rate", float("nan")),
+        ("initial_temperature", True),
+        ("initial_temperature", None),
+        ("initial_temperature", "2.0"),
+        ("initial_temperature", 2j),
+        ("cooling_rate", True),
+        ("cooling_rate", None),
+        ("cooling_rate", "0.9"),
         ("restarts", True),
         ("restarts", 1.5),
         ("restarts", "2"),
