@@ -7,20 +7,24 @@ Counts are unlabeled copies: subgraphs, not embeddings.  A path or cycle on
 a fixed vertex set is one copy regardless of traversal direction; a star is
 a (center, leaf set) pair; a clique is a vertex subset.
 
-Paths and cycles are counted by one walk kernel, `count_walks`, a dynamic
-program over (vertex subset, last vertex) states layered by subset size, so
-memory stays proportional to one layer.  It counts simple directed paths
-from given start vertices; path and cycle counts, and the exact counts of
-the bound checkers in :mod:`ramseykit.regularity`, are calls to it.  The DP
-is exact for any graph but exponential in its length, so the kernel
-estimates its largest layer before allocating and refuses instances above
-DP_STATE_BUDGET.
+Paths and cycles are counted by one walk kernel, `count_walks`: a dynamic
+program over (vertex subset, last vertex) states layered by subset size,
+holding only the layer it reads and the one it builds.  It counts simple
+directed paths from given start vertices; path and cycle counts, and the
+exact counts of the bound checkers in :mod:`ramseykit.regularity`, are
+calls to it.  A large walk over at most DENSE_MAX_VERTICES vertices keeps
+its layers in dense numpy arrays, one entry per (subset, vertex) pair, and
+numpy is imported for those only.  Other walks keep the states they reach
+in a dict; the DP is exact for any graph but exponential in its length, so
+that kernel estimates its largest layer before allocating and refuses
+instances above DP_STATE_BUDGET.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb, factorial, perm
 from typing import Sequence
@@ -29,11 +33,27 @@ from .coloring import BLUE, RED, EdgeColoring, pair_index
 from .errors import CapabilityError, DomainError
 from .structure import SimpleGraph
 
-# states in the largest stored layer of one kernel call.  Peak memory, with
-# the next layer being built, measured 200-260 bytes per state of the largest
-# layer (n=20 P_10: 1.02 M states, +250 MB), so the budget caps a call near
-# 0.5 GB.  The estimate it is compared with is an upper bound on that layer.
+# states in the largest stored layer of one dict kernel call.  Peak memory,
+# with the next layer being built, measured 200-260 bytes per state of the
+# largest layer (n=20 P_10: 1.02 M states, +250 MB), so the budget caps a call
+# near 0.5 GB.  The estimate it is compared with is an upper bound on that
+# layer.
 DP_STATE_BUDGET = 2_000_000
+
+# The dense kernel runs from DENSE_MIN_STATES up: from est 4,096 every
+# measured call was faster than the dict kernel (est 8,192-16,383: median
+# 1.3 ms against 18 ms), while the one-time numpy import (about 0.1 s) stays
+# out of runs whose walks are all smaller, such as `verify --suite bounds`
+# (largest est 7,280 within the vertex cap).  Its universe of m vertices is
+# capped by DENSE_MAX_VERTICES: the subset table takes 4 * 2**m bytes (and as
+# much again for smaller m), 8 MB at m = 20, while m = 24 P_4 took 84 ms and
+# +129 MB against 2 ms on dict.  A dense layer of C(m, s) * m entries
+# measured about 16 bytes an entry with the next one being built (m = 20
+# P_10: 3.7 M entries, +59 MB, 0.16 s against 6.7 s and +302 MB on dict), so
+# every dense call under the cap stays well inside the dict kernel's memory
+# and needs no budget of its own.
+DENSE_MIN_STATES = 10_000
+DENSE_MAX_VERTICES = 20
 
 _PATTERN_RE = re.compile(r"^([PCS])_(\d+)$|^K_?(\d+)$")
 
@@ -120,6 +140,17 @@ def _largest_layer(adj: Sequence[int], nstarts: int, edges: int, inner: int) -> 
     )
 
 
+def _fits_int64(nstarts: int, m: int, edges: int) -> bool:
+    """Whether every count of the dense kernel fits in int64.
+
+    nstarts * perm(m - 1, edges) bounds the walks from the starts through m
+    vertices, and so every sum the kernel forms.  With distinct starts and
+    m <= DENSE_MAX_VERTICES it is at most 20! < 2**63, so within the cap only
+    repeated starts could fail it.
+    """
+    return nstarts * perm(m - 1, edges) < 1 << 63
+
+
 def count_walks(
     adj: Sequence[int], starts: Sequence[int], edges: int, inner: int = -1, end: int = -1
 ) -> int:
@@ -127,19 +158,37 @@ def count_walks(
 
     Vertices after the start lie in the bitmask `inner`, and the last one
     also in `end`.  Paths are vertex sequences: a path is counted once for
-    each of its ends it may start from.  The last step is counted, not
-    stored, so the largest layer holds paths of `edges` - 1 steps; an
-    instance whose estimate of it exceeds DP_STATE_BUDGET raises
-    CapabilityError before any layer is built.
+    each of its ends it may start from, and a repeated start once.  The last
+    step is counted, not stored, so the largest layer holds paths of
+    `edges` - 1 steps; a dict-kernel instance whose estimate of it exceeds
+    DP_STATE_BUDGET raises CapabilityError before any layer is built.
+
+    Instances estimated at DENSE_MIN_STATES or more, over at most
+    DENSE_MAX_VERTICES vertices of ``inner`` and the starts, run in dense
+    numpy layers (`_dense_walks`); the rest keep (subset, last vertex)
+    states in a dict (`_dict_walks`), and only those are held to the budget.
+    Both give the same exact count.
     """
     if edges == 0:
-        return len(starts)
+        return len(set(starts))
     est = _largest_layer(adj, len(starts), edges, inner)
+    if est >= DENSE_MIN_STATES:
+        universe = inner & ((1 << len(adj)) - 1)
+        for v in starts:
+            universe |= 1 << v
+        m = universe.bit_count()
+        if m <= DENSE_MAX_VERTICES and _fits_int64(len(starts), m, edges):
+            return _dense_walks(adj, starts, edges, inner, end)
     if est > DP_STATE_BUDGET:
         raise CapabilityError(
             f"subset DP too large: estimated {est:,} states in its largest "
             f"layer, budget {DP_STATE_BUDGET:,}"
         )
+    return _dict_walks(adj, starts, edges, inner, end)
+
+
+def _dict_walks(adj: Sequence[int], starts: Sequence[int], edges: int, inner: int, end: int) -> int:
+    """`count_walks` for edges >= 1, one dict of (subset, last vertex) states a layer."""
     step = [m & inner for m in adj]
     layer: dict[tuple[int, int], int] = {(1 << v, v): 1 for v in starts}
     for _ in range(edges - 1):
@@ -155,6 +204,118 @@ def count_walks(
         layer = nxt
     return sum(
         cnt * (step[last] & end & ~mask).bit_count() for (mask, last), cnt in layer.items()
+    )
+
+
+@cache
+def _subsets_by_size(m: int):
+    """The subsets of range(m) as uint32 masks, one read-only array per size.
+
+    Each array is in numeric order, which among masks of one size is colex
+    order: the masks of range(m - 1), then those masks of one fewer member
+    with m - 1 added.  So deleting member b from the masks of size s + 1
+    that contain it gives, in order, the masks of size s that lack it.
+    """
+    import numpy as np
+
+    if m == 0:
+        return (np.zeros(1, np.uint32),)
+    prev = _subsets_by_size(m - 1)
+    top = np.uint32(1 << (m - 1))
+    out = [prev[0]]
+    for s in range(1, m + 1):
+        out.append(np.concatenate((prev[s] if s < m else prev[0][:0], prev[s - 1] | top)))
+    for a in out:
+        a.setflags(write=False)
+    return tuple(out)
+
+
+def _dense_walks(adj: Sequence[int], starts: Sequence[int], edges: int, inner: int, end: int) -> int:
+    """`count_walks` for edges >= 1 in dense numpy layers.
+
+    The walks run through the universe of ``inner`` and the starts.  A single
+    start takes its first step here, which keeps it out of the universe.  A
+    walk never leaves the component of its first vertex, so each component
+    holding one is counted on its own by `_dense_component`.
+    """
+    n = len(adj)
+    inner &= (1 << n) - 1
+    starts = set(starts)
+    if len(starts) == 1:
+        (v,) = starts
+        universe = inner & ~(1 << v)
+        seeds = adj[v] & universe
+        edges -= 1
+        if edges == 0:
+            return (seeds & end).bit_count()
+    else:
+        seeds = sum(1 << v for v in starts)
+        universe = inner | seeds
+    total = 0
+    while seeds:
+        comp, front = 0, seeds & -seeds
+        while front:
+            comp |= front
+            reach = 0
+            while front:
+                w = (front & -front).bit_length() - 1
+                front &= front - 1
+                reach |= adj[w] & (universe if inner >> w & 1 else inner)
+            front = reach & universe & ~comp
+        total += _dense_component(adj, seeds & comp, comp, edges, inner, end)
+        seeds &= ~comp
+    return total
+
+
+def _dense_component(adj: Sequence[int], seeds: int, universe: int, edges: int, inner: int,
+                     end: int) -> int:
+    """Walks of `edges` steps from the vertices in `seeds`, in layers over `universe`.
+
+    With m = |universe|, relabelled 0..m-1, layer s is an (m, C(m, s)) array:
+    entry [b, j] counts the walks that visit exactly the j-th s-subset M
+    (in `_subsets_by_size` order) and end at b.  A walk reaches (M, b) only
+    from M - b, so row b of the next layer is the sum of the rows that may
+    step to b, moved from the columns lacking b into the columns holding it:
+    one boolean gather a row, no scatter-add.  The last step sums those rows
+    over the columns lacking b.  Layers are int32 while the walk count bound
+    of `_fits_int64` is below 2**31.
+    """
+    import numpy as np
+
+    verts = [v for v in range(len(adj)) if universe >> v & 1]
+    m = len(verts)
+    if edges >= m:
+        return 0
+    dtype = np.int32 if seeds.bit_count() * perm(m - 1, edges) < 1 << 31 else np.int64
+    # into[b]: the vertices whose step may go to verts[b]; ends: those closing there
+    into = [[c for c, u in enumerate(verts) if adj[u] >> w & inner >> w & 1] for w in verts]
+    ends = [src if end >> w & 1 else [] for w, src in zip(verts, into)]
+    subsets = _subsets_by_size(m)
+
+    def step(cur, src):
+        out = cur[src[0]].copy()
+        for c in src[1:]:
+            out += cur[c]
+        return out
+
+    first = [i for i, w in enumerate(verts) if seeds >> w & 1]
+    cur = np.zeros((m, m), dtype)
+    cur[first, first] = 1
+    lacks = ~np.eye(m, dtype=bool)
+    for s in range(2, edges + 1):
+        holds = np.empty((m, len(subsets[s])), bool)
+        for b, row in enumerate(holds):
+            np.bitwise_and(subsets[s] >> b, 1, out=row, casting="unsafe")
+        nxt = np.zeros(holds.shape, dtype)
+        for row, src, has, lack in zip(nxt, into, holds, lacks):
+            if src:
+                row[has] = step(cur, src)[lack]
+        cur = nxt
+        lacks = np.logical_not(holds, out=holds)
+    return sum(
+        int(step(cur, src).sum(where=lack, dtype=np.int64))
+        for src, lack in zip(ends, lacks)
+        if src
     )
 
 

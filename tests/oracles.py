@@ -52,17 +52,23 @@ def brute_walks(
     starts: Sequence[int],
     edges: int,
     end: int | None = None,
+    inner: int = -1,
+    last: int = -1,
 ) -> int:
     """Simple directed paths with `edges` edges from a vertex in `starts`.
 
     Vertex sequences, so each path is counted once per start it admits;
-    with `end` given, only paths whose last vertex is `end`.
+    with `end` given, only paths whose last vertex is `end`.  The vertices
+    after the start must lie in the bitmask `inner`, and with edges >= 1
+    the last one in the bitmask `last`.
     """
     if edges + 1 > n:
         return 0
     total = 0
     for perm in permutations(range(n), edges + 1):
         if perm[0] not in starts or (end is not None and perm[-1] != end):
+            continue
+        if any(not inner >> v & 1 for v in perm[1:]) or (edges and not last >> perm[-1] & 1):
             continue
         if all(has_edge(perm[i], perm[i + 1]) for i in range(edges)):
             total += 1

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -258,6 +259,22 @@ def test_text_reports_match_golden_outputs(case) -> None:
 
 def test_cli_import_does_not_load_numpy() -> None:
     code = "import sys, ramseykit.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV).returncode == 0
+
+
+def test_bounds_suite_and_small_counts_do_not_load_numpy(tmp_path) -> None:
+    # their walks stay on the dict kernel: numpy's import would cost more
+    # than the dense layers save on them
+    host = tmp_path / "c8.rmc"
+    host.write_bytes(EdgeColoring.random(8, random.Random(8)).serialize())
+    code = (
+        "import contextlib, io, sys\n"
+        "from ramseykit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify', '--suite', 'bounds']),\n"
+        f"             main(['count', '--in', {str(host)!r}, '--pattern', 'P_4'])]\n"
+        "sys.exit(codes != [0, 0] or 'numpy' in sys.modules)"
+    )
     assert subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV).returncode == 0
 
 

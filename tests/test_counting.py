@@ -1,7 +1,7 @@
 import hashlib
 import random
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, perm
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +25,20 @@ from ramseykit import (
     split_coloring,
     total_copies_in_complete,
 )
+from ramseykit import counting
 from ramseykit.coloring import pair_index
-from ramseykit.counting import copy_edge_masks
+from ramseykit.counting import (
+    DENSE_MAX_VERTICES,
+    DENSE_MIN_STATES,
+    _dense_walks,
+    _dict_walks,
+    _fits_int64,
+    _largest_layer,
+    copy_edge_masks,
+    count_walks,
+)
 
-from .oracles import brute_cycles, brute_paths, brute_stars, brute_triangles
+from .oracles import brute_cycles, brute_paths, brute_stars, brute_triangles, brute_walks
 
 
 def random_coloring(n: int, seed: int) -> EdgeColoring:
@@ -207,3 +217,78 @@ def test_oversized_host_raises_capability_error() -> None:
     with pytest.raises(CapabilityError, match="budget"):
         count_mono(split_coloring(12, 12), parse_pattern("P_12"))
     assert count_mono(split_coloring(20, 10), parse_pattern("P_6")) == formula_split_paths(20, 10, 6)
+
+
+def _walk_shapes(adj: list[int], n: int, rng: random.Random):
+    """(starts, inner, end): the shapes `count_walks` is called with, and edge cases."""
+    u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
+    yield range(n), -1, -1  # count_paths
+    for a in sorted({0, n // 2, n - 1}):
+        yield (a,), -1 << (a + 1), adj[a]  # cycle anchor
+    yield (u,), -1, -1  # rooted walk
+    yield (u,), ~(1 << v), adj[v]  # endpoint walk
+    yield (u,), 0, -1  # empty inner
+    yield range(n), 0, -1
+    yield [u, v, u, u], -1, -1  # repeated starts
+    yield rng.sample(range(n), (n + 1) // 2), rng.getrandbits(n), rng.getrandbits(n)
+
+
+def test_dense_and_dict_walk_kernels_agree_with_brute_walks() -> None:
+    # every n <= 10, every shape, every length; brute force where it is cheap
+    rng = random.Random(2016)
+    for n in range(1, 11):
+        for color in (RED, BLUE):
+            view = random_coloring(n, n).view(color)
+            for starts, inner, end in _walk_shapes(view.adj, n, rng):
+                want0 = brute_walks(view.has_edge, n, starts, 0)
+                assert count_walks(view.adj, starts, 0, inner, end) == want0
+                for edges in range(1, n + 1):
+                    got = _dense_walks(view.adj, starts, edges, inner, end)
+                    assert got == _dict_walks(view.adj, starts, edges, inner, end)
+                    if color == RED and perm(n, edges + 1) <= 20_000:
+                        want = brute_walks(view.has_edge, n, starts, edges, inner=inner, last=end)
+                        assert got == want, (n, list(starts), edges, inner, end)
+
+
+@pytest.mark.parametrize("n", range(12, 19))
+def test_dense_walks_match_dict_walks_on_random_and_split_hosts(n: int) -> None:
+    # the path and cycle-anchor walks of P_k and C_k, k about n/2, and k = n
+    # up to 14, on a balanced random coloring and a split coloring
+    rng = random.Random(n)
+    pairs = n * (n - 1) // 2
+    balanced = EdgeColoring(n, sum(1 << e for e in rng.sample(range(pairs), pairs // 2)))
+    split = split_coloring(n - n // 3, n // 3)
+    for coloring, color in ((balanced, rng.choice((RED, BLUE))), (split, RED), (split, BLUE)):
+        adj = coloring.view(color).adj
+        for k in {n // 2, n} if n <= 14 else {n // 2}:
+            calls = [(range(n), -1, -1)]
+            calls += [((a,), -1 << (a + 1), adj[a]) for a in range(n - k + 1)]
+            for starts, inner, end in calls:
+                assert _dense_walks(adj, starts, k - 1, inner, end) == _dict_walks(
+                    adj, starts, k - 1, inner, end
+                )
+
+
+def test_count_walks_runs_dense_only_on_large_walks_over_few_vertices(monkeypatch) -> None:
+    calls = []
+    monkeypatch.setattr(counting, "_dense_walks", lambda *a: calls.append("dense") or 0)
+    monkeypatch.setattr(counting, "_dict_walks", lambda *a: calls.append("dict") or 0)
+    k20 = [((1 << 20) - 1) ^ (1 << v) for v in range(20)]
+    k21 = [((1 << 21) - 1) ^ (1 << v) for v in range(21)]
+    assert _largest_layer(k20, 20, 4, -1) >= DENSE_MIN_STATES
+    assert _largest_layer(k20, 20, 2, -1) < DENSE_MIN_STATES
+    assert DENSE_MAX_VERTICES == 20
+    count_walks(k20, range(20), 4)  # large walk on 20 vertices
+    count_walks(k20, range(20), 2)  # small walk
+    count_walks(k21, range(21), 4)  # large walk on 21 vertices
+    count_walks(k21, range(20), 4, inner=(1 << 20) - 1)  # 20 of its 21 vertices
+    count_walks(k21, (20,), 5, inner=(1 << 20) - 1)  # the start makes 21
+    assert calls == ["dense", "dict", "dict", "dense", "dict"]
+
+
+def test_int64_guard_admits_every_distinct_start_walk_under_the_vertex_cap() -> None:
+    # nstarts * perm(m - 1, edges) bounds every dense sum; with distinct
+    # starts it is at most m! <= 20! < 2**63, so only repeated starts fail
+    assert _fits_int64(20, 20, 19)
+    assert 21 * perm(20, 20) >= 1 << 63 and not _fits_int64(21, 21, 20)
+    assert _fits_int64(3, 20, 19) and not _fits_int64(4 * 20, 20, 19)
