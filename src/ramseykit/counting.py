@@ -88,6 +88,10 @@ class Pattern:
         return self.k
 
     @property
+    def edge_count(self) -> int:
+        return {"path": self.k - 1, "clique": self.k * (self.k - 1) // 2}.get(self.kind, self.k)
+
+    @property
     def label(self) -> str:
         if self.kind == "clique":
             return f"K{self.k}"
@@ -140,17 +144,6 @@ def _largest_layer(adj: Sequence[int], nstarts: int, edges: int, inner: int) -> 
     )
 
 
-def _fits_int64(nstarts: int, m: int, edges: int) -> bool:
-    """Whether every count of the dense kernel fits in int64.
-
-    nstarts * perm(m - 1, edges) bounds the walks from the starts through m
-    vertices, and so every sum the kernel forms.  With distinct starts and
-    m <= DENSE_MAX_VERTICES it is at most 20! < 2**63, so within the cap only
-    repeated starts could fail it.
-    """
-    return nstarts * perm(m - 1, edges) < 1 << 63
-
-
 def count_walks(
     adj: Sequence[int], starts: Sequence[int], edges: int, inner: int = -1, end: int = -1
 ) -> int:
@@ -169,15 +162,13 @@ def count_walks(
     states in a dict (`_dict_walks`), and only those are held to the budget.
     Both give the same exact count.
     """
+    starts = set(starts)
     if edges == 0:
-        return len(set(starts))
+        return len(starts)
     est = _largest_layer(adj, len(starts), edges, inner)
     if est >= DENSE_MIN_STATES:
-        universe = inner & ((1 << len(adj)) - 1)
-        for v in starts:
-            universe |= 1 << v
-        m = universe.bit_count()
-        if m <= DENSE_MAX_VERTICES and _fits_int64(len(starts), m, edges):
+        universe = (inner & ((1 << len(adj)) - 1)) | sum(1 << v for v in starts)
+        if universe.bit_count() <= DENSE_MAX_VERTICES:
             return _dense_walks(adj, starts, edges, inner, end)
     if est > DP_STATE_BUDGET:
         raise CapabilityError(
@@ -277,8 +268,9 @@ def _dense_component(adj: Sequence[int], seeds: int, universe: int, edges: int, 
     from M - b, so row b of the next layer is the sum of the rows that may
     step to b, moved from the columns lacking b into the columns holding it:
     one boolean gather a row, no scatter-add.  The last step sums those rows
-    over the columns lacking b.  Layers are int32 while the walk count bound
-    of `_fits_int64` is below 2**31.
+    over the columns lacking b.  Layers are int32 while seeds * perm(m - 1,
+    edges), which bounds every sum, is below 2**31; int64 always holds it,
+    as distinct seeds make it at most m! <= 20! < 2**63 (DENSE_MAX_VERTICES).
     """
     import numpy as np
 
@@ -458,6 +450,8 @@ def copy_edge_masks(pattern: Pattern, n: int) -> list[int]:
     Enumerated directly from the pattern's structure, so it doubles as an
     independent realization of the counts: a copy is monochromatic in a
     coloring exactly when its mask lands entirely inside one color class.
+    No package code calls it: it is the independent recount that the tests
+    and the benchmark hold the DP and the search engine's own copy list to.
     """
     k = pattern.k
     if pattern.kind == "path" and k == 1:

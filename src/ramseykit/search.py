@@ -1,11 +1,12 @@
 """Minimizing monochromatic pattern counts over colorings of K_n.
 
-One copy-incidence engine counts for every search.  It lists each copy of
-the pattern in K_n once (``copy_edge_masks``), keeps for every edge the
-indices of the copies through it, and keeps a red-edge count per copy: a
-copy with s edges is monochromatic when its count is 0 or s, and an
-edgeless copy is both, so it counts once in each color.  Colorings are
-Python integers, so no host size is capped by a machine word.
+One copy-incidence engine counts for every search.  It lists the edges of
+each copy of the pattern in K_n once, from vertex sequences and
+combinations (``_copy_edges``), keeps for every edge the indices of the
+copies through it, and keeps a red-edge count per copy: a copy with s
+edges is monochromatic when its count is 0 or s, and an edgeless copy is
+both, so it counts once in each color.  Colorings are Python integers, so
+no host size is capped by a machine word.
 
 * ``exhaustive_min`` -- exact minimum by vertex extension.  It takes one
   representative per graph-isomorphism class on n-1 vertices and every red
@@ -22,11 +23,9 @@ Python integers, so no host size is capped by a machine word.
 * ``anneal_min`` -- simulated annealing with single-edge-flip moves and
   restarts, exact=False.  The restarts run one after another on one engine.
   Deterministic for a fixed config: restart i uses a seed derived from
-  (config.seed, i) with a stable hash.  The engine keeps one flat
-  histogram of the red counts of the copies through each edge, so a
-  proposal reads two cells, O(1), on every host, and an accepted flip
-  costs O(c_e * s) for c_e copies per edge of s edges each: in Python
-  lists on short rows, by numpy on long ones.
+  (config.seed, i) with a stable hash.  A proposal reads two cells of the
+  engine's histogram, O(1) on every host; an accepted flip costs O(c_e * s)
+  for c_e copies per edge of s edges each.
 
 Witness tie-break everywhere: the serialized form that is lexicographically
 least among optimal colorings found.  numpy is imported by the engine, not
@@ -39,6 +38,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations, permutations
 from random import Random
 from typing import Iterable, Sequence
 
@@ -50,7 +50,7 @@ from .coloring import (
     pair_count,
     pair_index,
 )
-from .counting import Pattern, copy_edge_masks, count_mono, total_copies_in_complete
+from .counting import Pattern, count_mono, total_copies_in_complete
 from .errors import CapabilityError, DomainError
 from .formulas import r_cycle, r_path
 
@@ -61,19 +61,18 @@ RAW_ENUM_MAX_N = 6
 # n = 8 (12,346 classes from 133,632 canonicity tests) takes 9.5-10.6 s on a
 # shared two-core host, Python 3.11; n = 9 would run about 3.2 M tests
 CLASS_REPS_MAX_N = 8
-_CHUNK = 4096  # copies handled per numpy pass
-# engine build cost, measured on a shared two-core host (Python 3.11): about
-# 2 us per copy listed by copy_edge_masks plus 8 ns per (copy, edge of K_n)
-# cell to unpack the masks into bits; sorting the copy-edge keys is a few ms
-# per 100,000 copies.  P_7/9 (90,720 copies, 3.3 M cells) builds in 0.3 s at
-# 42 MB max RSS, P_8/10 (907,200 copies, 41 M cells) in 2.4-2.7 s at 99 MB,
-# K4/40 (91,390 copies, 71 M cells) in 0.8 s at 54 MB and K3/60 (34,220
-# copies, 61 M cells) in 0.6 s at 62 MB; so a build within both budgets
-# stays near 3 s and 100 MB
-ENGINE_COPY_BUDGET = 1_000_000
-ENGINE_CELL_BUDGET = 100_000_000
+# ENGINE_CELL_BUDGET caps copies * s copy-edge cells (edges, the sort keys that
+# become inc, the cell blocks) plus nbits * (s + 1) histogram cells.  On a shared
+# two-core host (Python 3.11), peak RSS grows 12.6 bytes a cell on P_8/11 (23 M
+# cells: 2.6-3.9 s, 312 MB after one start) and 19 on S_1/3500 and P_2/4000 (24 M
+# cells: 501 and 439 MB), so an engine stays near 0.5 GB.  Below 2**32, 32 bits
+# of a sort key hold a cell's index.
+ENGINE_CELL_BUDGET = 25_000_000
 # an accepted flip on rows of c_e copies with s edges each moves c_e * s
-# histogram cells: up to _LIST_FLIP_MAX in Python lists, more by numpy.
+# histogram cells: up to _LIST_FLIP_MAX in Python lists, more by numpy.  The
+# lists take about 170 bytes a cell (P_2/1500: 3.4 M cells, +570 MB), so they
+# serve s >= 2 only, where c_e grows with n and list rows end by K3/44 (43,516
+# cells); annealing never flips an edge of a pattern with s <= 1.
 # Past _SKIP_FLIP_MIN, with s >= 5, numpy first drops the copies whose move
 # no proposal reads; its extra calls cost about 5 us a flip, which shorter
 # rows do not win back (K4/14: 11 us a flip without, 16 us with; P_7/9:
@@ -122,14 +121,40 @@ class MinimizationResult:
     method: str
 
 
-def _bit_matrix(values: Sequence[int], nbits: int):
-    """(len(values), nbits) uint8 array: bit e of values[r] at [r, e]."""
+def _copy_edges(pattern: Pattern, n: int):
+    """(copies, s) array: the edges of each copy of the pattern in K_n,
+    ascending in each row, the copies in ``copy_edge_masks`` order.
+
+    A copy is a vertex tuple from itertools: a path from its smaller end, a
+    cycle from its least vertex towards its smaller neighbour, a star from
+    its center, a clique ascending.  Its edges join the tuple positions in
+    ``links``, looked up in an n x n pair-index table."""
     import numpy as np
 
-    width = (nbits + 7) // 8
-    raw = b"".join(v.to_bytes(width, "little") for v in values)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), width)
-    return np.unpackbits(rows, axis=1, count=nbits, bitorder="little")
+    kind, k = pattern.kind, pattern.k
+    if kind == "path":
+        seqs, links = permutations(range(n), k), [(i, i + 1) for i in range(k - 1)]
+    elif kind == "cycle":
+        seqs = ((v, *rest) for v in range(n) for rest in permutations(range(v + 1, n), k - 1))
+        links = [(i, (i + 1) % k) for i in range(k)]
+    elif kind == "star":
+        seqs = ((c, *leaves) for c in range(n)
+                for leaves in combinations([*range(c), *range(c + 1, n)], k))
+        links = [(0, i) for i in range(1, k + 1)]
+    else:
+        seqs, links = combinations(range(n), k), list(combinations(range(k), 2))
+    verts = np.fromiter(chain.from_iterable(seqs), np.min_scalar_type(n))
+    verts = verts.reshape(-1, pattern.vertex_count)
+    if kind in ("path", "cycle"):  # one direction: first (or second) vertex below the last
+        verts = verts[verts[:, int(kind == "cycle")] <= verts[:, -1]]  # P_1: first is last
+    pairs = np.zeros((n, n), np.min_scalar_type(pair_count(n)))
+    u, w = np.triu_indices(n, 1)  # every pair {u < w}, in pair_index order
+    pairs[u, w] = pairs[w, u] = np.arange(len(u))
+    edges = np.empty((len(verts), len(links)), pairs.dtype)
+    for j, (a, b) in enumerate(links):
+        edges[:, j] = pairs[verts[:, a], verts[:, b]]
+    edges.sort(axis=1)
+    return edges
 
 
 class _CopyEngine:
@@ -148,68 +173,57 @@ class _CopyEngine:
     cell(b + 1) - cell(b + s), so a proposal reads two cells and nothing
     else.  An accepted flip moves each copy through e one red count up or
     down, and each edge of such a copy one cell, by one of two kernels:
-    rows with c_e * s <= _LIST_FLIP_MAX move in Python lists, built on the
-    first ``start``; longer rows move by one numpy ``bincount``.  On rows
-    with c_e * s > _SKIP_FLIP_MIN and s >= 5 the numpy kernel first drops
-    the copies whose move neither enters nor leaves a cell in
-    {0, 1, s - 1, s}, so the other cells of ``hist`` go stale there; only
-    those four are ever read.  A host whose estimated
-    build exceeds ENGINE_COPY_BUDGET copies or ENGINE_CELL_BUDGET cells is
-    refused before any copy is listed.
+    rows with c_e * s <= _LIST_FLIP_MAX and s >= 2 move in Python lists,
+    others by one numpy ``bincount``.  On rows with c_e * s > _SKIP_FLIP_MIN
+    and s >= 5 the numpy kernel first drops the copies whose move neither
+    enters nor leaves a cell in {0, 1, s - 1, s}, so the other cells of
+    ``hist`` go stale there; only those four are ever read.  A host whose
+    copy-edge and histogram cells exceed ENGINE_CELL_BUDGET is refused
+    before any copy is listed.
     """
 
     def __init__(self, pattern: Pattern, n: int):
+        s, nbits = pattern.edge_count, pair_count(n)
         copies = total_copies_in_complete(n, pattern)
-        cells = copies * pair_count(n)
-        if copies > ENGINE_COPY_BUDGET or cells > ENGINE_CELL_BUDGET:
+        cells = copies * s + nbits * (s + 1)
+        if cells > ENGINE_CELL_BUDGET:
             raise CapabilityError(
                 f"copy engine too large: estimated {copies:,} copies of {pattern.label} "
-                f"in K_{n} ({cells:,} copy-edge cells), budget {ENGINE_COPY_BUDGET:,} "
-                f"copies and {ENGINE_CELL_BUDGET:,} cells"
+                f"in K_{n} ({copies * s:,} copy-edge cells and {nbits * (s + 1):,} "
+                f"histogram cells), budget {ENGINE_CELL_BUDGET:,} cells"
             )
         import numpy as np
 
-        masks = copy_edge_masks(pattern, n)
-        self.nbits = nbits = pair_count(n)
-        self.copies = len(masks)
-        self.size = s = bin(masks[0]).count("1") if masks else 0
-        width = self.copies * s // max(nbits, 1)
-        self.edges = np.empty((self.copies, s), dtype=np.min_scalar_type(nbits))
-        # one key per copy-edge cell, edge << 32 | its index in edges.ravel()
-        # (below ENGINE_CELL_BUDGET, so 32 bits hold it): the keys are
-        # distinct, so sorting them lists every edge's copies in increasing
-        # order, in place, at 8 bytes a cell
-        key = np.empty(self.copies * s, dtype=np.uint64)
-        spread = np.zeros(nbits, dtype=np.intp)
-        # a chunk of masks at a time, so no temporary outgrows key, and each
-        # chunk is freed once copied, so masks and key do not peak together
-        for lo in range(0, self.copies, _CHUNK):
-            bits = _bit_matrix(masks[:_CHUNK], nbits)
-            del masks[:_CHUNK]
-            part = bits.nonzero()[1]  # the edges of each copy, in order
-            self.edges[lo:lo + len(bits)] = part.reshape(len(bits), s)
-            at = np.arange(lo * s, lo * s + len(part), dtype=np.uint64)
-            key[lo * s:lo * s + len(part)] = part.astype(np.uint64) << 32 | at
-            spread += np.bincount(part, minlength=nbits)
-        if spread.tolist() != [width] * nbits:
-            raise AssertionError("copies are not spread evenly over the edges")
+        self.edges = _copy_edges(pattern, n)
+        self.copies, self.size, self.nbits = copies, s, nbits
+        width = copies * s // max(nbits, 1)
+        # one key per copy-edge cell, edge << 32 | its index in edges.ravel(),
+        # built a column at a time: the keys are distinct, so sorting them in
+        # place lists every edge's copies in increasing order, at 8 bytes a cell
+        key = np.arange(copies * s, dtype=np.uint64).reshape(copies, s)
+        for j, column in enumerate(self.edges.T):
+            key[:, j] |= np.left_shift(column, 32, dtype=np.uint64)
+        key = key.ravel()
         key.sort()
         key &= 0xFFFFFFFF
         key //= max(s, 1)
         self.inc = key.view(np.intp).reshape(nbits, width)
-        self.lists = width * s <= _LIST_FLIP_MAX
+        self.lists = s >= 2 and width * s <= _LIST_FLIP_MAX
         self.skip = s >= 5 and width * s > _SKIP_FLIP_MIN
-        self.bits = 0
-        self._count_dtype = np.min_scalar_type(s)
-        self.red = self.hist = self.cell = None
-        self._base = None  # edges * (s + 1): each copy's cell blocks, built by start
+        self._base = self.edges.astype(np.min_scalar_type(nbits * (s + 1)))  # cell blocks
+        self._base *= s + 1
+        self._others = None  # the list kernel's rows, built by the first start using them
 
     def _red_counts(self, states: Sequence[int]):
         """(copies, len(states)) red-edge counts, a column per coloring."""
         import numpy as np
 
-        bits = np.ascontiguousarray(_bit_matrix(states, self.nbits).T)
-        red = np.zeros((self.copies, len(states)), dtype=self._count_dtype)
+        width = (self.nbits + 7) // 8
+        raw = b"".join(v.to_bytes(width, "little") for v in states)
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(states), width)
+        # bit e of states[j] at [e, j]
+        bits = np.unpackbits(rows.T, axis=0, count=self.nbits, bitorder="little")
+        red = np.zeros((self.copies, len(states)), dtype=np.min_scalar_type(self.size))
         for column in self.edges.T:  # the j-th edge of every copy
             red += bits.take(column, axis=0)
         return red
@@ -219,15 +233,13 @@ class _CopyEngine:
         import numpy as np
 
         s1 = self.size + 1
-        if self._base is None:
-            self._base = self.edges.astype(np.min_scalar_type(self.nbits * s1)) * s1
-            if self.lists:
-                # per edge e: each copy through e with the blocks of its other edges
-                blocks = self._base.tolist()
-                self._others = [
-                    [(c, [b for b in blocks[c] if b != e * s1]) for c in row]
-                    for e, row in enumerate(self.inc.tolist())
-                ]
+        if self.lists and self._others is None:
+            # per edge e: each copy through e with the blocks of its other edges
+            blocks = self._base.tolist()
+            self._others = [
+                [(c, [b for b in blocks[c] if b != e * s1]) for c in row]
+                for e, row in enumerate(self.inc.tolist())
+            ]
         self.bits = bits
         red = self.red = self._red_counts([bits])[:, 0]
         # an edge of the copies at a time, so no (copies, s) temporary
@@ -236,9 +248,7 @@ class _CopyEngine:
             self.hist += np.bincount(column + red, minlength=len(self.hist))
         if self.lists:
             self.red, self.hist = red.tolist(), self.hist.tolist()
-            self.cell = self.hist.__getitem__
-        else:
-            self.cell = self.hist.item
+        self.cell = self.hist.__getitem__ if self.lists else self.hist.item
         return int(np.count_nonzero(red == 0) + np.count_nonzero(red == self.size))
 
     def flip(self, e: int) -> None:
@@ -426,8 +436,9 @@ def _anneal_restart(
     cell, flip, exp = engine.cell, engine.flip, math.exp
     getrandbits, random = rng.getrandbits, rng.random
     k, s1 = nbits.bit_length(), s + 1
-    # an edgeless pattern has no copy through any edge: every delta is 0
-    for _ in range(config.steps_per_restart if nbits and s else 0):
+    # a copy of at most one edge is always monochromatic: with no copy of two
+    # or more edges every delta is 0, so no step can improve the start
+    for _ in range(config.steps_per_restart if engine.copies and s >= 2 else 0):
         # rng.randrange(nbits), drawn as Random._randbelow_with_getrandbits does
         e = getrandbits(k)
         while e >= nbits:
@@ -524,14 +535,9 @@ def ramsey_via_search(
                 return SearchRamseyResult(pattern, n, n)
             lower = n + 1
             continue
-        found_zero = False
-        for a in range(n + 1):
-            if count_mono(split_coloring(a, n - a), pattern) == 0:
-                found_zero = True
-                break
+        found_zero = any(count_mono(split_coloring(a, n - a), pattern) == 0 for a in range(n + 1))
         if not found_zero and config is not None:
-            if anneal_min(pattern, n, config).best_count == 0:
-                found_zero = True
+            found_zero = anneal_min(pattern, n, config).best_count == 0
         if not found_zero:
             return SearchRamseyResult(pattern, lower, None)
         lower = n + 1

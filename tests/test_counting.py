@@ -32,7 +32,6 @@ from ramseykit.counting import (
     DENSE_MIN_STATES,
     _dense_walks,
     _dict_walks,
-    _fits_int64,
     _largest_layer,
     copy_edge_masks,
     count_walks,
@@ -248,6 +247,10 @@ def test_dense_and_dict_walk_kernels_agree_with_brute_walks() -> None:
                     if color == RED and perm(n, edges + 1) <= 20_000:
                         want = brute_walks(view.has_edge, n, starts, edges, inner=inner, last=end)
                         assert got == want, (n, list(starts), edges, inner, end)
+    # a Hamiltonian walk of K_20 from every start listed four times: each of
+    # the 20! vertex orders once, as from the distinct starts
+    k20 = [((1 << 20) - 1) ^ (1 << v) for v in range(20)]
+    assert count_walks(k20, list(range(20)) * 4, 19) == factorial(20)
 
 
 @pytest.mark.parametrize("n", range(12, 19))
@@ -283,12 +286,7 @@ def test_count_walks_runs_dense_only_on_large_walks_over_few_vertices(monkeypatc
     count_walks(k21, range(21), 4)  # large walk on 21 vertices
     count_walks(k21, range(20), 4, inner=(1 << 20) - 1)  # 20 of its 21 vertices
     count_walks(k21, (20,), 5, inner=(1 << 20) - 1)  # the start makes 21
-    assert calls == ["dense", "dict", "dict", "dense", "dict"]
-
-
-def test_int64_guard_admits_every_distinct_start_walk_under_the_vertex_cap() -> None:
-    # nstarts * perm(m - 1, edges) bounds every dense sum; with distinct
-    # starts it is at most m! <= 20! < 2**63, so only repeated starts fail
-    assert _fits_int64(20, 20, 19)
-    assert 21 * perm(20, 20) >= 1 << 63 and not _fits_int64(21, 21, 20)
-    assert _fits_int64(3, 20, 19) and not _fits_int64(4 * 20, 20, 19)
+    # repeated starts count once, so 80 listed starts bound no more walks
+    # than 20 distinct ones: 20! < 2**63 <= 80 * perm(19, 19)
+    count_walks(k20, list(range(20)) * 4, 19)
+    assert calls == ["dense", "dict", "dict", "dense", "dict", "dense"]

@@ -11,6 +11,7 @@ from ramseykit import (
     CapabilityError,
     DomainError,
     EdgeColoring,
+    Pattern,
     SearchConfig,
     anneal_min,
     canonical_graph_reps,
@@ -21,7 +22,6 @@ from ramseykit import (
     r_path,
     ramsey_via_search,
     split_coloring,
-    total_copies_in_complete,
 )
 from ramseykit import search
 from ramseykit.coloring import job_seed, pair_count
@@ -151,6 +151,21 @@ def test_copy_engine_rows_list_the_copies_through_each_edge_in_order() -> None:
         assert engine.inc.tolist() == [
             [c for c, m in enumerate(masks) if m >> e & 1] for e in range(pair_count(n))
         ]
+    # the engine lists its copies from vertex sequences, the masks by their
+    # own walk: row c of edges is the ascending edges of mask c, on every
+    # host up to K_9, with no copy or (P_1) no edge among them
+    def edge_list(mask: int) -> list[int]:
+        return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+    for kind, ks in (("path", range(1, 7)), ("cycle", range(3, 7)), ("star", range(1, 7)),
+                     ("clique", range(2, 6))):
+        for k in ks:
+            pattern = Pattern(kind, k)
+            for n in range(10):
+                edges = _CopyEngine(pattern, n).edges
+                masks = copy_edge_masks(pattern, n)
+                assert edges.shape == (len(masks), pattern.edge_count), (kind, k, n)
+                assert edges.tolist() == [edge_list(m) for m in masks], (kind, k, n)
 
 
 # the anneal bench instances, three long-row hosts, one short and one edgeless
@@ -191,8 +206,8 @@ class _ZeroDeltas:
     """Engine stand-in: every proposal reads delta 0, so it is accepted with
     no acceptance draw, and each flipped edge is recorded."""
 
-    def __init__(self, nbits: int):
-        self.nbits, self.size, self.flips = nbits, 1, []
+    def __init__(self, nbits: int, copies: int = 1, size: int = 2):
+        self.nbits, self.size, self.copies, self.flips = nbits, size, copies, []
 
     def start(self, bits: int) -> int:
         self.cell = lambda i: 0
@@ -208,6 +223,12 @@ def test_anneal_draws_each_edge_as_randrange() -> None:
         search._anneal_restart(engine, nbits, SearchConfig(seed=0, steps_per_restart=200), 0)
         rng = Random(nbits)
         assert engine.flips == [rng.randrange(nbits) for _ in range(200)]
+    # a host with no copy, such as P_5 in K_4, or only copies of one edge or
+    # none (P_2, S_1, P_1), runs no step at all
+    for copies, size in [(0, 4), (6, 1), (4, 0)]:
+        engine = _ZeroDeltas(6, copies, size)
+        search._anneal_restart(engine, 6, SearchConfig(seed=0, steps_per_restart=200), 0)
+        assert engine.flips == []
 
 
 def test_exhaustive_sweeps_every_extension_of_the_smaller_classes() -> None:
@@ -369,13 +390,39 @@ def test_anneal_refuses_a_host_past_the_copy_budget_quickly() -> None:
     assert time.perf_counter() - started < 1
 
 
-@pytest.mark.parametrize("text,n", [("S_1", 700), ("K4", 60)])
-def test_engine_refuses_wide_hosts_by_cells(text: str, n: int) -> None:
-    # under the copy budget, but the incidence scan would read too many cells
-    pattern = parse_pattern(text)
-    assert total_copies_in_complete(n, pattern) <= search.ENGINE_COPY_BUDGET
-    with pytest.raises(CapabilityError, match="cells"):
-        anneal_min(pattern, n, SearchConfig(seed=1))
+class _Admitted(Exception):
+    pass
+
+
+def test_engine_budget_admits_the_threshold_host_of_p8(monkeypatch) -> None:
+    # r(P_8) = 11: 3,326,400 copies of 7 edges fit the budget; nothing is listed here
+    def admitted(pattern, n):
+        raise _Admitted
+
+    monkeypatch.setattr(search, "_copy_edges", admitted)
+    with pytest.raises(_Admitted):
+        _CopyEngine(parse_pattern("P_8"), 11)
+
+
+@pytest.mark.parametrize(
+    "text,n,estimate",
+    [
+        pytest.param("P_8", 12, "9,979,200 copies of P_8 in K_12 (69,854,400 copy-edge cells",
+                     id="P_8-12"),
+        # no copy-edge cell at all, but a histogram cell per edge of K_n
+        pytest.param("P_1", 10_000, "(0 copy-edge cells and 49,995,000 histogram cells)",
+                     id="P_1-10000"),
+    ],
+)
+def test_engine_refuses_a_host_past_the_cell_budget_quickly(
+    text: str, n: int, estimate: str
+) -> None:
+    started = time.perf_counter()
+    with pytest.raises(CapabilityError) as refused:
+        anneal_min(parse_pattern(text), n, SearchConfig(seed=1))
+    assert time.perf_counter() - started < 1
+    assert estimate in str(refused.value)
+    assert f"budget {search.ENGINE_CELL_BUDGET:,} cells" in str(refused.value)
 
 
 @given(st.integers(0, 2**31 - 1))
