@@ -182,6 +182,28 @@ def test_sampled_verdicts_are_pinned() -> None:
     assert sample_panel_digest() == SAMPLE_PANEL_SHA256
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=200, deadline=None)
+def test_counterparts_deviate_most_at_the_least_size(seed: int) -> None:
+    # The mean degree into S of the s vertices of largest (smallest) degree
+    # falls (rises) with s, so every counterpart density lies between the
+    # two at the least admissible size lo, and none deviates further.
+    rng = random.Random(seed)
+    a, b = rng.randint(1, 10), rng.randint(1, 12)
+    g = random_bipartite(a, b, rng.random(), seed)
+    base = pair_density(g, range(a), range(a, a + b))
+    eps = Fraction(str(rng.choice(PIN_EPS)))
+    subset = rng.sample(range(a), rng.randint(1, a))
+    degs = sorted(sum(g.has_edge(x, y) for x in subset) for y in range(a, a + b))
+    lo = -(-eps.numerator * b // eps.denominator)
+
+    def worst(s: int) -> Fraction:
+        top, bottom = sum(degs[-s:]), sum(degs[:s])
+        return max(abs(Fraction(t, len(subset) * s) - base) for t in (top, bottom))
+
+    assert max(worst(s) for s in range(lo, b + 1)) == worst(lo)
+
+
 def minus_matching(a: int):
     """Complete bipartite pair with a perfect matching removed."""
     from ramseykit import SimpleGraph
@@ -447,6 +469,42 @@ def test_reduced_graph_sample_mode_marks_evidence_only() -> None:
     assert rg.mode == "sample"
     assert all(ann.evidence_only for ann in rg.annotations.values())
     assert rg.red_edges and rg.blue_edges
+
+
+# sha256 of every annotation and both edge sets of 20 reduced graphs per
+# mode, recorded while build_reduced still recounted each pair density
+REDUCED_SHA256 = {
+    "exact": "7cab5b8ea13357f851d55f83f48afdd283352764e4a1a0830d00d5f78b6c6b82",
+    "sample": "4fad13f4e3ce60e84465aeeab19d5b437b579c8b0c1d1fd2cd3ff318ecf8dba1",
+}
+
+
+def reduced_panel_digest(mode: str) -> str:
+    digest = hashlib.sha256()
+    for i in range(20):
+        rng = random.Random(f"reduced:{mode}:{i}")
+        n = rng.randint(4, 18)
+        labels = list(range(n))
+        rng.shuffle(labels)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(5, n - 1))))
+        parts = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        rg = build_reduced(
+            EdgeColoring.random(n, rng), VertexPartition.from_parts(n, parts),
+            rng.choice(PIN_EPS), rng.choice((0, 0.25, 0.5, Fraction(2, 3))),
+            mode=mode, trials=rng.choice((1, 20, 200)), seed=i,
+        )
+        digest.update(repr((sorted(rg.red_edges), sorted(rg.blue_edges))).encode())
+        for key, ann in sorted(rg.annotations.items()):
+            record = (key, sorted(ann.density.items()), sorted(ann.regular.items()))
+            digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["exact", "sample"])
+def test_reduced_graphs_are_pinned(mode: str) -> None:
+    # 2-6 parts of shuffled labels covering K_n, n <= 18, so every part
+    # stays under the exact cap; eps, d and trials drawn per graph
+    assert reduced_panel_digest(mode) == REDUCED_SHA256[mode]
 
 
 # --- dichotomy and near-split detection ----------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 from math import comb
@@ -118,6 +119,54 @@ def test_disjoint_path_certificates_validate_and_exact_is_optimal(
     greedy = disjoint_short_paths(g, u, v, max_len, method="greedy")
     greedy.validate(g)
     assert len(greedy.paths) <= want
+
+
+# sha256 of greedy families and well-connectedness reports on seeded random
+# graphs, recorded while the breadth-first search still took the direct edge
+GREEDY_PATHS_SHA256 = "a3232247476f78cc0dbfaeeeb2218da1a1ac69e785a7210749817f1e1a637235"
+WELL_CONNECTED_SHA256 = "71a5916f01415f26fb59dd6b9270eb2f681c7877bb67e58781b01987c2aa3881"
+
+
+def random_graph(rng: random.Random, n: int) -> SimpleGraph:
+    p = rng.choice((0.2, 0.4, 0.6, 0.8))
+    return SimpleGraph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def greedy_panel_digest() -> str:
+    # t_target None, -1 and 0 through 3 and max_len 1 to 6 on each graph
+    digest = hashlib.sha256()
+    for i in range(100):
+        rng = random.Random(f"greedy:{i}")
+        g = random_graph(rng, rng.randint(2, 16))
+        u, v = rng.sample(range(g.n), 2)
+        for t_target in (None, -1, 0, 1, 2, 3):
+            for max_len in range(1, 7):
+                cert = disjoint_short_paths(g, u, v, max_len, t_target=t_target)
+                digest.update(repr((t_target, max_len, cert.paths)).encode())
+    return digest.hexdigest()
+
+
+def well_connected_panel_digest() -> str:
+    digest = hashlib.sha256()
+    for i in range(60):
+        rng = random.Random(f"well:{i}")
+        g = random_graph(rng, rng.randint(2, 16))
+        witness = rng.sample(range(g.n), rng.randint(1, g.n))
+        for t in (1, 2, 3):
+            for max_len in range(1, 7):
+                r = well_connected_check(g, witness, t, max_len)
+                certs = sorted((k, c.paths, c.exact) for k, c in r.certificates.items())
+                record = (r.status, r.failing_pair, r.failing_count, r.unknown_pairs, certs)
+                digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+def test_greedy_path_families_are_pinned() -> None:
+    assert greedy_panel_digest() == GREEDY_PATHS_SHA256
+
+
+def test_well_connected_reports_are_pinned() -> None:
+    assert well_connected_panel_digest() == WELL_CONNECTED_SHA256
 
 
 def test_exact_paths_use_the_middle_layer_at_length_four() -> None:
