@@ -21,6 +21,7 @@ afterwards.
 from __future__ import annotations
 
 import hashlib
+from itertools import product
 from random import Random
 from typing import Iterable, Sequence
 
@@ -242,15 +243,11 @@ def split_coloring(a: int, b: int, flips: Sequence[tuple[int, int]] = ()) -> Edg
     flips = [tuple(f) for f in flips]
     if a < 0 or b < 0:
         raise InvalidSpecError("part sizes must be nonnegative")
-    n = a + b
-    bits = 0
-    for i in range(a):
-        for j in range(a, n):
-            bits |= 1 << pair_index(n, i, j)
     for flip in flips:
         if len(flip) != 2:
             raise InvalidSpecError(f"flip {flip!r} is not a pair")
-    return EdgeColoring(n, bits).with_flipped(flips)
+    n = a + b
+    return EdgeColoring.from_red_edges(n, product(range(a), range(a, n))).with_flipped(flips)
 
 
 # ---------------------------------------------------------------------------

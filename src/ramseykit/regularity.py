@@ -9,13 +9,13 @@ compare closed-form lower bounds for bipartite path counts against
 exact counts.
 
 Both regularity checkers run one counterpart scan: for a subset S of one
-side and each admissible size s, the s vertices of the other side of
-largest and of smallest degree into S attain the extreme densities, so no
-other counterpart needs visiting.  The exhaustive checker enumerates S over
-the smaller side and keeps the largest deviation; the sampler draws S at
-random and stops at the first deviation beyond eps.  Every vertex set
-passed in as a part goes through one check: nonempty, in range, without
-repeats and disjoint from the other parts.
+side, the lo vertices of the other side of largest and of smallest degree
+into S, lo its least admissible size, deviate furthest from the base
+density, so no other counterpart of any size needs visiting.  The
+exhaustive checker enumerates S over the smaller side and keeps the largest
+deviation; the sampler draws S at random and stops at the first deviation
+beyond eps.  Every vertex set passed in as a part goes through one check:
+nonempty, in range, without repeats and disjoint from the other parts.
 
 Conventions
 -----------
@@ -43,9 +43,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from random import Random
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .coloring import BLUE, RED, EdgeColoring, job_seed, other_color
 from .counting import count_walks
@@ -147,17 +146,17 @@ def _check_pair_inputs(
 
 def _counterparts(
     adj: Sequence[int], smask: int, other: Sequence[int], lo: int, p: int, q: int
-) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
-    """Yield (n, d, T) with |d(S,T) - p/q| = n/d in scan order: for each
-    size s >= lo, T the s vertices of `other` of largest and then of
-    smallest degree into S, as (degree, vertex) pairs sorted by both."""
+) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """(n, d, T) with |d(S,T) - p/q| = n/d for T the lo vertices of `other` of
+    largest and then of smallest degree into S, as (degree, vertex) pairs
+    sorted by both.  The mean degree into S of the s vertices of largest
+    (smallest) degree falls (rises) with s, so no larger T deviates further."""
     degs = sorted(((adj[w] & smask).bit_count(), w) for w in other)
-    prefix = [0, *accumulate(deg for deg, _ in degs)]
-    u, k = smask.bit_count(), len(degs)
-    for s in range(lo, k + 1):
-        top, bottom = prefix[k] - prefix[k - s], prefix[s]
-        for t, pick in ((top, degs[k - s :]), (bottom, degs[:s])):
-            yield abs(t * q - p * u * s), q * u * s, pick
+    u = smask.bit_count()
+    return [
+        (abs(sum(deg for deg, _ in pick) * q - p * u * lo), q * u * lo, pick)
+        for pick in (degs[len(degs) - lo :], degs[:lo])
+    ]
 
 
 def _oriented(
@@ -177,10 +176,10 @@ def eps_regular_exact(
     The pair is eps-regular when every U subset of X, V subset of Y with
     |U| >= eps|X| and |V| >= eps|Y| satisfies |d(U,V) - d(X,Y)| <= eps.
     Subsets U of the smaller side (k vertices) are enumerated; on the other
-    side (m vertices) only the s vertices of largest, respectively
-    smallest, degree into U matter, so the check costs 2^k sorts of m
-    integers: 0.08 s on a dense random 14x14 pair, 1.2-1.4 s at the 18x18
-    cap (Python 3.11, shared two-core host).  All comparisons are exact.
+    side (m vertices) only the ceil(eps m) of largest and of smallest degree
+    into U matter, so the check costs 2^k sorts of m integers: 0.08 s on a
+    dense random 14x14 pair, 1.2-1.4 s at the 18x18 cap (Python 3.11, shared
+    two-core host).  All comparisons are exact.
     """
     epsf = as_fraction(eps)
     xs_s, ys_s = _check_pair_inputs(g, xs, ys, epsf)
@@ -199,9 +198,9 @@ def eps_regular_exact(
     subsets = [0]
     for v in enum_side:
         subsets += [smask | 1 << v for smask in subsets]
-    # S deviates most at s = lo: the mean degree into S of the s vertices of
-    # largest (smallest) degree falls (rises) with s.  worst / worst_den is
-    # first reached at worst_s.  lo > |scan_side| only if no S qualifies.
+    # The same scan as `_counterparts` on degrees alone: only the lo vertices
+    # of largest and of smallest degree into S are weighed.  worst / worst_den
+    # is first reached at worst_s.  lo > |scan_side| only if no S qualifies.
     worst, worst_den, worst_s = 0, 1, 0
     for smask in subsets:
         u = smask.bit_count()
@@ -262,7 +261,7 @@ def eps_regular_sample(
 
     Each trial samples a qualifying subset of one side uniformly at
     random and pairs it with its extremal counterparts on the other
-    side (for every admissible size, the vertices of largest and of
+    side (at the least admissible size, the vertices of largest and of
     smallest degree into the sampled subset), which dominate every
     other choice of counterpart.  Any deviation beyond eps refutes
     regularity with a verified witness.  Finding none is reported as
@@ -489,16 +488,16 @@ def build_reduced(
             density: dict[str, Fraction] = {}
             regular: dict[str, str] = {}
             for color, gc in views.items():
-                density[color] = pair_density(gc, parts[i], parts[j])
                 if mode == "exact":
                     res = eps_regular_exact(gc, parts[i], parts[j], epsf)
                     regular[color] = "regular" if res.regular else "irregular"
                 else:
-                    verdict = eps_regular_sample(
+                    res = eps_regular_sample(
                         gc, parts[i], parts[j], epsf, trials=trials,
                         seed=job_seed(seed, i, j, color),
                     )
-                    regular[color] = verdict.status
+                    regular[color] = res.status
+                density[color] = res.base_density
             annotations[i, j] = PairAnnotation(
                 i=i, j=j, density=density, regular=regular, evidence_only=mode != "exact"
             )
@@ -966,6 +965,9 @@ def dense_bipartite_bound(
         f2 = 0.0
     f3 = max(1 - 6 * sb, 0.0) ** (k / 2)
     bound = f1 * f2 * f3 * math.perm(nu, k // 2) * math.perm(nv, (k + 1) // 2)
+    # One start a call: at |U| = 6, |V| = 9, k = 6 a call from all of V
+    # estimates 15,015 states, past DENSE_MIN_STATES, and `verify --suite
+    # bounds` would load numpy; one start estimates 5,460.
     exact = sum(count_walks(adj, (v,), k - 1) for v in _bits(vmask))
     return BoundReport(
         mode="dense-bipartite",

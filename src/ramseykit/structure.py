@@ -308,26 +308,22 @@ class DisjointPathCert:
 
 
 def _bfs_short_path(
-    g: SimpleGraph, u: int, v: int, banned: int, max_len: int, allow_direct: bool
+    g: SimpleGraph, u: int, v: int, banned: int, max_len: int
 ) -> tuple[int, ...] | None:
-    """Shortest u-v path avoiding banned interiors; None if none within max_len."""
-    if allow_direct and max_len >= 1 and g.has_edge(u, v):
-        return (u, v)
-    parent = {u: -1}
-    frontier = [u]
-    dist = 0
+    """Shortest u-v path of length 2 to max_len avoiding banned interiors, or
+    None.  The first step skips v, so the direct edge is never returned."""
+    parent = dict.fromkeys(_bits(g.adj[u] & ~banned), u)
+    frontier = list(parent)
+    dist = 1
     reachable = (1 << v) | ~banned
     while frontier and dist < max_len:
         dist += 1
         nxt = []
         for w in frontier:
-            cand = g.adj[w] & reachable
-            for t in _bits(cand):
+            for t in _bits(g.adj[w] & reachable):
                 if t in parent:
                     continue
                 if t == v:
-                    if dist == 1 and not allow_direct:
-                        continue
                     path = [v, w]
                     while path[-1] != u:
                         path.append(parent[path[-1]])
@@ -341,15 +337,16 @@ def _bfs_short_path(
 def _greedy_paths(
     g: SimpleGraph, u: int, v: int, max_len: int, t_target: int | None
 ) -> list[tuple[int, ...]]:
-    paths: list[tuple[int, ...]] = []
+    """Shortest-first family: the direct edge, if any, then breadth-first
+    paths through unused interiors, until t_target paths or none is left."""
+    if t_target is not None and t_target < 1:
+        return []
+    paths: list[tuple[int, ...]] = [(u, v)] if g.has_edge(u, v) else []
     banned = (1 << u) | (1 << v)
-    allow_direct = True
     while t_target is None or len(paths) < t_target:
-        path = _bfs_short_path(g, u, v, banned, max_len, allow_direct)
+        path = _bfs_short_path(g, u, v, banned, max_len)
         if path is None:
             break
-        if len(path) == 2:
-            allow_direct = False
         for w in path[1:-1]:
             banned |= 1 << w
         paths.append(path)

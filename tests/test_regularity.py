@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -195,7 +196,7 @@ def test_counterparts_deviate_most_at_the_least_size(seed: int) -> None:
     eps = Fraction(str(rng.choice(PIN_EPS)))
     subset = rng.sample(range(a), rng.randint(1, a))
     degs = sorted(sum(g.has_edge(x, y) for x in subset) for y in range(a, a + b))
-    lo = -(-eps.numerator * b // eps.denominator)
+    lo = math.ceil(eps * b)
 
     def worst(s: int) -> Fraction:
         top, bottom = sum(degs[-s:]), sum(degs[:s])
