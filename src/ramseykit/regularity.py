@@ -464,10 +464,10 @@ def build_reduced(
 ) -> ReducedGraph:
     """Annotated reduced graph of a coloring over a partition.
 
-    In exact mode every part pair is exhaustively tested for regularity
-    in each color (part sizes capped at EXACT_REGULARITY_MAX); in sample
-    mode the verdicts are evidence-level and flagged as such; the sampler
-    for parts i, j in one color is seeded from (seed, i, j, color).
+    Exact mode tests every part pair exhaustively in red, and blue shares
+    the verdict (parts capped at EXACT_REGULARITY_MAX); sample mode's verdicts
+    are evidence-level and flagged as such, its sampler for parts i, j in one
+    color seeded from (seed, i, j, color).
     """
     if mode not in ("exact", "sample"):
         raise DomainError("mode must be 'exact' or 'sample'")
@@ -485,19 +485,19 @@ def build_reduced(
     annotations = {}
     for i in range(m):
         for j in range(i + 1, m):
-            density: dict[str, Fraction] = {}
-            regular: dict[str, str] = {}
-            for color, gc in views.items():
-                if mode == "exact":
-                    res = eps_regular_exact(gc, parts[i], parts[j], epsf)
-                    regular[color] = "regular" if res.regular else "irregular"
-                else:
+            if mode == "exact":  # each cross pair is red or blue: blue deviations negate red
+                res = eps_regular_exact(views[RED], parts[i], parts[j], epsf)
+                density = {RED: res.base_density, BLUE: 1 - res.base_density}
+                regular = dict.fromkeys(density, "regular" if res.regular else "irregular")
+            else:
+                density, regular = {}, {}
+                for color, gc in views.items():
                     res = eps_regular_sample(
                         gc, parts[i], parts[j], epsf, trials=trials,
                         seed=job_seed(seed, i, j, color),
                     )
                     regular[color] = res.status
-                density[color] = res.base_density
+                    density[color] = res.base_density
             annotations[i, j] = PairAnnotation(
                 i=i, j=j, density=density, regular=regular, evidence_only=mode != "exact"
             )

@@ -1,18 +1,17 @@
 """Minimizing monochromatic pattern counts over colorings of K_n.
 
-One copy-incidence engine counts for every search.  It lists the edges of
-each copy of the pattern in K_n once, from vertex sequences and
-combinations (``_copy_edges``), keeps for every edge the indices of the
-copies through it, and keeps a red-edge count per copy: a copy with s
-edges is monochromatic when its count is 0 or s, and an edgeless copy is
-both, so it counts once in each color.  Colorings are Python integers, so
-no host size is capped by a machine word.
+Both searches count from one copy list: ``_copy_edges`` lists the edges of
+each copy of the pattern in K_n once, by vertex extension, and
+``_red_counts`` gives each copy's red-edge count in a batch of colorings.
+A copy with s edges is monochromatic when its count is 0 or s, and an
+edgeless copy is both, so it counts once in each color.  Colorings are
+Python integers, so no host size is capped by a machine word.
 
 * ``exhaustive_min`` -- exact minimum by vertex extension.  It takes one
   representative per graph-isomorphism class on n-1 vertices and every red
-  neighbourhood of the last vertex: one engine pass over the classes and a
-  subset-sum transform count all those extensions at once.  This is sound
-  because the count is relabeling-invariant.
+  neighbourhood of the last vertex: one ``_red_counts`` pass over the copy
+  list and a subset-sum transform count all those extensions at once.  This
+  is sound because the count is relabeling-invariant.
 * ``canonical_graph_reps`` -- the class representatives, by orderly
   generation.  A representative is the labeling with the least
   column-major adjacency string, and that form has a prefix property: its
@@ -21,15 +20,15 @@ no host size is capped by a machine word.
   keeps the extensions that are already canonical; nothing is relabeled or
   deduplicated.
 * ``anneal_min`` -- simulated annealing with single-edge-flip moves and
-  restarts, exact=False.  The restarts run one after another on one engine.
-  Deterministic for a fixed config: restart i uses a seed derived from
-  (config.seed, i) with a stable hash.  A proposal reads two cells of the
-  engine's histogram, O(1) on every host; an accepted flip costs O(c_e * s)
-  for c_e copies per edge of s edges each.
+  restarts, exact=False, run in turn on one ``_CopyEngine``, which also
+  lists the copies through each edge.  Deterministic for a fixed config:
+  restart i uses a seed derived from (config.seed, i) with a stable hash.
+  A proposal reads two cells of the engine's histogram, O(1) on every host;
+  an accepted flip costs O(c_e * s) for c_e copies per edge of s edges each.
 
 Witness tie-break everywhere: the serialized form that is lexicographically
-least among optimal colorings found.  numpy is imported by the engine, not
-by the package.
+least among optimal colorings found.  numpy is imported by the searches,
+not by the package.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, permutations
 from random import Random
 from typing import Iterable, Sequence
 
@@ -62,21 +60,21 @@ RAW_ENUM_MAX_N = 6
 # shared two-core host, Python 3.11; n = 9 would run about 3.2 M tests
 CLASS_REPS_MAX_N = 8
 # ENGINE_CELL_BUDGET caps copies * s copy-edge cells (edges, the sort keys that
-# become inc, the cell blocks) plus nbits * (s + 1) histogram cells.  On a shared
-# two-core host (Python 3.11), peak RSS grows 12.6 bytes a cell on P_8/11 (23 M
-# cells: 2.6-3.9 s, 312 MB after one start) and 19 on S_1/3500 and P_2/4000 (24 M
-# cells: 501 and 439 MB), so an engine stays near 0.5 GB.  Below 2**32, 32 bits
-# of a sort key hold a cell's index.
+# become inc, the cell blocks) plus nbits * (s + 1) histogram cells.  Build and
+# first start add to numpy's 34 MB 12 bytes a cell on P_8/11 (23 M cells: 1.9 s,
+# 314 MB max RSS) and 17-18 on P_2/4000 and S_1/3500 (24 M: 448 and 485 MB), so
+# an engine stays near 0.5 GB.  Below 2**32, 32 bits of a sort key hold a cell.
 ENGINE_CELL_BUDGET = 25_000_000
-# an accepted flip on rows of c_e copies with s edges each moves c_e * s
-# histogram cells: up to _LIST_FLIP_MAX in Python lists, more by numpy.  The
-# lists take about 170 bytes a cell (P_2/1500: 3.4 M cells, +570 MB), so they
-# serve s >= 2 only, where c_e grows with n and list rows end by K3/44 (43,516
-# cells); annealing never flips an edge of a pattern with s <= 1.
+# an accepted flip on rows of c_e copies of s edges moves c_e * s histogram
+# cells: up to _LIST_FLIP_MAX in Python lists, more by numpy.  ms a restart,
+# numpy vs lists: K3/12 (c_e * s = 30) 16-27 vs 7-12, C_4/10 (224) 8-15 vs 11-16,
+# C_4/12 (360) 6.3-7.5 vs 6.4-9.2, C_5/9 (1,050) 9-15 vs 28-37.  The lists take
+# about 170 bytes a cell (P_2/1500: 3.4 M cells, +570 MB), so they serve s >= 2
+# only, where c_e grows with n and list rows end by K3/44 (43,516 cells).
 # Past _SKIP_FLIP_MIN, with s >= 5, numpy first drops the copies whose move
 # no proposal reads; its extra calls cost about 5 us a flip, which shorter
 # rows do not win back (K4/14: 11 us a flip without, 16 us with; P_7/9:
-# 530 us without, 390 us with).  Both measured on a shared two-core host.
+# 530 us without, 390 us with).  All measured on a shared two-core host.
 _LIST_FLIP_MAX = 128
 _SKIP_FLIP_MIN = 4096
 
@@ -125,45 +123,62 @@ def _copy_edges(pattern: Pattern, n: int):
     """(copies, s) array: the edges of each copy of the pattern in K_n,
     ascending in each row, the copies in ``copy_edge_masks`` order.
 
-    A copy is a vertex tuple from itertools: a path from its smaller end, a
-    cycle from its least vertex towards its smaller neighbour, a star from
-    its center, a clique ascending.  Its edges join the tuple positions in
-    ``links``, looked up in an n x n pair-index table."""
+    Copies are sequences of distinct vertices, extended a position at a time
+    in lexicographic order.  ``table`` gives each position i >= 1 the earlier
+    positions it joins and those it must exceed, so each copy comes once: a
+    path from its smaller end, a cycle from its least vertex towards its
+    smaller neighbour, a star's leaves ascending, a clique ascending."""
     import numpy as np
 
-    kind, k = pattern.kind, pattern.k
+    kind, last = pattern.kind, pattern.vertex_count - 1
     if kind == "path":
-        seqs, links = permutations(range(n), k), [(i, i + 1) for i in range(k - 1)]
+        table = [([i - 1], [0] if i == last else []) for i in range(1, last + 1)]
     elif kind == "cycle":
-        seqs = ((v, *rest) for v in range(n) for rest in permutations(range(v + 1, n), k - 1))
-        links = [(i, (i + 1) % k) for i in range(k)]
+        table = [([i - 1], [0]) for i in range(1, last)] + [([0, last - 1], [1])]
     elif kind == "star":
-        seqs = ((c, *leaves) for c in range(n)
-                for leaves in combinations([*range(c), *range(c + 1, n)], k))
-        links = [(0, i) for i in range(1, k + 1)]
+        table = [([0], [i - 1] if i > 1 else []) for i in range(1, last + 1)]
     else:
-        seqs, links = combinations(range(n), k), list(combinations(range(k), 2))
-    verts = np.fromiter(chain.from_iterable(seqs), np.min_scalar_type(n))
-    verts = verts.reshape(-1, pattern.vertex_count)
-    if kind in ("path", "cycle"):  # one direction: first (or second) vertex below the last
-        verts = verts[verts[:, int(kind == "cycle")] <= verts[:, -1]]  # P_1: first is last
+        table = [(list(range(i)), [i - 1]) for i in range(1, last + 1)]
+    grid = np.arange(n, dtype=np.min_scalar_type(n))
+    verts = grid[:, None]
+    for _, above in table:
+        free = np.ones((len(verts), n), dtype=bool)
+        free[np.arange(len(verts))[:, None], verts] = False  # no vertex twice
+        for j in above:
+            free &= grid > verts[:, j, None]
+        w = np.broadcast_to(grid, free.shape)[free]  # row-major: sequences stay in order
+        verts = np.column_stack((verts.repeat(free.sum(axis=1), axis=0), w))
     pairs = np.zeros((n, n), np.min_scalar_type(pair_count(n)))
     u, w = np.triu_indices(n, 1)  # every pair {u < w}, in pair_index order
     pairs[u, w] = pairs[w, u] = np.arange(len(u))
-    edges = np.empty((len(verts), len(links)), pairs.dtype)
-    for j, (a, b) in enumerate(links):
-        edges[:, j] = pairs[verts[:, a], verts[:, b]]
+    ends = [(j, i) for i, (joins, _) in enumerate(table, 1) for j in joins]
+    # take keeps (copies, s) row-major: the flip kernel gathers whole rows
+    edges = pairs[verts.take([a for a, _ in ends], 1), verts.take([b for _, b in ends], 1)]
     edges.sort(axis=1)
     return edges
 
 
+def _red_counts(edges, nbits: int, states: Sequence[int]):
+    """(copies, len(states)) red-edge counts of ``edges``, a column per coloring."""
+    import numpy as np
+
+    width = (nbits + 7) // 8
+    raw = b"".join(v.to_bytes(width, "little") for v in states)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(states), width)
+    # bit e of states[j] at [e, j]
+    bits = np.unpackbits(rows.T, axis=0, count=nbits, bitorder="little")
+    red = np.zeros((len(edges), len(states)), dtype=np.min_scalar_type(edges.shape[1]))
+    for column in edges.T:  # the j-th edge of every copy
+        red += bits.take(column, axis=0)
+    return red
+
+
 class _CopyEngine:
-    """Copy-edge incidence of a pattern in K_n, with a red-edge count per copy.
+    """Annealing walker over the copy-edge incidence of a pattern in K_n.
 
     ``edges[c]`` lists the s edges of copy c.  K_n is edge-transitive, so
     every edge lies in the same number c_e of copies, listed in row e of the
-    (C(n,2), c_e) array ``inc``.  ``_red_counts`` counts a batch of
-    colorings through ``edges``; ``start`` and ``flip`` walk one coloring an
+    (C(n,2), c_e) array ``inc``.  ``start`` and ``flip`` walk one coloring an
     edge at a time.
 
     The walk keeps one flat histogram: ``hist[e * (s + 1) + r]`` counts the
@@ -214,20 +229,6 @@ class _CopyEngine:
         self._base *= s + 1
         self._others = None  # the list kernel's rows, built by the first start using them
 
-    def _red_counts(self, states: Sequence[int]):
-        """(copies, len(states)) red-edge counts, a column per coloring."""
-        import numpy as np
-
-        width = (self.nbits + 7) // 8
-        raw = b"".join(v.to_bytes(width, "little") for v in states)
-        rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(states), width)
-        # bit e of states[j] at [e, j]
-        bits = np.unpackbits(rows.T, axis=0, count=self.nbits, bitorder="little")
-        red = np.zeros((self.copies, len(states)), dtype=np.min_scalar_type(self.size))
-        for column in self.edges.T:  # the j-th edge of every copy
-            red += bits.take(column, axis=0)
-        return red
-
     def start(self, bits: int) -> int:
         """Make ``bits`` the current coloring; returns its monochromatic count."""
         import numpy as np
@@ -241,7 +242,7 @@ class _CopyEngine:
                 for e, row in enumerate(self.inc.tolist())
             ]
         self.bits = bits
-        red = self.red = self._red_counts([bits])[:, 0]
+        red = self.red = _red_counts(self.edges, self.nbits, [bits])[:, 0]
         # an edge of the copies at a time, so no (copies, s) temporary
         self.hist = np.zeros(self.nbits * s1, dtype=np.intp)
         for column in self._base.T:
@@ -363,8 +364,8 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     representative r of ``canonical_graph_reps(n - 1)`` (built once per n
     and process), so it suffices to try each r with each red neighbourhood
     N of the last vertex v = n-1.
-    One engine pass over the r, with every edge at v blue, gives each copy's
-    red-edge count, and then
+    One ``_red_counts`` pass over the r, with every edge at v blue, gives each
+    copy's red-edge count, and then
 
         count(r, N) = inner(r) + zeta(R_r)[N] + zeta(B_r)[~N]
 
@@ -387,19 +388,18 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
         return _finish(pattern, 0, 0, [0], True, 1, method)
     import numpy as np
 
-    engine = _CopyEngine(pattern, n)
-    v = n - 1
-    states = _extension_states(n)
+    edges, s, nbits = _copy_edges(pattern, n), pattern.edge_count, pair_count(n)
+    v, states = n - 1, _extension_states(n)
     spoke = [pair_index(n, i, v) for i in range(v)]
-    at_v = np.zeros(engine.nbits, dtype=np.intp)
+    at_v = np.zeros(nbits, dtype=np.intp)
     at_v[spoke] = 1 << np.arange(v)
-    at = at_v[engine.edges]
+    at = at_v[edges]
     hood = at.sum(axis=1)  # the neighbours of v in each copy, as a bitmask
-    red = engine._red_counts(states)
+    red = _red_counts(edges, nbits, states)
     fixed = red[hood == 0]  # copies with no edge at v: r alone sets their colors
-    inner = np.count_nonzero(fixed == 0, axis=0) + np.count_nonzero(fixed == engine.size, axis=0)
+    inner = np.count_nonzero(fixed == 0, axis=0) + np.count_nonzero(fixed == s, axis=0)
     through = hood > 0
-    red, others = red[through], engine.size - np.count_nonzero(at[through], axis=1)
+    red, others = red[through], s - np.count_nonzero(at[through], axis=1)
     cell = hood[through, None] * len(states) + np.arange(len(states))
 
     def zeta(mono):

@@ -501,6 +501,26 @@ def reduced_panel_digest(mode: str) -> str:
     return digest.hexdigest()
 
 
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_exact_reduced_annotations_match_a_check_per_color(seed: int) -> None:
+    # build_reduced scans each pair in red only; a check per color must agree
+    rng = random.Random(seed)
+    n = rng.randint(2, 14)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(4, n - 1))))
+    parts = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    coloring = EdgeColoring.random(n, rng)
+    eps = rng.choice(PIN_EPS)
+    rg = build_reduced(coloring, VertexPartition.from_parts(n, parts), eps, 0.5)
+    for (i, j), ann in rg.annotations.items():
+        for color in (RED, BLUE):
+            res = eps_regular_exact(coloring.view(color), parts[i], parts[j], eps)
+            assert ann.density[color] == res.base_density
+            assert ann.regular[color] == ("regular" if res.regular else "irregular")
+
+
 @pytest.mark.parametrize("mode", ["exact", "sample"])
 def test_reduced_graphs_are_pinned(mode: str) -> None:
     # 2-6 parts of shuffled labels covering K_n, n <= 18, so every part

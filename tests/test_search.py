@@ -119,7 +119,7 @@ def test_copy_engine_matches_mask_recount(data) -> None:
     engine.lists = data.draw(st.booleans())
     engine.skip = not engine.lists and engine.size >= 5 and data.draw(st.booleans())
     states = data.draw(st.lists(colorings, min_size=1, max_size=6))
-    red = engine._red_counts(states).T.tolist()
+    red = search._red_counts(engine.edges, engine.nbits, states).T.tolist()
     assert red == [[(m & b).bit_count() for m in masks] for b in states]
     moves = data.draw(st.lists(st.integers(0, max(nbits - 1, 0)), max_size=12 if nbits else 0))
     _walk_matches_mask_recount(engine, masks, data.draw(colorings), moves + moves[::-1])
@@ -166,6 +166,26 @@ def test_copy_engine_rows_list_the_copies_through_each_edge_in_order() -> None:
                 masks = copy_edge_masks(pattern, n)
                 assert edges.shape == (len(masks), pattern.edge_count), (kind, k, n)
                 assert edges.tolist() == [edge_list(m) for m in masks], (kind, k, n)
+
+
+# sha256 of repr(shape) + tobytes() of _copy_edges on hosts past the row-for-row
+# check above: the anneal bench host P_7/9 and threshold hosts, recorded while
+# copies were still listed from itertools tuples
+COPY_EDGES_SHA256 = {
+    ("P_7", 9): "ff2124bfb3d97537fd5a7b2baa3ce2023cdc86a666341a36ea10e82c18431585",
+    ("C_7", 10): "02efbcec2769a2f809cc5e265021e556e2e3cc08a132f9fc795c598e8922f9e5",
+    ("C_8", 11): "5894510a712e273d090fc1787ff025f774d3cadf99806ebec26102101d4435c0",
+    ("S_5", 12): "816efbe489e1100834cc01f5f9c47b91cb9b11a5d6b8579560cae7466c655466",
+    ("K5", 12): "006967853e64cee98f3353836e450fd8ca9ee35e422e37438068f5e800c0ede8",
+}
+
+
+@pytest.mark.parametrize("label,n", sorted(COPY_EDGES_SHA256))
+def test_copy_edges_are_pinned_on_large_hosts(label: str, n: int) -> None:
+    edges = search._copy_edges(parse_pattern(label), n)
+    assert edges.flags.c_contiguous  # the flip kernel gathers whole rows
+    digest = hashlib.sha256(repr(edges.shape).encode() + edges.tobytes()).hexdigest()
+    assert digest == COPY_EDGES_SHA256[label, n]
 
 
 # the anneal bench instances, three long-row hosts, one short and one edgeless
@@ -241,6 +261,14 @@ def test_exhaustive_sweeps_every_extension_of_the_smaller_classes() -> None:
     assert runs[6].explored == 34 * 32 == 1088
     assert runs[7].explored == 156 * 64 == 9984
     assert runs[7].best_count == 1
+
+
+def test_exhaustive_reads_the_copy_list_without_an_engine(monkeypatch) -> None:
+    def refuse(pattern, n):
+        raise AssertionError("exhaustive_min built an annealing engine")
+
+    monkeypatch.setattr(search, "_CopyEngine", refuse)
+    assert exhaustive_min(parse_pattern("P_5"), 7).best_count == 96
 
 
 def test_exhaustive_builds_each_class_list_once(monkeypatch) -> None:
