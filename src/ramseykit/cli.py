@@ -3,7 +3,7 @@
 Reports are machine-readable JSON (with --json) or short plain-text
 summaries.  All counts appear as exact decimal strings, never floats;
 every non-exact value carries a provenance tag ("exact", "upper-bound",
-"conjecture", or "evidence").  Exit codes: 0 success, 1 verification
+or "evidence").  Exit codes: 0 success, 1 verification
 failure, 2 capability or usage error.
 """
 

@@ -12,12 +12,14 @@ program over (vertex subset, last vertex) states layered by subset size,
 holding only the layer it reads and the one it builds.  It counts simple
 directed paths from given start vertices; path and cycle counts, and the
 exact counts of the bound checkers in :mod:`ramseykit.regularity`, are
-calls to it.  A large walk over at most DENSE_MAX_VERTICES vertices keeps
-its layers in dense numpy arrays, one entry per (subset, vertex) pair, and
-numpy is imported for those only.  Other walks keep the states they reach
-in a dict; the DP is exact for any graph but exponential in its length, so
-that kernel estimates its largest layer before allocating and refuses
-instances above DP_STATE_BUDGET.
+calls to it.  One estimate bounds the states of each layer a walk stores.
+A walk over at most DENSE_MAX_VERTICES vertices whose layers sum to
+DENSE_MIN_STATES or more, so a long walk on few vertices as well as a wide
+one, keeps its layers in dense numpy arrays, one entry per (subset, vertex)
+pair, and numpy is imported for those only.  Other walks keep the states
+they reach in a dict; the DP is exact for any graph but exponential in its
+length, so that kernel refuses instances whose largest layer is estimated
+above DP_STATE_BUDGET before allocating.
 """
 
 from __future__ import annotations
@@ -40,14 +42,20 @@ from .structure import SimpleGraph
 # layer.
 DP_STATE_BUDGET = 2_000_000
 
-# The dense kernel runs from DENSE_MIN_STATES up: from est 4,096 every
-# measured call was faster than the dict kernel (est 8,192-16,383: median
-# 1.3 ms against 18 ms), while the one-time numpy import (about 0.1 s) stays
+# The dense kernel runs from DENSE_MIN_STATES estimated states summed over
+# a walk's layers, its total work.  The walks of six exact-count rounds
+# (n = 8..16) under the vertex cap with no layer of 10,000, replayed through
+# both kernels (two-core host, Python 3.11, numpy 2.4), took 1.7 times as
+# long on dense as on dict at totals of 1,024-2,047 (median), 0.87 times at
+# 2,048-4,095 and 0.28 at 8,192-16,383.  The crossover is near 2,000, but
+# the gate stays at 10,000: the one-time numpy import (about 0.1 s) must stay
 # out of runs whose walks are all smaller, such as `verify --suite bounds`
-# (largest est 7,280 within the vertex cap).  Its universe of m vertices is
-# capped by DENSE_MAX_VERTICES: the subset table takes 4 * 2**m bytes (and as
-# much again for smaller m), 8 MB at m = 20, while m = 24 P_4 took 84 ms and
-# +129 MB against 2 ms on dict.  A dense layer of C(m, s) * m entries
+# (largest total 9,217 within the vertex cap: one start, 5 steps on 16
+# vertices).  On those walks a gate at 10,000 takes 372 ms against 923 ms
+# all on dict and 263 ms with the gate at 2,000.  The dense universe of m
+# vertices is capped by DENSE_MAX_VERTICES: the subset table takes
+# 4 * 2**m bytes (and as much again for smaller m), 8 MB at m = 20, while
+# m = 24 P_4 took 84 ms and +129 MB against 2 ms on dict.  A dense layer of C(m, s) * m entries
 # measured about 16 bytes an entry with the next one being built (m = 20
 # P_10: 3.7 M entries, +59 MB, 0.16 s against 6.7 s and +302 MB on dict), so
 # every dense call under the cap stays well inside the dict kernel's memory
@@ -129,19 +137,20 @@ def parse_pattern(text: str) -> Pattern:
     return Pattern(kind, int(m.group(2)))
 
 
-def _largest_layer(adj: Sequence[int], nstarts: int, edges: int, inner: int) -> int:
-    """Upper bound on the states of the largest layer `count_walks` stores.
+def _layer_states(adj: Sequence[int], nstarts: int, edges: int, inner: int) -> list[int]:
+    """Upper bounds on the states of each layer `count_walks` stores.
 
     Layer t holds (subset, last vertex) states: a start, t vertices from the
     `a` allowed ones and a last vertex among those t, and no more than there
-    are (t+1)-subsets of the n vertices with a marked member.
+    are (t+1)-subsets of the n vertices with a marked member.  Their sum
+    estimates the work of a call, their max its memory.
     """
     n = len(adj)
     a = (inner & ((1 << n) - 1)).bit_count()
-    return max(
+    return [
         min(nstarts * comb(a, t) * max(t, 1), comb(n, t + 1) * (t + 1))
         for t in range(edges)
-    )
+    ]
 
 
 def count_walks(
@@ -156,20 +165,22 @@ def count_walks(
     `edges` - 1 steps; a dict-kernel instance whose estimate of it exceeds
     DP_STATE_BUDGET raises CapabilityError before any layer is built.
 
-    Instances estimated at DENSE_MIN_STATES or more, over at most
-    DENSE_MAX_VERTICES vertices of ``inner`` and the starts, run in dense
-    numpy layers (`_dense_walks`); the rest keep (subset, last vertex)
-    states in a dict (`_dict_walks`), and only those are held to the budget.
+    Instances whose layers are estimated at DENSE_MIN_STATES or more in
+    sum, over at most DENSE_MAX_VERTICES vertices of ``inner`` and the
+    starts, run in dense numpy layers (`_dense_walks`); the rest keep
+    (subset, last vertex) states in a dict (`_dict_walks`), and only those
+    are held to the budget.
     Both give the same exact count.
     """
     starts = set(starts)
     if edges == 0:
         return len(starts)
-    est = _largest_layer(adj, len(starts), edges, inner)
-    if est >= DENSE_MIN_STATES:
+    layers = _layer_states(adj, len(starts), edges, inner)
+    if sum(layers) >= DENSE_MIN_STATES:
         universe = (inner & ((1 << len(adj)) - 1)) | sum(1 << v for v in starts)
         if universe.bit_count() <= DENSE_MAX_VERTICES:
             return _dense_walks(adj, starts, edges, inner, end)
+    est = max(layers)
     if est > DP_STATE_BUDGET:
         raise CapabilityError(
             f"subset DP too large: estimated {est:,} states in its largest "

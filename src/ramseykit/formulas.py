@@ -4,7 +4,7 @@ Threshold multiplicity m(H) is the minimum number of monochromatic copies
 of H over all two-colorings of K_r, where r = r(H) is the Ramsey number.
 Star multiplicities and the path/cycle Ramsey numbers are exact results;
 the path/cycle multiplicity formulas are the counts of split colorings,
-conjectured to be the minimums and flagged as such.
+so upper bounds on the minimums, and flagged as such.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .counting import Pattern
 from .errors import DomainError
 
 EXACT = "exact"
-CONJECTURE = "conjecture"
+UPPER_BOUND = "upper-bound"
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class RamseyValue:
 class MultiplicityValue:
     pattern: Pattern
     value: int
-    status: str  # EXACT or CONJECTURE
+    status: str  # EXACT or UPPER_BOUND
 
 
 def r_path(k: int) -> RamseyValue:
@@ -66,15 +66,18 @@ def m_star(k: int) -> MultiplicityValue:
 
 
 def conjectured_m(pattern: Pattern) -> MultiplicityValue:
-    """Conjectured threshold multiplicities for paths and even/odd cycles.
+    """Split-coloring values of the threshold multiplicity of paths and cycles.
 
     Paths: k!/2 for even k, (k-1)/4 * (k-1)! for odd k.
     Cycles: (k-3)/2 * (k-2)! for even k, (k-1)!/2 for odd k.
-    These are the counts of split colorings at n = r(H), so each is an upper
-    bound on m(H); nothing here shows that no coloring does better, hence
-    status CONJECTURE.  Some do: P_6 on K_8 has colorings with 300 copies
-    against the 360 given here, and annealing finds P_8 on K_11 with 17,816
-    against 20,160.
+    These are the counts of split colorings at n = r(H), conjectured to be
+    the minimums.  Each counts one coloring of K_{r(H)}, so it is an upper
+    bound on m(H), hence status UPPER_BOUND, and some are not the minimum:
+    P_6 on K_8 has colorings with 300 copies against the 360 given here,
+    C_6 on K_8 with 10 against 36, and annealing finds P_8 on K_11 with
+    17,816 against 20,160.  Cycles start at k = 5: r(C_4) = 6 is not
+    3k/2 - 1, and the even form's 1 counts a coloring of K_5, below the
+    exact minimum of 2 on K_6.
     """
     k = pattern.k
     if pattern.kind == "path":
@@ -84,13 +87,13 @@ def conjectured_m(pattern: Pattern) -> MultiplicityValue:
             value = factorial(k) // 2
         else:
             value = (k - 1) * factorial(k - 1) // 4
-        return MultiplicityValue(pattern, value, CONJECTURE)
+        return MultiplicityValue(pattern, value, UPPER_BOUND)
     if pattern.kind == "cycle":
-        if k < 4:
-            raise DomainError("cycle multiplicity conjecture needs k >= 4")
+        if k < 5:
+            raise DomainError("cycle multiplicity conjecture needs k >= 5")
         if k % 2 == 0:
             value = (k - 3) * factorial(k - 2) // 2
         else:
             value = factorial(k - 1) // 2
-        return MultiplicityValue(pattern, value, CONJECTURE)
+        return MultiplicityValue(pattern, value, UPPER_BOUND)
     raise DomainError("conjectured multiplicities cover paths and cycles only")

@@ -48,3 +48,18 @@ def test_star_and_clique_count_ops_run_and_check(workloads) -> None:
             assert op.check(op.run(tracer)) is None, op.kind
             ran += 1
     assert ran > 0
+
+
+def test_seed0_path_and_cycle_count_ops_run_and_check(workloads) -> None:
+    # at seed 0 every subset-DP count is pinned (reference.SEED0_COUNTS,
+    # PANEL_COUNTS or an independent count), so a kernel routing error that
+    # changes a count fails here
+    wl, tracing = workloads
+    tracer = tracing.Tracer(False)
+    ran = 0
+    for op in wl.WORKLOADS["exact-count"].build(0, 1):
+        label = op.kind.split()[-1].split("/")[0]
+        if parse_pattern(label).kind in ("path", "cycle"):
+            assert op.check(op.run(tracer)) is None, op.kind
+            ran += 1
+    assert ran == 28

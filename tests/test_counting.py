@@ -30,9 +30,10 @@ from ramseykit.coloring import pair_index
 from ramseykit.counting import (
     DENSE_MAX_VERTICES,
     DENSE_MIN_STATES,
+    DP_STATE_BUDGET,
     _dense_walks,
     _dict_walks,
-    _largest_layer,
+    _layer_states,
     copy_edge_masks,
     count_walks,
 )
@@ -276,10 +277,13 @@ def test_count_walks_runs_dense_only_on_large_walks_over_few_vertices(monkeypatc
     calls = []
     monkeypatch.setattr(counting, "_dense_walks", lambda *a: calls.append("dense") or 0)
     monkeypatch.setattr(counting, "_dict_walks", lambda *a: calls.append("dict") or 0)
-    k20 = [((1 << 20) - 1) ^ (1 << v) for v in range(20)]
-    k21 = [((1 << 21) - 1) ^ (1 << v) for v in range(21)]
-    assert _largest_layer(k20, 20, 4, -1) >= DENSE_MIN_STATES
-    assert _largest_layer(k20, 20, 2, -1) < DENSE_MIN_STATES
+
+    def complete(n: int) -> list[int]:
+        return [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+
+    k12, k16, k20, k21, k27 = map(complete, (12, 16, 20, 21, 27))
+    assert sum(_layer_states(k20, 20, 4, -1)) >= DENSE_MIN_STATES
+    assert sum(_layer_states(k20, 20, 2, -1)) < DENSE_MIN_STATES
     assert DENSE_MAX_VERTICES == 20
     count_walks(k20, range(20), 4)  # large walk on 20 vertices
     count_walks(k20, range(20), 2)  # small walk
@@ -290,3 +294,28 @@ def test_count_walks_runs_dense_only_on_large_walks_over_few_vertices(monkeypatc
     # than 20 distinct ones: 20! < 2**63 <= 80 * perm(19, 19)
     count_walks(k20, list(range(20)) * 4, 19)
     assert calls == ["dense", "dict", "dict", "dense", "dict", "dense"]
+
+    # The gate reads the states of all layers, so long walks whose every
+    # layer is small run dense: P_12 on 12 vertices (largest layer 5,544)
+    # and the anchor-0 walk of C_12 there.  One start taking 5 steps on 16
+    # vertices, the largest walk of `verify --suite bounds` under the vertex
+    # cap, stays on the dict kernel.
+    shapes = [
+        ((k12, range(12), 11), {}, 5_544, 24_564),
+        ((k12, (0,), 11), {"inner": -1 << 1, "end": k12[0]}, 2_772, 11_254),
+        ((k16, (0,), 5), {}, 7_280, 9_217),
+    ]
+    calls.clear()
+    for (adj, starts, edges), kw, largest, total in shapes:
+        layers = _layer_states(adj, len(starts), edges, kw.get("inner", -1))
+        assert (max(layers), sum(layers)) == (largest, total)
+        count_walks(adj, starts, edges, **kw)
+    assert calls == ["dense", "dense", "dict"]
+
+    # The budget reads the largest layer alone: P_7 on 27 vertices sums past
+    # it over its layers but holds at most 1,776,060 states in one.
+    layers = _layer_states(k27, 27, 6, -1)
+    assert max(layers) <= DP_STATE_BUDGET < sum(layers)
+    calls.clear()
+    count_walks(k27, range(27), 6)
+    assert calls == ["dict"]

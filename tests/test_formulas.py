@@ -75,7 +75,25 @@ def test_star_closed_form_matches_exhaustive_threshold(k: int) -> None:
 def test_conjectured_path_cycle_multiplicities(text: str, value: int) -> None:
     mv = conjectured_m(parse_pattern(text))
     assert mv.value == value
-    assert mv.status == "conjecture"
+    assert mv.status == "upper-bound"
+
+
+@pytest.mark.parametrize("text", ["P_3", "P_4", "P_5"])
+def test_split_value_bounds_the_exact_threshold_multiplicity(text: str) -> None:
+    # r(H) <= 7 for these, so the exhaustive minimum is exact and the
+    # split-coloring count, one coloring's, can only lie above it
+    pattern = parse_pattern(text)
+    tm = threshold_multiplicity(pattern)
+    assert tm.exact
+    assert conjectured_m(pattern).value >= tm.value
+
+
+def test_c4_has_no_split_value() -> None:
+    # r(C_4) = 6, and the even-cycle form would give 1, a coloring of K_5,
+    # below the exact minimum 2 on K_6
+    assert threshold_multiplicity(parse_pattern("C_4")).value == 2
+    with pytest.raises(DomainError):
+        conjectured_m(parse_pattern("C_4"))
 
 
 @given(st.integers(3, 12))
@@ -156,6 +174,6 @@ def test_threshold_multiplicity_at_known_patterns(text: str, minimum: int) -> No
 
 def test_short_even_path_conjecture_value_is_not_the_search_minimum() -> None:
     # The split construction gives 12 copies at n = 5, but exhaustive search
-    # finds 10, so the closed form stays flagged as a conjecture.
+    # finds 10, so the closed form is flagged as an upper bound.
     assert conjectured_m(parse_pattern("P_4")).value == 12
     assert threshold_multiplicity(parse_pattern("P_4")).value == 10
