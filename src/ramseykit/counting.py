@@ -16,15 +16,18 @@ calls to it.  One estimate bounds the states of each layer a walk stores.
 A walk over at most DENSE_MAX_VERTICES vertices whose layers sum to
 DENSE_MIN_STATES or more, so a long walk on few vertices as well as a wide
 one, keeps its layers in dense numpy arrays, one entry per (subset, vertex)
-pair, and numpy is imported for those only.  Other walks keep the states
-they reach in a dict; the DP is exact for any graph but exponential in its
-length, so that kernel refuses instances whose largest layer is estimated
-above DP_STATE_BUDGET before allocating.
+pair, and numpy is imported for those only; once numpy is loaded, walks
+from DENSE_LOADED_MIN_STATES run dense too.  A dense layer is one matrix
+product and one masked move per block of rows, exact in float64 or int64.
+Other walks keep the states they reach in a dict; the DP is exact for any
+graph but exponential in its length, so that kernel refuses instances whose
+largest layer is estimated above DP_STATE_BUDGET before allocating.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -43,25 +46,36 @@ from .structure import SimpleGraph
 DP_STATE_BUDGET = 2_000_000
 
 # The dense kernel runs from DENSE_MIN_STATES estimated states summed over
-# a walk's layers, its total work.  The walks of six exact-count rounds
-# (n = 8..16) under the vertex cap with no layer of 10,000, replayed through
-# both kernels (two-core host, Python 3.11, numpy 2.4), took 1.7 times as
-# long on dense as on dict at totals of 1,024-2,047 (median), 0.87 times at
-# 2,048-4,095 and 0.28 at 8,192-16,383.  The crossover is near 2,000, but
-# the gate stays at 10,000: the one-time numpy import (about 0.1 s) must stay
-# out of runs whose walks are all smaller, such as `verify --suite bounds`
+# a walk's layers, its total work, or from DENSE_LOADED_MIN_STATES once
+# numpy is loaded.  The 494 walks of `exact_count_ops(1, 6)` under the
+# vertex cap with no layer of 10,000, replayed through both kernels (shared
+# two-core host, Python 3.11, numpy 2.4, best of three), took 1.5-2.7 times
+# as long on dense as on dict at totals below 724, 0.95-1.14 times at
+# 1,024-1,447, 0.60-0.66 at 1,448-2,047, 0.26-0.46 at 2,048-4,095 and
+# 0.09-0.14 at 8,192-16,383: the crossover is near 1,500.  Below 10,000 the
+# gate also asks that numpy be loaded already, as its one-time import
+# (about 0.1 s) costs more than the dense layers save on smaller walks, so
+# runs whose walks are all smaller, such as `verify --suite bounds`
 # (largest total 9,217 within the vertex cap: one start, 5 steps on 16
-# vertices).  On those walks a gate at 10,000 takes 372 ms against 923 ms
-# all on dict and 263 ms with the gate at 2,000.  The dense universe of m
+# vertices) or a small `count`, never import it.  The dense universe of m
 # vertices is capped by DENSE_MAX_VERTICES: the subset table takes
 # 4 * 2**m bytes (and as much again for smaller m), 8 MB at m = 20, while
-# m = 24 P_4 took 84 ms and +129 MB against 2 ms on dict.  A dense layer of C(m, s) * m entries
-# measured about 16 bytes an entry with the next one being built (m = 20
-# P_10: 3.7 M entries, +59 MB, 0.16 s against 6.7 s and +302 MB on dict), so
-# every dense call under the cap stays well inside the dict kernel's memory
-# and needs no budget of its own.
+# m = 24 P_4 took 84 ms and +129 MB against 2 ms on dict.  Dense layers
+# are float64 or int64, and measured about 18 bytes per entry of the
+# largest layer with the next one being built (m = 20 P_10: 3.4 M entries,
+# 0.14 s and +60 MB, against 6.7 s and +302 MB on dict), so every dense
+# call under the cap stays well inside the dict kernel's memory and needs
+# no budget of its own.  A block of DENSE_BLOCK_ROWS rows keeps the product
+# a small share of the layer: one of the full width took +7 MB at the peak
+# of P_9 on 18 vertices.  DENSE_BLOCK_MACS keeps every BLAS call under
+# OpenBLAS's threshold for threading it (65,536 * 4 multiply-adds), whose
+# threads made the kernel two to three times slower while another process
+# held the second core.
 DENSE_MIN_STATES = 10_000
+DENSE_LOADED_MIN_STATES = 1_500
 DENSE_MAX_VERTICES = 20
+DENSE_BLOCK_ROWS = 4
+DENSE_BLOCK_MACS = 1 << 18
 
 _PATTERN_RE = re.compile(r"^([PCS])_(\d+)$|^K_?(\d+)$")
 
@@ -166,17 +180,19 @@ def count_walks(
     DP_STATE_BUDGET raises CapabilityError before any layer is built.
 
     Instances whose layers are estimated at DENSE_MIN_STATES or more in
-    sum, over at most DENSE_MAX_VERTICES vertices of ``inner`` and the
+    sum, or at DENSE_LOADED_MIN_STATES or more when numpy is already
+    loaded, over at most DENSE_MAX_VERTICES vertices of ``inner`` and the
     starts, run in dense numpy layers (`_dense_walks`); the rest keep
     (subset, last vertex) states in a dict (`_dict_walks`), and only those
-    are held to the budget.
-    Both give the same exact count.
+    are held to the budget.  Both give the same exact count, whichever
+    number type the dense layers take.
     """
     starts = set(starts)
     if edges == 0:
         return len(starts)
     layers = _layer_states(adj, len(starts), edges, inner)
-    if sum(layers) >= DENSE_MIN_STATES:
+    work = sum(layers)
+    if work >= DENSE_MIN_STATES or (work >= DENSE_LOADED_MIN_STATES and "numpy" in sys.modules):
         universe = (inner & ((1 << len(adj)) - 1)) | sum(1 << v for v in starts)
         if universe.bit_count() <= DENSE_MAX_VERTICES:
             return _dense_walks(adj, starts, edges, inner, end)
@@ -276,12 +292,20 @@ def _dense_component(adj: Sequence[int], seeds: int, universe: int, edges: int, 
     With m = |universe|, relabelled 0..m-1, layer s is an (m, C(m, s)) array:
     entry [b, j] counts the walks that visit exactly the j-th s-subset M
     (in `_subsets_by_size` order) and end at b.  A walk reaches (M, b) only
-    from M - b, so row b of the next layer is the sum of the rows that may
-    step to b, moved from the columns lacking b into the columns holding it:
-    one boolean gather a row, no scatter-add.  The last step sums those rows
-    over the columns lacking b.  Layers are int32 while seeds * perm(m - 1,
-    edges), which bounds every sum, is below 2**31; int64 always holds it,
-    as distinct seeds make it at most m! <= 20! < 2**63 (DENSE_MAX_VERTICES).
+    from M - b, so with ``step[b, c]`` = 1 when c may step to b, row b of
+    ``pre = step @ cur`` holds the next layer's row b in the columns lacking
+    b, and one masked assignment, ``nxt[holds] = pre[lacks]``, moves it to
+    the columns holding b: boolean indexing visits the rows in order, and
+    within a row the colex order lines the two column sets up.  The last
+    step sums ``pre[lacks]`` over the rows of the vertices in ``end``.
+
+    Both run DENSE_BLOCK_ROWS rows at a time, so the product is a small
+    share of the layer, and each BLAS call takes at most DENSE_BLOCK_MACS
+    multiply-adds, below OpenBLAS's threshold for threading it.  Every
+    entry and partial sum is a nonnegative integer at most
+    seeds * perm(m - 1, edges), so below 2**53 the layers are float64 and
+    the product is exact; above it they are int64, which holds the bound as
+    distinct seeds make it at most m! <= 20! < 2**63 (DENSE_MAX_VERTICES).
     """
     import numpy as np
 
@@ -289,36 +313,39 @@ def _dense_component(adj: Sequence[int], seeds: int, universe: int, edges: int, 
     m = len(verts)
     if edges >= m:
         return 0
-    dtype = np.int32 if seeds.bit_count() * perm(m - 1, edges) < 1 << 31 else np.int64
-    # into[b]: the vertices whose step may go to verts[b]; ends: those closing there
-    into = [[c for c, u in enumerate(verts) if adj[u] >> w & inner >> w & 1] for w in verts]
-    ends = [src if end >> w & 1 else [] for w, src in zip(verts, into)]
+    dtype = np.float64 if seeds.bit_count() * perm(m - 1, edges) < 1 << 53 else np.int64
+    # zero rows pad step to whole blocks: a one-row block would be a BLAS
+    # matrix-vector call, which OpenBLAS threads from 9,216 entries
+    step = np.zeros((-(-m // DENSE_BLOCK_ROWS) * DENSE_BLOCK_ROWS, m), dtype)
+    step[:m] = [[adj[u] >> w & inner >> w & 1 for u in verts] for w in verts]
+    blocks = [slice(b, b + DENSE_BLOCK_ROWS) for b in range(0, m, DENSE_BLOCK_ROWS)]
+    width = DENSE_BLOCK_MACS // (DENSE_BLOCK_ROWS * m)
+
+    def product(block, cur, out):
+        """Rows `block` of step @ cur, in `out`, `width` columns a call."""
+        for j in range(0, cur.shape[1], width):
+            np.matmul(step[block], cur[:, j:j + width], out=out[:, j:j + width])
+        return out[:m - block.start]
+
     subsets = _subsets_by_size(m)
-
-    def step(cur, src):
-        out = cur[src[0]].copy()
-        for c in src[1:]:
-            out += cur[c]
-        return out
-
+    bits = np.uint32(1) << np.arange(m, dtype=np.uint32)[:, None]
     first = [i for i, w in enumerate(verts) if seeds >> w & 1]
     cur = np.zeros((m, m), dtype)
     cur[first, first] = 1
     lacks = ~np.eye(m, dtype=bool)
     for s in range(2, edges + 1):
-        holds = np.empty((m, len(subsets[s])), bool)
-        for b, row in enumerate(holds):
-            np.bitwise_and(subsets[s] >> b, 1, out=row, casting="unsafe")
-        nxt = np.zeros(holds.shape, dtype)
-        for row, src, has, lack in zip(nxt, into, holds, lacks):
-            if src:
-                row[has] = step(cur, src)[lack]
+        nxt = np.zeros((m, len(subsets[s])), dtype)
+        holds = np.empty(nxt.shape, bool)
+        pre = np.empty((DENSE_BLOCK_ROWS, cur.shape[1]), dtype)
+        for block in blocks:
+            np.not_equal(subsets[s] & bits[block], 0, out=holds[block])
+            nxt[block][holds[block]] = product(block, cur, pre)[lacks[block]]
         cur = nxt
         lacks = np.logical_not(holds, out=holds)
+    step[[i for i, w in enumerate(verts) if not end >> w & 1]] = 0
+    pre = np.empty((DENSE_BLOCK_ROWS, cur.shape[1]), dtype)
     return sum(
-        int(step(cur, src).sum(where=lack, dtype=np.int64))
-        for src, lack in zip(ends, lacks)
-        if src
+        int(product(block, cur, pre)[lacks[block]].sum()) for block in blocks if step[block].any()
     )
 
 

@@ -72,12 +72,16 @@ def conjectured_m(pattern: Pattern) -> MultiplicityValue:
     Cycles: (k-3)/2 * (k-2)! for even k, (k-1)!/2 for odd k.
     These are the counts of split colorings at n = r(H), conjectured to be
     the minimums.  Each counts one coloring of K_{r(H)}, so it is an upper
-    bound on m(H), hence status UPPER_BOUND, and some are not the minimum:
-    P_6 on K_8 has colorings with 300 copies against the 360 given here,
-    C_6 on K_8 with 10 against 36, and annealing finds P_8 on K_11 with
-    17,816 against 20,160.  Cycles start at k = 5: r(C_4) = 6 is not
-    3k/2 - 1, and the even form's 1 counts a coloring of K_5, below the
-    exact minimum of 2 on K_6.
+    bound on m(H), hence status UPPER_BOUND, and some are not the minimum.
+    Of the exact minima (r(H) <= 7: P_3, P_4 and P_5), two lie below the
+    value given here: P_4 on K_5 is 10 against 12, and P_5 on K_6 is 18
+    against 24.  Beyond them, P_6 on K_8 has colorings with 300 copies
+    against 360, C_6 on K_8 with 10 against 36, and P_8 on K_11 with 17,280
+    against 20,160, found by annealing from the split witness chi(8, 3)
+    (``SearchConfig(seed=1)``; from random starts the same seed finds
+    17,816).  Cycles start at k = 5: r(C_4) = 6 is not 3k/2 - 1, and the
+    even form's 1 counts a coloring of K_5, below the exact minimum of 2 on
+    K_6.
     """
     k = pattern.k
     if pattern.kind == "path":

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from itertools import combinations, permutations
 from math import factorial, perm
 
@@ -28,6 +29,7 @@ from ramseykit import (
 from ramseykit import counting
 from ramseykit.coloring import pair_index
 from ramseykit.counting import (
+    DENSE_LOADED_MIN_STATES,
     DENSE_MAX_VERTICES,
     DENSE_MIN_STATES,
     DP_STATE_BUDGET,
@@ -273,10 +275,63 @@ def test_dense_walks_match_dict_walks_on_random_and_split_hosts(n: int) -> None:
                 )
 
 
+def _dense_number_types(monkeypatch) -> list[str]:
+    """The number types of the dense layers built from here on, by name."""
+    import numpy
+
+    seen, zeros = [], numpy.zeros
+
+    def spy(shape, dtype=float, *args, **kwargs):
+        if numpy.dtype(dtype).kind != "u":  # not the subset tables
+            seen.append(numpy.dtype(dtype).name)
+        return zeros(shape, dtype, *args, **kwargs)
+
+    monkeypatch.setattr(numpy, "zeros", spy)
+    return seen
+
+
+@pytest.mark.parametrize("m", [19, 20])
+def test_dense_kernel_counts_hamiltonian_paths_and_cycles_of_complete_graphs(
+    monkeypatch, m: int
+) -> None:
+    # The all-start walks bound their sums by m! >= 2**53, so they run on
+    # int64 layers.  A cycle's anchor walk has m - 1 seeds over m - 1
+    # vertices and bound (m - 1)!: 19! takes int64 too, while 18! lies
+    # just below 2**53, so K_19's cycles are float64 with entries near it.
+    assert factorial(18) < 2**53 <= factorial(19)
+    k = EdgeColoring(m, 0).view(BLUE)
+    types = _dense_number_types(monkeypatch)
+    assert count_paths(k, m) == factorial(m) // 2
+    assert set(types) == {"int64"}
+    types.clear()
+    assert count_cycles(k, m) == factorial(m - 1) // 2
+    assert set(types) == {"float64" if m == 19 else "int64"}
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_dense_walks_match_dict_walks_with_float64_bound_just_below_2_53(
+    monkeypatch, seed: int
+) -> None:
+    # all-start walks of 14 steps on 19 vertices bound every sum by
+    # 19 * perm(18, 14), in [2**52, 2**53): the last float64 layers
+    n, edges = 19, 14
+    assert 2**52 <= n * perm(n - 1, edges) < 2**53
+    rng = random.Random(seed)
+    pairs = n * (n - 1) // 2
+    adj = EdgeColoring(n, sum(1 << e for e in rng.sample(range(pairs), pairs // 4))).view(RED).adj
+    types = _dense_number_types(monkeypatch)
+    assert _dense_walks(adj, range(n), edges, -1, -1) == _dict_walks(adj, range(n), edges, -1, -1)
+    assert set(types) == {"float64"}
+
+
 def test_count_walks_runs_dense_only_on_large_walks_over_few_vertices(monkeypatch) -> None:
+    import numpy
+
     calls = []
     monkeypatch.setattr(counting, "_dense_walks", lambda *a: calls.append("dense") or 0)
     monkeypatch.setattr(counting, "_dict_walks", lambda *a: calls.append("dict") or 0)
+    # the gate reads whether numpy is loaded; start from a process without it
+    monkeypatch.delitem(sys.modules, "numpy")
 
     def complete(n: int) -> list[int]:
         return [((1 << n) - 1) ^ (1 << v) for v in range(n)]
@@ -299,7 +354,7 @@ def test_count_walks_runs_dense_only_on_large_walks_over_few_vertices(monkeypatc
     # layer is small run dense: P_12 on 12 vertices (largest layer 5,544)
     # and the anchor-0 walk of C_12 there.  One start taking 5 steps on 16
     # vertices, the largest walk of `verify --suite bounds` under the vertex
-    # cap, stays on the dict kernel.
+    # cap, stays on the dict kernel while numpy is not loaded.
     shapes = [
         ((k12, range(12), 11), {}, 5_544, 24_564),
         ((k12, (0,), 11), {"inner": -1 << 1, "end": k12[0]}, 2_772, 11_254),
@@ -310,6 +365,20 @@ def test_count_walks_runs_dense_only_on_large_walks_over_few_vertices(monkeypatc
         layers = _layer_states(adj, len(starts), edges, kw.get("inner", -1))
         assert (max(layers), sum(layers)) == (largest, total)
         count_walks(adj, starts, edges, **kw)
+    assert calls == ["dense", "dense", "dict"]
+
+    # Once numpy is loaded, its import is paid, and walks from
+    # DENSE_LOADED_MIN_STATES run dense: the bounds-suite walk, and the
+    # all-start P_8 walk on a random 11-vertex color class (9,328 states,
+    # the threshold host of P_8), but not a walk below the crossover.
+    monkeypatch.setitem(sys.modules, "numpy", numpy)
+    host = random_coloring(11, 11).view(RED).adj
+    assert sum(_layer_states(host, 11, 7, -1)) == 9_328
+    assert sum(_layer_states(k20, 20, 2, -1)) < DENSE_LOADED_MIN_STATES <= 2_000
+    calls.clear()
+    count_walks(k16, (0,), 5)
+    count_walks(host, range(11), 7)
+    count_walks(k20, range(20), 2)
     assert calls == ["dense", "dense", "dict"]
 
     # The budget reads the largest layer alone: P_7 on 27 vertices sums past

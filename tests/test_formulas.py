@@ -8,6 +8,7 @@ from ramseykit import (
     DomainError,
     conjectured_m,
     count_mono,
+    exhaustive_min,
     formula_split_paths,
     m_star,
     parse_pattern,
@@ -86,6 +87,18 @@ def test_split_value_bounds_the_exact_threshold_multiplicity(text: str) -> None:
     tm = threshold_multiplicity(pattern)
     assert tm.exact
     assert conjectured_m(pattern).value >= tm.value
+
+
+@pytest.mark.parametrize(
+    "text,n,minimum,split", [("P_3", 3, 1, 1), ("P_4", 5, 10, 12), ("P_5", 6, 18, 24)]
+)
+def test_exact_minima_below_the_split_value(text: str, n: int, minimum: int, split: int) -> None:
+    # the patterns conjectured_m covers with r(H) <= 7, where exhaustive
+    # search is exact: the split value is the minimum for P_3 only
+    pattern = parse_pattern(text)
+    assert r_path(pattern.k).value == n
+    assert exhaustive_min(pattern, n).best_count == minimum
+    assert conjectured_m(pattern).value == split
 
 
 def test_c4_has_no_split_value() -> None:
