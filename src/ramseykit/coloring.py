@@ -39,14 +39,6 @@ MAGIC = b"RMC1"
 _REVERSE_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def other_color(color: str) -> str:
-    if color == RED:
-        return BLUE
-    if color == BLUE:
-        return RED
-    raise DomainError(f"unknown color {color!r}")
-
-
 def job_seed(*parts: object) -> int:
     """64-bit seed of one job: blake2b of its parts joined by ':'."""
     text = ":".join(map(str, parts))

@@ -8,22 +8,23 @@ graphs, a detector for near-split colorings, and numeric checkers that
 compare closed-form lower bounds for bipartite path counts against
 exact counts.
 
-Both regularity checkers run one counterpart scan: for a subset S of one
-side, the lo vertices of the other side of largest and of smallest degree
-into S, lo its least admissible size, deviate furthest from the base
-density, so no other counterpart of any size needs visiting.  The
-exhaustive checker enumerates S over the smaller side and keeps the largest
-deviation; the sampler draws S at random and stops at the first deviation
-beyond eps.  Every vertex set passed in as a part goes through one check:
-nonempty, in range, without repeats and disjoint from the other parts.
+Both regularity checkers call one counterpart scan, `_deviations`: for a
+subset S of one side, the lo vertices of the other side of largest and of
+smallest degree into S, lo its least admissible size, deviate furthest from
+the base density, so no other counterpart of any size needs visiting.  The
+exhaustive checker keeps the larger of the two ends over every S of the
+smaller side; the sampler tests the high end, then the low end, of random
+S.  `_witness` rebuilds (U, V) only for a verdict that reports one.  One
+part check validates both parts and yields their base density.
 
 Conventions
 -----------
 Every verdict is exact.  The regularity checkers compare deviations n/d by
 integer cross-multiplication (n*d' > n'*d) and build a `Fraction` only for
 the densities and deviations they report; other checks compare Fractions.
-Floats appear only in displayed bounds; a float parameter x is read as
-``Fraction(str(x))``, so ``0.05`` means 1/20.
+Floats appear only in displayed bounds, each evaluated after its exact
+count, which refuses an oversized walk before the bound could overflow; a
+float parameter x is read as ``Fraction(str(x))``, so ``0.05`` means 1/20.
 
 The density between disjoint sets X, Y is e(X,Y)/(|X||Y|).  The density
 within a single set X is d(X,X) = 2e(X)/|X|^2 (every inner edge counted
@@ -31,8 +32,8 @@ as two ordered pairs).  The near-split detector is the one exception: it
 judges the inside-A condition by induced-subgraph density e(A)/C(|A|,2),
 which is the natural reading for "the graph G[A] has density at least
 1 - alpha" and the one under which a monochromatic clique has density 1.
-It is d(A,A)|A|/(|A|-1), taken from `pair_density` like every other
-density.
+It reads only the graph of the inside color: every A-B pair has one
+color, so the other color's cross density is 1 - d(A,B) in that graph.
 
 Every function here reads plain `SimpleGraph`s; the graph of one color of
 a coloring is ``coloring.view(color)``.
@@ -46,7 +47,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
-from .coloring import BLUE, RED, EdgeColoring, job_seed, other_color
+from .coloring import BLUE, RED, EdgeColoring, job_seed
 from .counting import count_walks
 from .errors import CapabilityError, DomainError
 from .structure import SimpleGraph, _bits, max_matching
@@ -137,32 +138,37 @@ class RegularityResult:
 
 def _check_pair_inputs(
     g: SimpleGraph, xs: Sequence[int], ys: Sequence[int], eps: Fraction
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], list[int], Fraction]:
+    """Both parts sorted, and their density d(X,Y), after the one part check."""
     if eps <= 0:
         raise DomainError("eps must be positive")
-    _part_masks(g.n, xs, ys)
-    return sorted(xs), sorted(ys)
+    xmask, ymask = _part_masks(g.n, xs, ys)
+    cross = sum((g.adj[x] & ymask).bit_count() for x in _bits(xmask))
+    base = Fraction(cross, xmask.bit_count() * ymask.bit_count())
+    return list(_bits(xmask)), list(_bits(ymask)), base
 
 
-def _counterparts(
-    adj: Sequence[int], smask: int, other: Sequence[int], lo: int, p: int, q: int
-) -> list[tuple[int, int, list[tuple[int, int]]]]:
-    """(n, d, T) with |d(S,T) - p/q| = n/d for T the lo vertices of `other` of
-    largest and then of smallest degree into S, as (degree, vertex) pairs
-    sorted by both.  The mean degree into S of the s vertices of largest
-    (smallest) degree falls (rises) with s, so no larger T deviates further."""
-    degs = sorted(((adj[w] & smask).bit_count(), w) for w in other)
-    u = smask.bit_count()
-    return [
-        (abs(sum(deg for deg, _ in pick) * q - p * u * lo), q * u * lo, pick)
-        for pick in (degs[len(degs) - lo :], degs[:lo])
-    ]
+def _deviations(
+    rows: Sequence[int], smask: int, lo: int, p: int, q: int
+) -> tuple[int, int, int]:
+    """(high, low, den): |d(S,T) - p/q| is high/den for T the lo rows of
+    largest degree into S and low/den for the lo of smallest.  The mean
+    degree into S of the s rows of largest (smallest) degree falls (rises)
+    with s, so no larger T deviates further."""
+    degs = sorted([(r & smask).bit_count() for r in rows])
+    ulo = smask.bit_count() * lo
+    mid = p * ulo
+    return abs(sum(degs[-lo:]) * q - mid), abs(mid - sum(degs[:lo]) * q), q * ulo
 
 
-def _oriented(
-    swapped: bool, smask: int, pick: list[tuple[int, int]]
+def _witness(
+    g: SimpleGraph, smask: int, other: Sequence[int], lo: int, high: bool, swapped: bool
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Witness (U, V) from the scanned subset S and its counterpart T."""
+    """Witness (U, V) from a scanned subset S of one side: T is the lo
+    vertices of `other` of largest (`high`) or smallest degree into S, ties
+    broken by a (degree, vertex) sort, and U is S unless `swapped`."""
+    ranked = sorted(((g.adj[w] & smask).bit_count(), w) for w in other)
+    pick = ranked[len(ranked) - lo :] if high else ranked[:lo]
     s = tuple(_bits(smask))
     t = tuple(sorted(w for _, w in pick))
     return (t, s) if swapped else (s, t)
@@ -182,7 +188,7 @@ def eps_regular_exact(
     two-core host).  All comparisons are exact.
     """
     epsf = as_fraction(eps)
-    xs_s, ys_s = _check_pair_inputs(g, xs, ys, epsf)
+    xs_s, ys_s, base = _check_pair_inputs(g, xs, ys, epsf)
     if len(xs_s) > EXACT_REGULARITY_MAX or len(ys_s) > EXACT_REGULARITY_MAX:
         raise CapabilityError(
             f"exact regularity is limited to parts of size {EXACT_REGULARITY_MAX}; "
@@ -190,7 +196,6 @@ def eps_regular_exact(
         )
     swapped = len(ys_s) < len(xs_s)
     enum_side, scan_side = (ys_s, xs_s) if swapped else (xs_s, ys_s)
-    base = pair_density(g, xs_s, ys_s)
     p, q = base.numerator, base.denominator
     enum_min = math.ceil(epsf * len(enum_side))
     lo = math.ceil(epsf * len(scan_side))
@@ -198,25 +203,21 @@ def eps_regular_exact(
     subsets = [0]
     for v in enum_side:
         subsets += [smask | 1 << v for smask in subsets]
-    # The same scan as `_counterparts` on degrees alone: only the lo vertices
-    # of largest and of smallest degree into S are weighed.  worst / worst_den
-    # is first reached at worst_s.  lo > |scan_side| only if no S qualifies.
+    # worst / worst_den is first reached at worst_s.  lo > |scan_side| only
+    # if no S qualifies.
     worst, worst_den, worst_s = 0, 1, 0
     for smask in subsets:
-        u = smask.bit_count()
-        if u < enum_min:
+        if smask.bit_count() < enum_min:
             continue
-        degs = sorted([(r & smask).bit_count() for r in rows])
-        pul, den = p * u * lo, q * u * lo
-        dev = max(sum(degs[-lo:]) * q - pul, pul - sum(degs[:lo]) * q)
+        high, low, den = _deviations(rows, smask, lo, p, q)
+        dev = max(high, low)
         if dev * worst_den > worst * den:
             worst, worst_den, worst_s = dev, den, smask
     regular = worst * epsf.denominator <= epsf.numerator * worst_den
     witness = None
     if not regular:
-        picks = _counterparts(g.adj, worst_s, scan_side, lo, p, q)
-        first = next(pick for dev, den, pick in picks if dev * worst_den == worst * den)
-        witness = _oriented(swapped, worst_s, first)
+        high, low, _ = _deviations(rows, worst_s, lo, p, q)
+        witness = _witness(g, worst_s, scan_side, lo, high >= low, swapped)
     return RegularityResult(
         regular=regular,
         eps=epsf,
@@ -268,11 +269,10 @@ def eps_regular_sample(
     "no-violation-found" and must not be read as "regular".
     """
     epsf = as_fraction(eps)
-    xs_s, ys_s = _check_pair_inputs(g, xs, ys, epsf)
+    xs_s, ys_s, base = _check_pair_inputs(g, xs, ys, epsf)
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 0:
         raise DomainError(f"trials must be a nonnegative int, not {trials!r}")
     nx, ny = len(xs_s), len(ys_s)
-    base = pair_density(g, xs_s, ys_s)
     u_min = math.ceil(epsf * nx)
     v_min = math.ceil(epsf * ny)
     if u_min > nx or v_min > ny:
@@ -280,16 +280,19 @@ def eps_regular_sample(
             status="no-violation-found", eps=epsf, base_density=base, trials=0
         )
     p, q = base.numerator, base.denominator
+    x_rows = [g.adj[w] for w in xs_s]
+    y_rows = [g.adj[w] for w in ys_s]
     rng = Random(seed)
     for t in range(trials):
         swapped = t % 2 == 1
-        side, other = (ys_s, xs_s) if swapped else (xs_s, ys_s)
+        side, other, rows = (ys_s, xs_s, x_rows) if swapped else (xs_s, ys_s, y_rows)
         s_lo, o_lo = (v_min, u_min) if swapped else (u_min, v_min)
         size = rng.randint(s_lo, len(side))
         smask = 0
         for w in rng.sample(side, size):
             smask |= 1 << w
-        for dev, den, pick in _counterparts(g.adj, smask, other, o_lo, p, q):
+        high, low, den = _deviations(rows, smask, o_lo, p, q)
+        for dev, is_high in ((high, True), (low, False)):
             if dev * epsf.denominator > epsf.numerator * den:
                 return SampleVerdict(
                     status="violated",
@@ -297,7 +300,7 @@ def eps_regular_sample(
                     base_density=base,
                     trials=t + 1,
                     deviation=Fraction(dev, den),
-                    witness=_oriented(swapped, smask, pick),
+                    witness=_witness(g, smask, other, o_lo, is_high, swapped),
                 )
     return SampleVerdict(
         status="no-violation-found", eps=epsf, base_density=base, trials=trials
@@ -633,28 +636,31 @@ class ExtremalVerdict:
 
 
 def _split_test(
-    coloring: EdgeColoring, a_set: frozenset[int], alpha: Fraction, inner: str
+    g: SimpleGraph, amask: int, alpha: Fraction, inner: str
 ) -> ExtremalVerdict | None:
-    """Exact test of the near-split conditions for a candidate side A."""
-    n = coloring.n
-    a = tuple(sorted(a_set))
-    b = tuple(v for v in range(n) if v not in a_set)
-    if Fraction(len(a)) < (Fraction(2, 3) - alpha) * n:
-        return None
-    if Fraction(len(b)) < (Fraction(1, 3) - alpha) * n:
-        return None
-    # e(A)/C(|A|,2), and 1 on fewer than two vertices or an empty side
+    """Exact test of the near-split conditions for a candidate side A, read
+    from g, the graph of the inside color."""
+    n = g.n
+    a = tuple(_bits(amask))
     k = len(a)
-    d_in = pair_density(coloring.view(inner), a, a) * k / (k - 1) if k >= 2 else Fraction(1)
+    if k < (Fraction(2, 3) - alpha) * n or n - k < (Fraction(1, 3) - alpha) * n:
+        return None
+    # e(A)/C(|A|,2), and 1 on fewer than two vertices
+    inside = sum((g.adj[v] & amask).bit_count() for v in a)
+    d_in = Fraction(inside, k * (k - 1)) if k >= 2 else Fraction(1)
     if d_in < 1 - alpha:
         return None
-    d_cross = pair_density(coloring.view(other_color(inner)), a, b) if a and b else Fraction(1)
+    # every cross pair has one color, so the other color's density is
+    # 1 - d(A,B) in g, and 1 with an empty side
+    bmask = ((1 << n) - 1) & ~amask
+    cross = sum((g.adj[v] & bmask).bit_count() for v in a)
+    d_cross = 1 - Fraction(cross, k * (n - k)) if 0 < k < n else Fraction(1)
     if d_cross < 1 - alpha:
         return None
     return ExtremalVerdict(
         is_extremal=True,
         a_side=a,
-        b_side=b,
+        b_side=tuple(_bits(bmask)),
         alpha=alpha,
         inner_color=inner,
         inner_density=d_in,
@@ -691,18 +697,14 @@ def extremal_detect(coloring: EdgeColoring, alpha: object) -> ExtremalVerdict:
         g = coloring.view(inner)
         degs = sorted(((-g.degree(v), v) for v in range(n)))
         prefix_size = -((-2 * n) // 3)  # ceil(2n/3)
-        starts = [frozenset(v for _, v in degs[:prefix_size])]
-        thresh = frozenset(
-            v for v in range(n) if 3 * g.degree(v) >= 2 * n
-        )
-        if thresh and thresh not in starts:
-            starts.append(thresh)
-        for start in starts:
-            current = start
-            seen: set[frozenset[int]] = set()
+        prefix = sum(1 << v for _, v in degs[:prefix_size])
+        thresh = sum(1 << v for v in range(n) if 3 * g.degree(v) >= 2 * n)
+        starts = [prefix, thresh] if thresh and thresh != prefix else [prefix]
+        for current in starts:
+            seen: set[int] = set()
             for _ in range(n + 1):
                 tested += 1
-                verdict = _split_test(coloring, current, alphaf, inner)
+                verdict = _split_test(g, current, alphaf, inner)
                 if verdict is not None:
                     return verdict
                 if current in seen:
@@ -711,10 +713,9 @@ def extremal_detect(coloring: EdgeColoring, alpha: object) -> ExtremalVerdict:
                 seen.add(current)
                 if not current:
                     break
-                size = len(current)
-                mask = _vertex_mask(current, n)
-                nxt = frozenset(
-                    v for v in range(n) if 3 * (g.adj[v] & mask).bit_count() >= 2 * size
+                size = current.bit_count()
+                nxt = sum(
+                    1 << v for v in range(n) if 3 * (g.adj[v] & current).bit_count() >= 2 * size
                 )
                 if nxt == current:
                     break
@@ -830,9 +831,9 @@ def rooted_path_bound(
         "length-range": 2 * n - l - 1 >= 0
         and 4 * n * n * epsf <= Fraction((2 * n - l - 1) ** 2),
     }
+    exact = count_walks(adj, (v,), l)
     base = max(float(df) - float(epsf) - math.sqrt(float(epsf)), 0.0)
     bound = base**l * _alternating_falling(n, l)
-    exact = count_walks(adj, (v,), l)
     return BoundReport(
         mode="rooted",
         hypotheses=hyp,
@@ -893,13 +894,13 @@ def endpoint_path_bound(
         and 16 * n * n * epsf <= Fraction((2 * n - l) ** 2),
         "length-parity": (l % 2 == 0) == same_part,
     }
-    base = max(float(df) - 7 * math.sqrt(float(epsf)), 0.0)
-    bound = base ** (l - 1) * float(epsf) * n * _alternating_falling(n, l - 2)
     if l == 1:
         exact = adj[u] >> v & 1
     else:
         # walk from u avoiding v, then close on a neighbour of v
         exact = count_walks(adj, (u,), l - 1, inner=~(1 << v), end=adj[v])
+    base = max(float(df) - 7 * math.sqrt(float(epsf)), 0.0)
+    bound = base ** (l - 1) * float(epsf) * n * _alternating_falling(n, l - 2)
     return BoundReport(
         mode="endpoints",
         hypotheses=hyp,
@@ -950,6 +951,10 @@ def dense_bipartite_bound(
         and deltaf * deltaf >= 16 * betaf * mx * mx,
         "u-min-degree": Fraction(min_u_deg) >= deltaf,
     }
+    # One start a call: at |U| = 6, |V| = 9, k = 6 a call from all of V
+    # estimates 21,984 states over its layers, past DENSE_MIN_STATES, and
+    # `verify --suite bounds` would load numpy; one start estimates 7,051.
+    exact = sum(count_walks(adj, (v,), k - 1) for v in _bits(vmask))
     sb = math.sqrt(float(betaf))
     deltav = float(deltaf)
     exp1 = 2 * sb * nu
@@ -965,10 +970,6 @@ def dense_bipartite_bound(
         f2 = 0.0
     f3 = max(1 - 6 * sb, 0.0) ** (k / 2)
     bound = f1 * f2 * f3 * math.perm(nu, k // 2) * math.perm(nv, (k + 1) // 2)
-    # One start a call: at |U| = 6, |V| = 9, k = 6 a call from all of V
-    # estimates 21,984 states over its layers, past DENSE_MIN_STATES, and
-    # `verify --suite bounds` would load numpy; one start estimates 7,051.
-    exact = sum(count_walks(adj, (v,), k - 1) for v in _bits(vmask))
     return BoundReport(
         mode="dense-bipartite",
         hypotheses=hyp,

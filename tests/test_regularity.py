@@ -599,6 +599,42 @@ def test_extremal_densities_match_a_color_recount(c, alpha) -> None:
     assert verdict.inner_density >= 1 - alpha and verdict.cross_density >= 1 - alpha
 
 
+EXTREMAL_ALPHAS = (
+    Fraction(1, 20), Fraction(1, 10), Fraction(1, 5), Fraction(2, 5), Fraction(7, 10),
+)
+# sha256 of repr(extremal_detect(c, alpha)), diagnostics included, over 600
+# colorings and every alpha above, recorded while the near-split test still
+# read both color views per candidate side
+EXTREMAL_PANEL_SHA256 = "162cde8275beadbbbe61885d2dda4286372314b36de33bbb77c22c3400fea7da"
+
+
+def extremal_panel_digest() -> str:
+    digest = hashlib.sha256()
+    for i in range(600):
+        rng = random.Random(f"extremal:{i}")
+        n = rng.randint(3, 30)
+        kind = i % 3
+        if kind == 0:
+            c = EdgeColoring.random(n, rng)
+        else:
+            a = rng.randint(0, n)
+            pairs = list(combinations(range(n), 2))
+            flips = rng.sample(pairs, rng.randint(0, len(pairs) // 6)) if kind == 2 else []
+            c = split_coloring(a, n - a, flips).relabeled(rng.sample(range(n), n))
+            if rng.random() < 0.5:
+                c = c.complemented()
+        for alpha in EXTREMAL_ALPHAS:
+            digest.update(repr(extremal_detect(c, alpha)).encode())
+    return digest.hexdigest()
+
+
+def test_extremal_verdicts_are_pinned() -> None:
+    # random colorings, and split colorings on shuffled labels with up to
+    # C(n,2)/6 flipped pairs, half of them complemented, n = 3..30; the
+    # digest also covers candidates_tested and converged of every miss
+    assert extremal_panel_digest() == EXTREMAL_PANEL_SHA256
+
+
 def test_random_coloring_is_not_extremal_at_tight_tolerance() -> None:
     c = EdgeColoring.random(30, random.Random(13))
     verdict = extremal_detect(c, Fraction(1, 20))
@@ -749,3 +785,21 @@ def test_path_enumeration_work_guard() -> None:
     g = complete_bipartite(200, 200)
     with pytest.raises(CapabilityError):
         rooted_path_bound(g, range(200), range(200, 400), 0.01, 1, l=9, v=200)
+
+
+def test_bound_checkers_refuse_long_walks_before_the_bound_overflows() -> None:
+    # the float bounds of l = k = 300 on a 200x200 pair overflow; the exact
+    # count comes first and is refused by its size estimate
+    g = complete_bipartite(200, 200)
+    us, vs = range(200), range(200, 400)
+    checks = [
+        lambda: rooted_path_bound(g, us, vs, 0.01, 1, l=300, v=200),
+        lambda: endpoint_path_bound(g, us, vs, 0.01, 1, l=300, u=0, v=1),
+        lambda: dense_bipartite_bound(g, us, vs, 0, 1, k=300),
+        lambda: verify_count_bounds(
+            g, us, vs, {"mode": "rooted", "eps": 0.01, "d": 1, "l": 300, "v": 200}
+        ),
+    ]
+    for check in checks:
+        with pytest.raises(CapabilityError):
+            check()
