@@ -803,3 +803,126 @@ def test_bound_checkers_refuse_long_walks_before_the_bound_overflows() -> None:
     for check in checks:
         with pytest.raises(CapabilityError):
             check()
+
+
+# --- pinned part-pair outputs --------------------------------------------
+
+
+def hosted_pair(rng: random.Random, extra_max: int):
+    """Parts of 3-12 vertices on shuffled labels with a cross density of
+    1/2 to 1; with extra_max, 1 to extra_max more vertices and random edges
+    everywhere off the pair, inside the parts included."""
+    from ramseykit import SimpleGraph
+
+    a, b = rng.randint(3, 12), rng.randint(3, 12)
+    n = a + b + (rng.randint(1, extra_max) if extra_max else 0)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    us, vs = labels[:a], labels[a:a + b]
+    p = rng.choice((0.5, 0.75, 0.9, 1.0, 1.0))
+    side = {w: w in us for w in us + vs}
+    edges = [
+        (x, y) for x, y in combinations(range(n), 2)
+        if rng.random() < (
+            p if x in side and y in side and side[x] != side[y] else 0.5 * (n > a + b)
+        )
+    ]
+    return SimpleGraph.from_edges(n, edges), us, vs
+
+
+def bound_params(rng: random.Random, us: list, vs: list) -> dict:
+    mode = rng.choice(("rooted", "endpoints", "dense-bipartite"))
+    if mode == "rooted":
+        eps = rng.choice((Fraction(1, 4), Fraction(29, 100), Fraction(9, 25), Fraction(9, 25)))
+        return {
+            "mode": mode, "eps": eps, "d": rng.choice((Fraction(1, 2), Fraction(17, 20), 1, 1)),
+            "l": rng.randint(1, 7), "v": rng.choice(vs),
+        }
+    if mode == "endpoints":
+        u, v = rng.sample(us + vs, 2)
+        return {
+            "mode": mode, "eps": rng.choice((Fraction(1, 25), Fraction(1, 4))),
+            "d": rng.choice((Fraction(1, 2), 1)), "l": rng.randint(1, 7), "u": u, "v": v,
+        }
+    return {
+        "mode": mode, "beta": rng.choice((0, 0, Fraction(1, 20000), Fraction(1, 10))),
+        "delta": rng.randint(0, len(vs) // 2), "k": rng.randint(1, 7),
+    }
+
+
+# sha256 of repr over 300 bound reports with a degree deviation report on
+# each pair, then 120 dichotomy verdicts, recorded while the bound checkers
+# still walked the whole host and read degrees from g.adj
+PAIR_PANEL_SHA256 = "67301a0c64f6627855f406caa4448a8fb80e86bcc60ec38a943a494dd22d16e1"
+
+
+def pair_panel_digest() -> str:
+    digest = hashlib.sha256()
+    for i in range(300):
+        rng = random.Random(f"bounds:{i}")
+        g, us, vs = hosted_pair(rng, 4 if i % 2 else 0)
+        report = verify_count_bounds(g, us, vs, bound_params(rng, us, vs))
+        d = rng.choice((Fraction(1, 2), Fraction(3, 4), 1))
+        dev = degree_deviation_check(g, us, vs, d, rng.choice((Fraction(1, 10), Fraction(1, 4))))
+        digest.update(repr((report, dev)).encode())
+    for i in range(40):
+        rng = random.Random(f"dichotomy:{i}")
+        n = rng.randint(9, 27)
+        if i % 3 == 0:
+            c = EdgeColoring.random(n, rng)
+        else:
+            pairs = list(combinations(range(n), 2))
+            flips = rng.sample(pairs, rng.randint(0, len(pairs) // 8)) if i % 3 == 2 else []
+            a = rng.randint(n // 3, n)
+            c = split_coloring(a, n - a, flips).relabeled(rng.sample(range(n), n))
+        labels = rng.sample(range(n), n)
+        parts = []
+        while n - sum(map(len, parts)) >= 2:
+            start = sum(map(len, parts))
+            parts.append(labels[start:start + rng.randint(2, 4)])
+        rg = build_reduced(
+            c, VertexPartition.from_parts(n, parts),
+            rng.choice((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))),
+            rng.choice((0, Fraction(1, 4), Fraction(1, 2))),
+        )
+        for lam in (0, Fraction(1, 20), Fraction(1, 6)):
+            digest.update(repr(dichotomy_classify(rg, lam)).encode())
+    return digest.hexdigest()
+
+
+def test_pair_outputs_are_pinned() -> None:
+    # all three bound modes, vacuous and confirmed, l and k 1-7, on pairs
+    # that are the host and pairs in hosts of up to 4 more vertices with
+    # edges inside the parts; dichotomy verdicts on exact reduced graphs of
+    # random, split and flipped-split colorings, n = 9-27, parts of 2-4
+    assert pair_panel_digest() == PAIR_PANEL_SHA256
+
+
+def test_bound_checkers_walk_the_pair_alone() -> None:
+    # the complete 10x10 pair, alone, beside an isolated vertex, and in a
+    # 40-vertex host with random edges everywhere off the pair: only the
+    # pair's vertices may count towards the walk's kernel and size estimate
+    from ramseykit import SimpleGraph
+
+    rng = random.Random(23)
+    pair = [(i, 10 + j) for i in range(10) for j in range(10)]
+    off = [
+        e for e in combinations(range(40), 2)
+        if (e[0] < 10) == (e[1] < 10) or e[1] >= 20
+    ]
+    hosts = [
+        SimpleGraph.from_edges(20, pair),
+        SimpleGraph.from_edges(21, pair),
+        SimpleGraph.from_edges(40, pair + [e for e in off if rng.random() < 0.5]),
+    ]
+    us, vs = range(10), range(10, 20)
+    reports = [
+        (
+            rooted_path_bound(g, us, vs, 0.36, 1, l=10, v=10),
+            endpoint_path_bound(g, us, vs, 0.36, 1, l=9, u=0, v=10),
+            dense_bipartite_bound(g, us, vs, 0, 10, k=10),
+        )
+        for g in hosts
+    ]
+    assert [r.exact_count for r in reports[0]] == [457_228_800, 9_144_576, 914_457_600]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
