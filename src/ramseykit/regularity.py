@@ -74,6 +74,14 @@ def as_fraction(x: object) -> Fraction:
         raise DomainError(f"cannot interpret {x!r} as an exact rational") from exc
 
 
+def _eps_and_d(eps: object, d: object) -> tuple[Fraction, Fraction]:
+    """eps and d as exact rationals; eps must be positive."""
+    epsf, df = as_fraction(eps), as_fraction(d)
+    if epsf <= 0:
+        raise DomainError("eps must be positive")
+    return epsf, df
+
+
 def _vertex_mask(vertices: Iterable[int], n: int) -> int:
     m = 0
     for v in vertices:
@@ -344,10 +352,7 @@ def degree_deviation_check(
     distribution every regular pair must exhibit.  X and Y must be
     disjoint parts.
     """
-    df = as_fraction(d)
-    epsf = as_fraction(eps)
-    if epsf <= 0:
-        raise DomainError("eps must be positive")
+    epsf, df = _eps_and_d(eps, d)
     xmask, ymask, cross = _pair(g, xs, ys)
     ny = ymask.bit_count()
     hi, lo = (df + epsf) * ny, (df - epsf) * ny
@@ -487,8 +492,9 @@ def build_reduced(
         raise DomainError("mode must be 'exact' or 'sample'")
     if partition.n != coloring.n:
         raise DomainError("partition and coloring disagree on n")
-    epsf = as_fraction(eps)
-    df = as_fraction(d)
+    epsf, df = _eps_and_d(eps, d)
+    if mode == "sample" and (isinstance(trials, bool) or not isinstance(trials, int) or trials < 0):
+        raise DomainError(f"trials must be a nonnegative int, not {trials!r}")
     parts = partition.parts
     m = len(parts)
     if mode == "exact" and any(len(p) > EXACT_REGULARITY_MAX for p in parts):
@@ -808,10 +814,7 @@ def rooted_path_bound(
     length l starting at v.  Hypotheses are decided exactly; the bound
     itself is evaluated in floats with negative bases clamped to zero.
     """
-    epsf = as_fraction(eps)
-    df = as_fraction(d)
-    if epsf <= 0:
-        raise DomainError("eps must be positive")
+    epsf, df = _eps_and_d(eps, d)
     if l < 1:
         raise DomainError("path length must be at least 1")
     umask, vmask, cross = _pair(g, us, vs)
@@ -859,10 +862,7 @@ def endpoint_path_bound(
     least (d - 7 sqrt(eps))^(l-1) * (eps n) * prod_{i=1..l-2}
     (n - floor(i/2)) paths of length l with ends u and v.
     """
-    epsf = as_fraction(eps)
-    df = as_fraction(d)
-    if epsf <= 0:
-        raise DomainError("eps must be positive")
+    epsf, df = _eps_and_d(eps, d)
     if l < 1:
         raise DomainError("path length must be at least 1")
     if u == v:

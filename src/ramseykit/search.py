@@ -9,9 +9,9 @@ Python integers, so no host size is capped by a machine word.
 
 * ``exhaustive_min`` -- exact minimum by vertex extension.  It takes one
   representative per graph-isomorphism class on n-1 vertices and every red
-  neighbourhood of the last vertex: one ``_red_counts`` pass over the copy
-  list and a subset-sum transform count all those extensions at once.  This
-  is sound because the count is relabeling-invariant.
+  neighbourhood N of the last vertex: one ``_red_counts`` pass over the copy
+  list and two subset-sum tables, red read at N and blue at ~N, count every
+  copy in all those extensions at once; the count is relabeling-invariant.
 * ``canonical_graph_reps`` -- the class representatives, by orderly
   generation.  A representative is the labeling with the least
   column-major adjacency string, and that form has a prefix property: its
@@ -367,11 +367,11 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     One ``_red_counts`` pass over the r, with every edge at v blue, gives each
     copy's red-edge count, and then
 
-        count(r, N) = inner(r) + zeta(R_r)[N] + zeta(B_r)[~N]
+        count(r, N) = zeta(R_r)[N] + zeta(B_r)[~N]
 
-    inner(r) counts the monochromatic copies with no edge at v.  R_r[S]
-    (B_r[S]) counts the copies whose edges at v go to S and whose other
-    edges are all red (all blue); zeta sums over the subsets of N.
+    R_r[S] (B_r[S]) counts the copies whose edges at v go to S and whose
+    other edges are all red (all blue); zeta sums over the subsets of N.  A
+    copy with no edge at v has S empty, inside every N and every ~N.
     ``explored`` is the number of (r, N) pairs, classes(n-1) * 2^(n-1).
     The witness is the least serialized coloring among the tied pairs,
     re-verified with the independent DP counter before returning.
@@ -396,26 +396,23 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     at = at_v[edges]
     hood = at.sum(axis=1)  # the neighbours of v in each copy, as a bitmask
     red = _red_counts(edges, nbits, states)
-    fixed = red[hood == 0]  # copies with no edge at v: r alone sets their colors
-    inner = np.count_nonzero(fixed == 0, axis=0) + np.count_nonzero(fixed == s, axis=0)
-    through = hood > 0
-    red, others = red[through], s - np.count_nonzero(at[through], axis=1)
-    cell = hood[through, None] * len(states) + np.arange(len(states))
+    others = s - np.count_nonzero(at, axis=1)  # the edges of each copy off v
 
     def zeta(mono):
         """Row N, column r: the copies counted by mono with S a subset of N."""
-        table = np.bincount(cell[mono], minlength=len(states) << v).reshape(1 << v, -1)
+        c, r = np.divmod(np.flatnonzero(mono), len(states))
+        table = np.bincount(hood[c] * len(states) + r, minlength=len(states) << v)
+        table = table.reshape(1 << v, -1)
         for i in range(v):
             half = table.reshape(-1, 2, 1 << i, len(states))
             half[:, 1] += half[:, 0]
         return table
 
-    counts = inner + zeta(red == others[:, None]) + zeta(red == 0)[::-1]
+    counts = zeta(red == others[:, None]) + zeta(red == 0)[::-1]
     best = int(counts.min())
-    hoods, reps = (counts == best).nonzero()
     tied = (
         states[r] | sum(1 << spoke[i] for i in range(v) if h >> i & 1)
-        for h, r in zip(hoods.tolist(), reps.tolist())
+        for h, r in np.argwhere(counts == best).tolist()
     )
     return _finish(pattern, n, best, tied, True, counts.size, method)
 

@@ -277,6 +277,19 @@ def test_sampler_refuses_bad_trials(trials) -> None:
         build_reduced(split_coloring(3, 3), partition, 0.2, 0.5, mode="sample", trials=trials)
 
 
+@pytest.mark.parametrize("parts", [1, 2])
+def test_reduced_graph_refuses_bad_parameters_with_any_number_of_pairs(parts: int) -> None:
+    # one part has no pair to check, so the refusal cannot come from a pair check
+    coloring = split_coloring(3, 3)
+    partition = VertexPartition.of_size(6, 6 // parts)
+    for eps in (-1, 0):
+        for mode in ("exact", "sample"):
+            with pytest.raises(DomainError, match="eps must be positive"):
+                build_reduced(coloring, partition, eps, 0.5, mode=mode)
+    with pytest.raises(DomainError, match="trials must be a nonnegative int, not -3"):
+        build_reduced(coloring, partition, 0.2, 0.5, mode="sample", trials=-3)
+
+
 def test_float_tolerances_are_read_as_decimals() -> None:
     g = complete_bipartite(6, 6)
     res = eps_regular_exact(g, range(6), range(6, 12), 0.05)

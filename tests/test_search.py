@@ -263,6 +263,34 @@ def test_exhaustive_sweeps_every_extension_of_the_smaller_classes() -> None:
     assert runs[7].best_count == 1
 
 
+EXHAUSTIVE_PIN_LABELS = (
+    [f"P_{k}" for k in range(1, 8)] + [f"C_{k}" for k in range(3, 8)]
+    + [f"S_{k}" for k in range(1, 6)] + [f"K{k}" for k in range(2, 6)]
+)
+# sha256 of repr over the 168 outcomes of exhaustive_min(p, n), p in
+# EXHAUSTIVE_PIN_LABELS and n = 0..7, and over P_6/8 and C_6/8, recorded while
+# copies with no edge at the last vertex were still counted apart
+EXHAUSTIVE_SHA256 = "62049769febd2b5c4901f757373f81371db4169ae06d488e6ea660597ffc68e2"
+EXHAUSTIVE_N8_SHA256 = "390a6a04b3fd0ee0308f27d092336cce6ec0c59b85ae9241fa0c4fcc531c31e8"
+
+
+def _exhaustive_outcome(label: str, n: int) -> tuple:
+    res = exhaustive_min(parse_pattern(label), n)
+    return (res.best_count, res.witness.serialize(), res.exact, res.explored, res.method)
+
+
+def test_exhaustive_outcomes_are_pinned() -> None:
+    out = [_exhaustive_outcome(label, n) for label in EXHAUSTIVE_PIN_LABELS for n in range(8)]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == EXHAUSTIVE_SHA256
+
+
+def test_exhaustive_outcomes_past_the_guard_are_pinned(monkeypatch) -> None:
+    monkeypatch.setattr(search, "EXHAUSTIVE_MAX_N", 8)
+    out = [_exhaustive_outcome(label, 8) for label in ("P_6", "C_6")]
+    assert [best for best, *_ in out] == [300, 10]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == EXHAUSTIVE_N8_SHA256
+
+
 def test_exhaustive_reads_the_copy_list_without_an_engine(monkeypatch) -> None:
     def refuse(pattern, n):
         raise AssertionError("exhaustive_min built an annealing engine")
