@@ -460,22 +460,17 @@ def formula_split_paths(a: int, b: int, k: int) -> int:
 
 
 def total_copies_in_complete(n: int, pattern: Pattern) -> int:
-    """Copies of the pattern in K_n (both colors together, i.e. the ceiling
-    for complementarity checks)."""
+    """Copies of the pattern in K_n, both colors together: the ceiling for
+    complementarity checks.  A copy is a sequence of distinct vertices up to
+    the pattern's automorphisms, so there are perm(n, v) / |Aut|: |Aut| is 2
+    for a path (1 for P_1), 2k for a cycle and k! for a clique or a star's
+    leaves (its centre is distinguished).  ``search._copy_edges`` lists one
+    canonical sequence per copy."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     k = pattern.k
-    if pattern.kind == "path":
-        if k == 1:
-            return n
-        return comb(n, k) * (factorial(k) // 2)
-    if pattern.kind == "cycle":
-        return comb(n, k) * (factorial(k - 1) // 2)
-    if pattern.kind == "star":
-        return n * comb(max(n - 1, 0), k)
-    if pattern.kind == "clique":
-        return comb(n, k)
-    raise DomainError(f"unknown pattern kind {pattern.kind!r}")
+    aut = {"path": min(k, 2), "cycle": 2 * k}.get(pattern.kind) or factorial(k)
+    return perm(n, pattern.vertex_count) // aut
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ UPPER_BOUND = "upper-bound"
 class RamseyValue:
     pattern: Pattern
     value: int
-    provenance: str  # "formula" or "search"
+    provenance: str  # always "formula"; search results are SearchRamseyResult
 
 
 @dataclass(frozen=True)

@@ -126,16 +126,16 @@ def _pair(g: SimpleGraph, xs: Iterable[int], ys: Iterable[int]) -> tuple[int, in
 # ---------------------------------------------------------------------------
 
 
-def pair_density(g: SimpleGraph, xs: Sequence[int], ys: Sequence[int]) -> Fraction:
+def pair_density(g: SimpleGraph, xs: Iterable[int], ys: Iterable[int]) -> Fraction:
     """Edge density d(X,Y) = e(X,Y)/(|X||Y|) as an exact rational.
 
     Overlapping sets are handled by counting ordered pairs, so
     d(X,X) = 2e(X)/|X|^2.  Use float() on the result for display.
     """
-    if not xs or not ys:
-        raise DomainError("density needs nonempty vertex sets")
     xmask = _vertex_mask(xs, g.n)
     ymask = _vertex_mask(ys, g.n)
+    if not xmask or not ymask:
+        raise DomainError("density needs nonempty vertex sets")
     ordered = sum((g.adj[x] & ymask).bit_count() for x in _bits(xmask))
     return Fraction(ordered, xmask.bit_count() * ymask.bit_count())
 

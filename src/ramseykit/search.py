@@ -47,6 +47,7 @@ from .coloring import (
     job_seed,
     pair_count,
     pair_index,
+    split_coloring,
 )
 from .counting import Pattern, count_mono, total_copies_in_complete
 from .errors import CapabilityError, DomainError
@@ -521,8 +522,6 @@ def ramsey_via_search(
     positive heuristic minimum certifies nothing, so the scan stops there
     with an interval answer.
     """
-    from .coloring import split_coloring
-
     vc = pattern.vertex_count
     lower = vc  # r(H) >= vertex count: smaller hosts carry no copy at all
     for n in range(vc, n_max + 1):
@@ -541,23 +540,16 @@ def ramsey_via_search(
     return SearchRamseyResult(pattern, lower, None)
 
 
-@dataclass(frozen=True)
-class ThresholdMultiplicity:
-    pattern: Pattern
-    ramsey_n: int
-    value: int
-    exact: bool
-    method: str
-
-
 def threshold_multiplicity(
     pattern: Pattern, config: SearchConfig | None = None
-) -> ThresholdMultiplicity:
-    """Minimum monochromatic count at n = r(H).
+) -> MinimizationResult:
+    """The search result at n = r(H), whose ``best_count`` is the threshold
+    Ramsey multiplicity and whose witness attains it.
 
     r comes from the closed forms for paths and cycles and from certified
-    search otherwise.  The count is exact when r <= 7; beyond that annealing
-    gives an upper bound and requires an explicit config.
+    search otherwise.  ``exhaustive_min`` is exact for r <= 7; above that
+    ``anneal_min`` with the caller's config gives an upper bound
+    (exact=False), and no config is a CapabilityError.
     """
     if pattern.kind == "path":
         r = r_path(pattern.k).value
@@ -571,12 +563,10 @@ def threshold_multiplicity(
             )
         r = located.value
     if r <= EXHAUSTIVE_MAX_N:
-        res = exhaustive_min(pattern, r)
-        return ThresholdMultiplicity(pattern, r, res.best_count, True, res.method)
+        return exhaustive_min(pattern, r)
     if config is None:
         raise CapabilityError(
             f"r({pattern.label}) = {r} > {EXHAUSTIVE_MAX_N}: supply a SearchConfig "
             "to compute an annealed upper bound"
         )
-    res = anneal_min(pattern, r, config)
-    return ThresholdMultiplicity(pattern, r, res.best_count, False, res.method)
+    return anneal_min(pattern, r, config)

@@ -149,6 +149,22 @@ def test_complete_graph_cycle_total() -> None:
             assert total_copies_in_complete(n, parse_pattern(f"C_{k}")) == want
 
 
+COPY_COUNT_LABELS = (
+    [f"P_{k}" for k in range(1, 13)] + [f"C_{k}" for k in range(3, 13)]
+    + [f"S_{k}" for k in range(1, 11)] + [f"K{k}" for k in range(2, 6)]
+)
+
+
+def test_complete_graph_copy_counts_are_pinned() -> None:
+    # sha256 of repr over 36 patterns x n = 0..40, recorded on the per-kind
+    # closed forms before they became one automorphism count
+    out = [total_copies_in_complete(n, parse_pattern(label))
+           for label in COPY_COUNT_LABELS for n in range(41)]
+    assert len(out) == 1476
+    assert (hashlib.sha256(repr(out).encode()).hexdigest()
+            == "1bc621c5a3041cbae1a333437ee294715340b7118c263951f6939d3dfd5be843")
+
+
 def test_path_and_cycle_masks_follow_the_vertex_sequences_in_order() -> None:
     # search results depend on the copy order, so pin it: permutations()
     # yields vertex sequences in lexicographic order, as the walk visits them

@@ -66,7 +66,7 @@ def test_star_closed_form_matches_exhaustive_threshold(k: int) -> None:
     # a star is a distinguished centre with k leaves, so K_2 holds 2 copies
     # of S_1: one per end of its edge
     pattern = parse_pattern(f"S_{k}")
-    assert m_star(k).value == threshold_multiplicity(pattern).value
+    assert m_star(k).value == threshold_multiplicity(pattern).best_count
 
 
 @pytest.mark.parametrize(
@@ -86,7 +86,7 @@ def test_split_value_bounds_the_exact_threshold_multiplicity(text: str) -> None:
     pattern = parse_pattern(text)
     tm = threshold_multiplicity(pattern)
     assert tm.exact
-    assert conjectured_m(pattern).value >= tm.value
+    assert conjectured_m(pattern).value >= tm.best_count
 
 
 @pytest.mark.parametrize(
@@ -104,7 +104,7 @@ def test_exact_minima_below_the_split_value(text: str, n: int, minimum: int, spl
 def test_c4_has_no_split_value() -> None:
     # r(C_4) = 6, and the even-cycle form would give 1, a coloring of K_5,
     # below the exact minimum 2 on K_6
-    assert threshold_multiplicity(parse_pattern("C_4")).value == 2
+    assert threshold_multiplicity(parse_pattern("C_4")).best_count == 2
     with pytest.raises(DomainError):
         conjectured_m(parse_pattern("C_4"))
 
@@ -181,7 +181,7 @@ def test_split_path_formula_is_total_of_three_terms(a: int, b: int, k: int) -> N
 @pytest.mark.parametrize("text,minimum", [("S_3", 6), ("K3", 2), ("P_4", 10)])
 def test_threshold_multiplicity_at_known_patterns(text: str, minimum: int) -> None:
     tm = threshold_multiplicity(parse_pattern(text))
-    assert tm.value == minimum
+    assert tm.best_count == minimum
     assert tm.exact
 
 
@@ -189,4 +189,4 @@ def test_short_even_path_conjecture_value_is_not_the_search_minimum() -> None:
     # The split construction gives 12 copies at n = 5, but exhaustive search
     # finds 10, so the closed form is flagged as an upper bound.
     assert conjectured_m(parse_pattern("P_4")).value == 12
-    assert threshold_multiplicity(parse_pattern("P_4")).value == 10
+    assert threshold_multiplicity(parse_pattern("P_4")).best_count == 10

@@ -76,6 +76,15 @@ def test_density_rejects_empty_sides() -> None:
         pair_density(g, [], [0, 1])
 
 
+def test_density_rejects_empty_iterators() -> None:
+    # an iterator is truthy even when empty, so emptiness is read off the masks
+    g = complete_bipartite(2, 2)
+    for xs, ys in ((iter([]), [1]), ([0], iter([])), ((v for v in ()), range(4))):
+        with pytest.raises(DomainError, match="nonempty vertex sets"):
+            pair_density(g, xs, ys)
+    assert pair_density(g, iter([0, 1]), (v for v in (2, 3))) == 1
+
+
 # --- exact regularity --------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from ramseykit import (
     CapabilityError,
     DomainError,
     EdgeColoring,
+    MinimizationResult,
     Pattern,
     SearchConfig,
     anneal_min,
@@ -22,6 +23,7 @@ from ramseykit import (
     r_path,
     ramsey_via_search,
     split_coloring,
+    threshold_multiplicity,
 )
 from ramseykit import search
 from ramseykit.coloring import job_seed, pair_count
@@ -535,3 +537,48 @@ def test_ramsey_search_reports_lower_bound_when_capped() -> None:
     res = ramsey_via_search(parse_pattern("P_4"), 4)
     assert res.value is None
     assert res.lower == 5
+
+
+def test_ramsey_search_certifies_past_the_exhaustive_range(monkeypatch) -> None:
+    # r(P_7) = 9: the exhaustive minimum at 7 and the split (6, 2) at 8 are
+    # zero, and no split of 9 is, so only lower = 9 is certified
+    pattern = parse_pattern("P_7")
+    assert exhaustive_min(pattern, 7).best_count == 0
+    assert count_mono(split_coloring(6, 2), pattern) == 0
+    assert all(count_mono(split_coloring(a, 9 - a), pattern) > 0 for a in range(10))
+    res = ramsey_via_search(pattern, 9)
+    assert (res.lower, res.value) == (r_path(7).value, None) == (9, None)
+
+    calls = []
+    anneal = search.anneal_min
+    monkeypatch.setattr(search, "anneal_min", lambda p, n, c: calls.append(n) or anneal(p, n, c))
+    res = ramsey_via_search(pattern, 9, SearchConfig(seed=0, restarts=1, steps_per_restart=200))
+    assert (res.lower, res.value, calls) == (9, None, [9])
+
+
+# recorded on the four-field result type threshold_multiplicity returned before
+@pytest.mark.parametrize("label,n,best", [("P_6", 8, 310), ("C_5", 9, 12), ("P_7", 9, 720)])
+def test_threshold_multiplicity_past_the_exhaustive_range(label: str, n: int, best: int) -> None:
+    pattern, config = parse_pattern(label), SearchConfig(seed=1)
+    res = threshold_multiplicity(pattern, config)
+    assert isinstance(res, MinimizationResult)
+    assert (res.pattern, res.n, res.best_count, res.exact, res.method) == (
+        pattern, n, best, False, "anneal"
+    )
+    assert res.explored == config.restarts * config.steps_per_restart
+    assert res.witness.n == n and count_mono(res.witness, pattern) == best
+
+
+def test_threshold_multiplicity_is_the_exhaustive_result_in_range() -> None:
+    pattern = parse_pattern("P_4")
+    res = threshold_multiplicity(pattern)
+    assert res == exhaustive_min(pattern, 5)
+    assert (res.n, res.best_count, res.exact) == (5, 10, True)
+    assert count_mono(res.witness, pattern) == 10
+
+
+def test_threshold_multiplicity_refusals() -> None:
+    with pytest.raises(CapabilityError, match=r"r\(P_6\) = 8 > 7: supply a SearchConfig"):
+        threshold_multiplicity(parse_pattern("P_6"))
+    with pytest.raises(CapabilityError, match=r"cannot certify r\(S_5\)"):
+        threshold_multiplicity(parse_pattern("S_5"))

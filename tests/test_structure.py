@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ramseykit import (
     RED,
+    CapabilityError,
     DisjointPathCert,
     DomainError,
     SimpleGraph,
@@ -100,7 +101,7 @@ def test_bipartite_check_rejects_edges_inside_a_part() -> None:
         konig_edge_bound_check(g, ([0, 1], [2, 3]))
 
 
-@given(st.integers(2, 9), st.integers(0, 10_000), st.integers(1, 4))
+@given(st.integers(2, 9), st.integers(0, 10_000), st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_disjoint_path_certificates_validate_and_exact_is_optimal(
     n: int, seed: int, max_len: int
@@ -119,6 +120,19 @@ def test_disjoint_path_certificates_validate_and_exact_is_optimal(
     greedy = disjoint_short_paths(g, u, v, max_len, method="greedy")
     greedy.validate(g)
     assert len(greedy.paths) <= want
+
+
+def test_exact_paths_refuse_past_the_candidate_cap() -> None:
+    # K_11 has 260,650 candidate 0-1 paths of length <= 8, past
+    # BACKTRACK_MAX_PATHS = 200,000, so the exact packing refuses; without
+    # the edge {0, 1} the greedy finds 9 < t paths and the pair stays unknown
+    edges = list(combinations(range(11), 2))
+    with pytest.raises(CapabilityError, match="more than 200000 candidate paths"):
+        disjoint_short_paths(SimpleGraph.from_edges(11, edges), 0, 1, 8, method="exact")
+    g = SimpleGraph.from_edges(11, [e for e in edges if e != (0, 1)])
+    report = well_connected_check(g, [0, 1], 10, 8)
+    assert (report.status, report.unknown_pairs) == ("unknown", [(0, 1)])
+    assert report.failing_pair is None and report.certificates == {}
 
 
 # sha256 of greedy families and well-connectedness reports on seeded random
