@@ -511,6 +511,29 @@ class SearchRamseyResult:
         return self.value is not None
 
 
+def _locate(
+    pattern: Pattern, n_max: int, config: SearchConfig | None
+) -> tuple[SearchRamseyResult, MinimizationResult | None]:
+    """`ramsey_via_search`'s answer, with the exhaustive result at n = r(H)
+    when that search decided r(H)."""
+    vc = pattern.vertex_count
+    lower = vc  # r(H) >= vertex count: smaller hosts carry no copy at all
+    for n in range(vc, n_max + 1):
+        if n <= EXHAUSTIVE_MAX_N:
+            res = exhaustive_min(pattern, n)
+            if res.best_count > 0:
+                return SearchRamseyResult(pattern, n, n), res
+            lower = n + 1
+            continue
+        found_zero = any(count_mono(split_coloring(a, n - a), pattern) == 0 for a in range(n + 1))
+        if not found_zero and config is not None:
+            found_zero = anneal_min(pattern, n, config).best_count == 0
+        if not found_zero:
+            return SearchRamseyResult(pattern, lower, None), None
+        lower = n + 1
+    return SearchRamseyResult(pattern, lower, None), None
+
+
 def ramsey_via_search(
     pattern: Pattern, n_max: int, config: SearchConfig | None = None
 ) -> SearchRamseyResult:
@@ -522,22 +545,7 @@ def ramsey_via_search(
     positive heuristic minimum certifies nothing, so the scan stops there
     with an interval answer.
     """
-    vc = pattern.vertex_count
-    lower = vc  # r(H) >= vertex count: smaller hosts carry no copy at all
-    for n in range(vc, n_max + 1):
-        if n <= EXHAUSTIVE_MAX_N:
-            res = exhaustive_min(pattern, n)
-            if res.best_count > 0:
-                return SearchRamseyResult(pattern, n, n)
-            lower = n + 1
-            continue
-        found_zero = any(count_mono(split_coloring(a, n - a), pattern) == 0 for a in range(n + 1))
-        if not found_zero and config is not None:
-            found_zero = anneal_min(pattern, n, config).best_count == 0
-        if not found_zero:
-            return SearchRamseyResult(pattern, lower, None)
-        lower = n + 1
-    return SearchRamseyResult(pattern, lower, None)
+    return _locate(pattern, n_max, config)[0]
 
 
 def threshold_multiplicity(
@@ -547,7 +555,8 @@ def threshold_multiplicity(
     Ramsey multiplicity and whose witness attains it.
 
     r comes from the closed forms for paths and cycles and from certified
-    search otherwise.  ``exhaustive_min`` is exact for r <= 7; above that
+    search otherwise, whose sweep ends with the result at n = r, returned
+    as it is.  ``exhaustive_min`` is exact for r <= 7; above that
     ``anneal_min`` with the caller's config gives an upper bound
     (exact=False), and no config is a CapabilityError.
     """
@@ -556,12 +565,13 @@ def threshold_multiplicity(
     elif pattern.kind == "cycle":
         r = r_cycle(pattern.k).value
     else:
-        located = ramsey_via_search(pattern, EXHAUSTIVE_MAX_N)
-        if not located.determined:
+        # the search decides r only within the exhaustive range
+        deciding = _locate(pattern, EXHAUSTIVE_MAX_N, None)[1]
+        if deciding is None:
             raise CapabilityError(
                 f"cannot certify r({pattern.label}) within the exhaustive range"
             )
-        r = located.value
+        return deciding
     if r <= EXHAUSTIVE_MAX_N:
         return exhaustive_min(pattern, r)
     if config is None:

@@ -29,6 +29,7 @@ from ramseykit import (
     split_coloring,
     verify_count_bounds,
 )
+from ramseykit import regularity
 
 from .oracles import brute_regularity, brute_walks, fraction_regularity
 
@@ -352,6 +353,52 @@ def test_sampler_violations_are_sound_against_the_exact_check(seed: int) -> None
         assert not eps_regular_exact(g, xs, ys, eps).regular
 
 
+# (a, b, p, eps, seed, trials) -> (status, trials) on random_bipartite(a, b,
+# p, seed), recorded on the per-trial sampler: first violations at trials 1,
+# 8, 30, 56, 63, 64, 65, 127, 128 and 191, at the last trial (256 of 256, 30
+# of 30), none in 255, 1,000 or 0 trials, an eps with a denominator past
+# 2^64, and sides of 300 vertices.
+SAMPLER_CASES = {
+    (6, 6, 0.3, Fraction(1, 4), 1, 300): ("violated", 1),
+    (6, 6, 0.3, Fraction(2, 5), 25, 300): ("violated", 30),
+    (10, 10, 0.5, Fraction(2, 5), 100, 300): ("violated", 64),
+    (10, 10, 0.3, Fraction(1, 3), 102, 300): ("violated", 65),
+    (10, 10, 0.7, Fraction(1, 4), 10, 300): ("violated", 63),
+    (12, 12, 0.7, Fraction(1, 3), 48, 300): ("violated", 128),
+    (10, 10, 0.5, Fraction(1, 3), 204, 300): ("violated", 127),
+    (10, 10, 0.3, Fraction(1, 3), 181, 300): ("violated", 191),
+    (10, 10, 0.7, Fraction(2, 5), 98, 256): ("violated", 256),
+    (10, 10, 0.7, Fraction(2, 5), 98, 255): ("no-violation-found", 255),
+    (6, 6, 0.3, Fraction(2, 5), 25, 30): ("violated", 30),
+    (20, 20, 0.5, Fraction(9, 20), 2, 1000): ("no-violation-found", 1000),
+    (10, 10, 0.3, Fraction(1, 3), 102, 0): ("no-violation-found", 0),
+    (10, 10, 0.3, Fraction(10**20 + 1, 3 * 10**20), 102, 300): ("violated", 65),
+    (9, 14, 0.5, Fraction(1, 3), 7, 300): ("violated", 1),
+    (14, 9, 0.5, Fraction(1, 3), 7, 300): ("violated", 8),
+    (10, 10, 0.9, Fraction(1, 4), 5, 300): ("violated", 1),
+    (10, 10, 0.1, Fraction(1, 4), 5, 300): ("violated", 56),
+    (300, 300, 0.5, Fraction(1, 5), 3, 40): ("no-violation-found", 40),
+    (300, 300, 0.5, Fraction(1, 10), 3, 40): ("violated", 6),
+    (300, 7, 0.5, Fraction(1, 5), 3, 40): ("violated", 2),
+}
+SAMPLER_CASES_SHA256 = "49eac2f7882058916a97375f4be90e4fd7de2f4dd33c419fdc4dcec5fb1df695"
+
+
+def sampler_cases_digest() -> str:
+    digest = hashlib.sha256()
+    for (a, b, p, eps, seed, trials), expected in SAMPLER_CASES.items():
+        g = random_bipartite(a, b, p, seed)
+        v = eps_regular_sample(g, range(a), range(a, a + b), eps, trials=trials, seed=seed)
+        assert (v.status, v.trials) == expected
+        digest.update(repr((v.status, v.trials, v.deviation, v.witness)).encode())
+    return digest.hexdigest()
+
+
+def test_sampler_outcomes_are_pinned() -> None:
+    # the digest covers status, trials, deviation and witness of every case
+    assert sampler_cases_digest() == SAMPLER_CASES_SHA256
+
+
 @st.composite
 def regularity_cases(draw):
     """A bipartite host with shuffled sides of 1-5 vertices and a tolerance."""
@@ -410,6 +457,59 @@ def test_exact_check_matches_the_fraction_scan(a, b, seed, eps) -> None:
     assert (res.regular, res.base_density, res.deviation, res.witness) == (
         fraction_regularity(g.has_edge, xs, ys, eps)
     )
+
+
+def tied_pairs(a: int, b: int):
+    """Complete, empty and (on equal sides) perfect-matching pairs, whose
+    subsets tie in deviation."""
+    from ramseykit import SimpleGraph
+
+    yield complete_bipartite(a, b)
+    yield SimpleGraph.from_edges(a + b, [])
+    if a == b:
+        yield matched_pairs(a)
+
+
+def block_scan_cases(rng: random.Random, sides: range):
+    for a in sides:
+        for b in sides:
+            eps = rng.choice(PIN_EPS)
+            yield (*noisy_pair(a, b, rng), eps)
+            for g in tied_pairs(a, b):
+                yield g, range(a), range(a, a + b), eps
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3])
+def test_block_scan_matches_the_oracles_across_blocks(monkeypatch, bits: int) -> None:
+    # sides of 4-8 vertices span 2 to 32 blocks of 2^bits subsets; the worst
+    # subset is the first strictly larger deviation in subset order
+    monkeypatch.setattr(regularity, "EXACT_BLOCK_BITS", bits)
+    rng = random.Random(f"blocks:{bits}")
+    for g, xs, ys, eps in block_scan_cases(rng, range(4, 9)):
+        res = eps_regular_exact(g, xs, ys, eps)
+        assert (res.regular, res.base_density, res.deviation, res.witness) == (
+            fraction_regularity(g.has_edge, xs, ys, Fraction(str(eps)))
+        )
+    for g, xs, ys, eps in block_scan_cases(rng, range(1, 5)):
+        res = eps_regular_exact(g, xs, ys, eps)
+        assert res.deviation == brute_regularity(g.has_edge, xs, ys, Fraction(str(eps)))
+
+
+def test_scans_past_the_int64_bound_agree(monkeypatch) -> None:
+    # the scans form Python ints once a bound passes 2^63; force that path
+    rng = random.Random("python-ints")
+    cases = list(block_scan_cases(rng, range(1, 7)))
+    fixed = [eps_regular_exact(g, xs, ys, eps) for g, xs, ys, eps in cases]
+    sampled = sampler_cases_digest()
+    monkeypatch.setattr(regularity, "_int_dtype", lambda bound: object)
+    assert [eps_regular_exact(g, xs, ys, eps) for g, xs, ys, eps in cases] == fixed
+    assert sampler_cases_digest() == sampled == SAMPLER_CASES_SHA256
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+def test_sampler_outcomes_do_not_depend_on_the_chunk(monkeypatch, chunk: int) -> None:
+    monkeypatch.setattr(regularity, "SAMPLE_CHUNK", chunk)
+    assert sampler_cases_digest() == SAMPLER_CASES_SHA256
 
 
 # --- degree deviation ---------------------------------------------------

@@ -582,3 +582,19 @@ def test_threshold_multiplicity_refusals() -> None:
         threshold_multiplicity(parse_pattern("P_6"))
     with pytest.raises(CapabilityError, match=r"cannot certify r\(S_5\)"):
         threshold_multiplicity(parse_pattern("S_5"))
+
+
+def test_threshold_multiplicity_sweeps_each_n_once(monkeypatch) -> None:
+    # the sweep that decides r(H) ends with the result at n = r(H), which is
+    # the answer; no n is searched twice
+    calls = []
+    exhaustive = search.exhaustive_min
+    monkeypatch.setattr(
+        search, "exhaustive_min", lambda p, n: calls.append((p.label, n)) or exhaustive(p, n)
+    )
+    for label, r in (("K3", 6), ("S_3", 6), ("S_4", 7)):
+        pattern = parse_pattern(label)
+        calls.clear()
+        res = threshold_multiplicity(pattern)
+        assert calls == [(label, n) for n in range(pattern.vertex_count, r + 1)]
+        assert res == exhaustive(pattern, r) and res.n == r
