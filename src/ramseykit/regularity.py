@@ -8,17 +8,17 @@ graphs, a detector for near-split colorings, and numeric checkers that
 compare closed-form lower bounds for bipartite path counts against
 exact counts.
 
-Both regularity checkers call one counterpart scan, `_deviations`, on a
-block of subsets at once, one row per subset S of one side holding the
-degrees into S of the other side's vertices: the lo vertices of largest
-and of smallest degree into S, lo the least admissible counterpart size,
-deviate furthest from the base density, so no other counterpart of any
-size needs visiting.  The exhaustive checker builds the rows of every S of
-the smaller side by doubling, 2^EXACT_BLOCK_BITS at a time, and keeps the
-first S of largest deviation; the sampler draws its random S in chunks
-from one seeded stream and reports the first trial whose high end, then
-low end, passes eps.  Both load numpy when called.  `_witness` rebuilds
-(U, V) only for a verdict that reports one.
+Both regularity checkers call one deviation formula, `_deviations`, on the
+two extreme degree sums of a subset S of one side: the lo vertices of the
+other side of largest and of smallest degree into S, lo the least
+admissible counterpart size, deviate furthest from the base density, so no
+other counterpart of any size needs visiting.  The exhaustive checker
+builds the degrees of every S of the smaller side by doubling, in numpy
+blocks of 2^EXACT_BLOCK_BITS subsets, and keeps the first S of largest
+deviation; it alone loads numpy.  The sampler draws one random S a trial
+from one seeded stream, counts its degrees as popcounts of the cross rows
+and reports the first trial whose high end, then low end, passes eps.
+`_witness` rebuilds (U, V) only for a verdict that reports one.
 
 Every check of a disjoint part pair reads it through `_pair`: the one part
 check, both masks, and g's X-Y edges alone as one row per vertex of g.
@@ -29,12 +29,12 @@ neither the walk kernel's choice nor its size estimate.
 Conventions
 -----------
 Every verdict is exact.  The regularity checkers compare deviations in
-integers, numpy int64 where a bound stated and checked before the scan
-keeps every value below 2^63 and Python ints past it, and build a
-`Fraction` only for the densities and deviations they report; other
-checks compare Fractions.  Floats appear only in displayed bounds, each
-evaluated after its exact count, which refuses an oversized walk before
-the bound could overflow; a float parameter x is read as
+integers, numpy int64 in the exhaustive scan, whose values stay below
+2^37 up to EXACT_REGULARITY_MAX, and Python ints in the sampler, and
+build a `Fraction` only for the densities and deviations they report;
+other checks compare Fractions.  Floats appear only in displayed bounds,
+each evaluated after its exact count, which refuses an oversized walk
+before the bound could overflow; a float parameter x is read as
 ``Fraction(str(x))``, so ``0.05`` means 1/20.
 
 The density between disjoint sets X, Y is e(X,Y)/(|X||Y|).  The density
@@ -64,10 +64,8 @@ from .errors import CapabilityError, DomainError
 from .structure import SimpleGraph, _bits, max_matching
 
 EXACT_REGULARITY_MAX = 18
-# the exhaustive checker scans 2^EXACT_BLOCK_BITS subsets at a time, and
-# the sampler draws at most SAMPLE_CHUNK trials between scans
+# the exhaustive checker scans 2^EXACT_BLOCK_BITS subsets at a time
 EXACT_BLOCK_BITS = 12
-SAMPLE_CHUNK = 64
 
 
 def as_fraction(x: object) -> Fraction:
@@ -183,14 +181,6 @@ def _check_pair_inputs(
     return xs_s, ys_s, base, cross
 
 
-def _int_dtype(bound: int):
-    """int64 when every value a scan forms is at most `bound` < 2^63, else
-    Python ints in object arrays."""
-    import numpy as np
-
-    return np.int64 if bound < 1 << 63 else object
-
-
 def _adjacency(cross: Sequence[int], rows: Sequence[int], cols: Sequence[int]):
     """0/1 uint8 matrix of the pair's edges, one row per vertex of `rows`
     and one column per vertex of `cols`, unpacked from the cross rows."""
@@ -201,18 +191,17 @@ def _adjacency(cross: Sequence[int], rows: Sequence[int], cols: Sequence[int]):
     return np.unpackbits(packed.reshape(len(rows), width), axis=1, bitorder="little")[:, cols]
 
 
-def _deviations(degs, sizes, lo: int, p: int, q: int):
-    """(high, low, den) arrays, one entry per row of `degs`, which holds the
-    degrees of the counterpart vertices into a subset S of sizes[i] vertices
-    and is sorted in place: |d(S,T) - p/q| is high/den for T the lo
-    counterparts of largest degree into S and low/den for the lo of
-    smallest.  The mean degree into S of the s counterparts of largest
-    (smallest) degree falls (rises) with s, so no larger T deviates further.
-    Each value is at most den = q |S| lo."""
-    degs.sort(axis=1)
+def _deviations(top, bottom, sizes, lo: int, p: int, q: int):
+    """(high, low, den) of a subset S of `sizes` vertices whose lo
+    counterparts of largest degree into S have degree sum `top` and whose lo
+    of smallest have `bottom`: |d(S,T) - p/q| is high/den for T the former
+    and low/den for the latter.  The mean degree into S of the s
+    counterparts of largest (smallest) degree falls (rises) with s, so no
+    larger T deviates further.  Each value is at most den = q |S| lo.  Ints
+    serve one subset, and numpy arrays a block of them."""
     ulo = sizes * lo
     mid = p * ulo
-    return abs(degs[:, -lo:].sum(axis=1) * q - mid), abs(mid - degs[:, :lo].sum(axis=1) * q), q * ulo
+    return abs(top * q - mid), abs(mid - bottom * q), q * ulo
 
 
 def _witness(
@@ -268,20 +257,22 @@ def eps_regular_exact(
     p, q = base.numerator, base.denominator
     k = len(enum_side)
     enum_min = math.ceil(epsf * k)
-    lo = math.ceil(epsf * len(scan_side))
+    # an eps above 1 qualifies no S; capping lo then keeps every value in
+    # the bound below and changes no verdict
+    lo = min(math.ceil(epsf * len(scan_side)), len(scan_side))
     # A subset S of index i holds enum_side[j] for each bit j of i.  Its
     # deviation dev/den, den = q lo |S|, is key/scale for key = dev * span //
     # |S|, span = lcm(1..k) and scale = q lo span; every value the scan
-    # forms is at most scale, as dev <= den <= q lo k.  weight[|S|] is
-    # span // |S|, and 0 for an S too small to qualify; lo > |scan_side|
-    # only if no S qualifies.
+    # forms is at most scale, as dev <= den <= q lo k.  With q <= |X||Y| and
+    # lo, k <= EXACT_REGULARITY_MAX = 18, scale < 2^37, so int64 holds every
+    # value.  weight[|S|] is span // |S|, and 0 for an S too small to
+    # qualify.
     span = math.lcm(*range(1, k + 1))
     scale = q * lo * span
-    dtype = _int_dtype(scale)
-    weight = np.array([span // s if s >= enum_min else 0 for s in range(k + 1)], dtype)
+    weight = np.array([span // s if s >= enum_min else 0 for s in range(k + 1)], np.int64)
     # a vertex's row is 1, then its edges to scan_side, so a subset's row
     # sum is |S|, then its degrees
-    rows = np.ones((k, len(scan_side) + 1), dtype)
+    rows = np.ones((k, len(scan_side) + 1), np.int64)
     rows[:, 1:] = _adjacency(cross, enum_side, scan_side)
     bits = min(k, EXACT_BLOCK_BITS)
     head, tails = _subset_sums(rows[:bits]), _subset_sums(rows[bits:])
@@ -289,8 +280,11 @@ def eps_regular_exact(
     worst, worst_s, worst_high = 0, 0, False
     for t, tail in enumerate(tails):
         block = head + tail
-        sizes = block[:, 0]
-        high, low, _ = _deviations(block[:, 1:], sizes, lo, p, q)
+        sizes, degs = block[:, 0], block[:, 1:]
+        degs.sort(axis=1)
+        high, low, _ = _deviations(
+            degs[:, -lo:].sum(axis=1), degs[:, :lo].sum(axis=1), sizes, lo, p, q
+        )
         keys = np.maximum(high, low) * weight[sizes.astype(np.intp, copy=False)]
         i = int(keys.argmax())
         if keys[i] > worst:
@@ -347,13 +341,12 @@ def eps_regular_sample(
     random and pairs it with its extremal counterparts on the other
     side (at the least admissible size, the vertices of largest and of
     smallest degree into the sampled subset), which dominate every
-    other choice of counterpart.  Trials are drawn in chunks and each
-    chunk is scanned at once; the first trial whose deviation passes eps
+    other choice of counterpart.  A trial counts the degrees into its
+    subset as popcounts of the pair's cross rows, in Python ints, so the
+    sampler loads no numpy.  The first trial whose deviation passes eps
     refutes regularity with a verified witness.  Finding none is reported
     as "no-violation-found" and must not be read as "regular".
     """
-    import numpy as np
-
     epsf = as_fraction(eps)
     xs_s, ys_s, base, cross = _check_pair_inputs(g, xs, ys, epsf)
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 0:
@@ -366,57 +359,25 @@ def eps_regular_sample(
             status="no-violation-found", eps=epsf, base_density=base, trials=0
         )
     p, q = base.numerator, base.denominator
-    # high and low are at most den <= q nx ny, so the eps tests form values
-    # of at most max(eps numerator, eps denominator) q nx ny
-    dtype = _int_dtype(max(epsf.numerator, epsf.denominator) * q * nx * ny)
-    # even trials pick S from X and scan Y, odd trials the reverse; a degree
-    # fits the adjacency's type, as does every partial sum of one
-    adj = _adjacency(cross, xs_s, ys_s).astype(np.min_scalar_type(max(nx, ny)))
-    views = ((xs_s, ys_s, u_min, v_min, adj), (ys_s, xs_s, v_min, u_min, adj.T))
+    # even trials pick S from X and scan Y, odd trials the reverse
+    views = ((xs_s, ys_s, u_min, v_min), (ys_s, xs_s, v_min, u_min))
     rng = Random(seed)
-    start = 0
-    while start < trials:
-        # chunks of 4, 8, 16, ... trials up to SAMPLE_CHUNK, so a first
-        # violation at trial t draws fewer than 2t + 4 trials
-        stop = min(trials, start + min(SAMPLE_CHUNK, start + 4))
-        drawn: tuple[list, list] = ([], [])
-        for t in range(start, stop):
-            side, _, s_lo, _, _ = views[t % 2]
-            size = rng.randint(s_lo, len(side))
-            drawn[t % 2].append((t, rng.sample(range(len(side)), size)))
-        # (trial, high?, dev, den, S, parity) of each side's first violation
-        hits = []
-        for parity, picks in enumerate(drawn):
-            if not picks:
-                continue
-            side, other, _, o_lo, rows = views[parity]
-            sizes = [len(pick) for _, pick in picks]
-            member = np.zeros((len(picks), len(side)), rows.dtype)
-            member[np.arange(len(picks)).repeat(sizes), [j for _, pick in picks for j in pick]] = 1
-            high, low, den = _deviations(
-                (member @ rows).astype(dtype), np.array(sizes, dtype), o_lo, p, q
-            )
-            over_high = high * epsf.denominator > epsf.numerator * den
-            over = np.flatnonzero(over_high | (low * epsf.denominator > epsf.numerator * den))
-            if over.size:
-                r = over[0]
-                is_high = bool(over_high[r])
-                t, pick = picks[r]
-                hits.append((t, is_high, high[r] if is_high else low[r], den[r], pick, parity))
-        if hits:
-            t, is_high, dev, den, pick, parity = min(hits)
-            side, other, _, o_lo, _ = views[parity]
-            return SampleVerdict(
-                status="violated",
-                eps=epsf,
-                base_density=base,
-                trials=t + 1,
-                deviation=Fraction(int(dev), int(den)),
-                witness=_witness(
-                    cross, sum(1 << side[j] for j in pick), other, o_lo, is_high, parity == 1
-                ),
-            )
-        start = stop
+    for t in range(trials):
+        side, other, s_lo, o_lo = views[t % 2]
+        size = rng.randint(s_lo, len(side))
+        smask = sum(1 << w for w in rng.sample(side, size))
+        degs = sorted([(cross[w] & smask).bit_count() for w in other])
+        high, low, den = _deviations(sum(degs[-o_lo:]), sum(degs[:o_lo]), size, o_lo, p, q)
+        for dev, is_high in ((high, True), (low, False)):
+            if dev * epsf.denominator > epsf.numerator * den:
+                return SampleVerdict(
+                    status="violated",
+                    eps=epsf,
+                    base_density=base,
+                    trials=t + 1,
+                    deviation=Fraction(dev, den),
+                    witness=_witness(cross, smask, other, o_lo, is_high, t % 2 == 1),
+                )
     return SampleVerdict(
         status="no-violation-found", eps=epsf, base_density=base, trials=trials
     )
@@ -774,8 +735,9 @@ def extremal_detect(coloring: EdgeColoring, alpha: object) -> ExtremalVerdict:
     from the high-c-degree vertices (the top 2n/3 prefix and the
     degree >= 2n/3 threshold set) and refined by the cleanup move
     A <- {v : deg_c(v, A) >= (2/3)|A|}, iterated at most n rounds; every
-    iterate is tested exactly against the defining inequalities.  With
-    alpha >= 2/3 the empty side A is trivially a witness.
+    new iterate is tested exactly against the defining inequalities, and a
+    repeated one ends the run untested.  With alpha >= 2/3 the empty side A
+    is trivially a witness.
 
     A miss's `converged` is False when a cleanup run repeated an iterate,
     mostly in a two-set cycle of small sides (a vertex a maps to N(a)): the
@@ -809,13 +771,13 @@ def extremal_detect(coloring: EdgeColoring, alpha: object) -> ExtremalVerdict:
         for current in starts:
             seen: set[int] = set()
             for _ in range(n + 1):
+                if current in seen:  # tested already, and it failed
+                    converged = False
+                    break
                 tested += 1
                 verdict = _split_test(g, current, alphaf, inner)
                 if verdict is not None:
                     return verdict
-                if current in seen:
-                    converged = False
-                    break
                 seen.add(current)
                 if not current:
                     break

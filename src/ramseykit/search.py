@@ -506,10 +506,6 @@ class SearchRamseyResult:
     value: int | None
     provenance: str = "search"
 
-    @property
-    def determined(self) -> bool:
-        return self.value is not None
-
 
 def _locate(
     pattern: Pattern, n_max: int, config: SearchConfig | None

@@ -278,6 +278,20 @@ def test_bounds_suite_and_small_counts_do_not_load_numpy(tmp_path) -> None:
     assert subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV).returncode == 0
 
 
+def test_sampled_regularity_does_not_load_numpy() -> None:
+    # the sampler counts degrees as popcounts in Python ints
+    code = (
+        "import random, sys\n"
+        "from ramseykit import EdgeColoring, VertexPartition, build_reduced, eps_regular_sample\n"
+        "from ramseykit.coloring import RED\n"
+        "c = EdgeColoring.random(60, random.Random(5))\n"
+        "v = eps_regular_sample(c.view(RED), range(30), range(30, 60), 0.2, trials=300)\n"
+        "rg = build_reduced(c, VertexPartition.of_size(60, 30), 0.2, 0.5, mode='sample', trials=300)\n"
+        "sys.exit(v.trials == 0 or rg.M != 2 or 'numpy' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV).returncode == 0
+
+
 def test_module_entry_point_smoke() -> None:
     proc = subprocess.run(
         [sys.executable, "-m", "ramseykit.cli", "--version"],

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -495,20 +496,24 @@ def test_block_scan_matches_the_oracles_across_blocks(monkeypatch, bits: int) ->
         assert res.deviation == brute_regularity(g.has_edge, xs, ys, Fraction(str(eps)))
 
 
-def test_scans_past_the_int64_bound_agree(monkeypatch) -> None:
-    # the scans form Python ints once a bound passes 2^63; force that path
-    rng = random.Random("python-ints")
-    cases = list(block_scan_cases(rng, range(1, 7)))
-    fixed = [eps_regular_exact(g, xs, ys, eps) for g, xs, ys, eps in cases]
-    monkeypatch.setattr(regularity, "_int_dtype", lambda bound: object)
-    assert [eps_regular_exact(g, xs, ys, eps) for g, xs, ys, eps in cases] == fixed
-    assert sampler_cases_digest() == SAMPLER_CASES_SHA256
+def test_exact_scan_values_fit_int64_up_to_the_cap() -> None:
+    # the exhaustive scan forms values up to q lo lcm(1..k), with q <= |X||Y|
+    # and lo, k at most the cap, all in int64; raising the cap past this
+    # bound must fail here, not overflow silently
+    cap = regularity.EXACT_REGULARITY_MAX
+    q_max = cap**2
+    assert q_max * cap * math.lcm(*range(1, cap + 1)) < 2**63
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
-def test_sampler_outcomes_do_not_depend_on_the_chunk(monkeypatch, chunk: int) -> None:
-    monkeypatch.setattr(regularity, "SAMPLE_CHUNK", chunk)
-    assert sampler_cases_digest() == SAMPLER_CASES_SHA256
+def test_exact_scan_takes_an_eps_above_one() -> None:
+    # no subset qualifies, so the pair is regular at deviation 0 however
+    # large eps is
+    cap = regularity.EXACT_REGULARITY_MAX
+    g = random_bipartite(cap, cap, 0.5, 4)
+    xs, ys = range(cap), range(cap, 2 * cap)
+    for eps in (Fraction(19, 18), 2, Fraction(10**30, 7)):
+        res = eps_regular_exact(g, xs, ys, eps)
+        assert (res.regular, res.deviation, res.witness) == (True, 0, None)
 
 
 # --- degree deviation ---------------------------------------------------
@@ -724,13 +729,17 @@ EXTREMAL_ALPHAS = (
     Fraction(1, 20), Fraction(1, 10), Fraction(1, 5), Fraction(2, 5), Fraction(7, 10),
 )
 # sha256 of repr(extremal_detect(c, alpha)), diagnostics included, over 600
-# colorings and every alpha above, recorded while the near-split test still
-# read both color views per candidate side
-EXTREMAL_PANEL_SHA256 = "162cde8275beadbbbe61885d2dda4286372314b36de33bbb77c22c3400fea7da"
+# colorings and every alpha above, recorded once a repeated cleanup iterate
+# ended its run untested
+EXTREMAL_PANEL_SHA256 = "ac516e83d9d0d157c8ea6b7cbdc268d146f7cf224dff2fd1c0042ab7d101fe39"
+# the same digest with candidates_tested left out of every repr, recorded
+# while the near-split test still read both color views per candidate side
+# and a repeated iterate was tested a second time
+EXTREMAL_VERDICTS_SHA256 = "d790ad06d0823b91e7c49f6f872b79330fd904c450292bad896bdaf9e40798f1"
 
 
-def extremal_panel_digest() -> str:
-    digest = hashlib.sha256()
+def extremal_panel_digests() -> tuple[str, str]:
+    full, verdicts = hashlib.sha256(), hashlib.sha256()
     for i in range(600):
         rng = random.Random(f"extremal:{i}")
         n = rng.randint(3, 30)
@@ -745,15 +754,18 @@ def extremal_panel_digest() -> str:
             if rng.random() < 0.5:
                 c = c.complemented()
         for alpha in EXTREMAL_ALPHAS:
-            digest.update(repr(extremal_detect(c, alpha)).encode())
-    return digest.hexdigest()
+            text = repr(extremal_detect(c, alpha))
+            full.update(text.encode())
+            verdicts.update(re.sub(r"'candidates_tested': \d+, ", "", text).encode())
+    return full.hexdigest(), verdicts.hexdigest()
 
 
 def test_extremal_verdicts_are_pinned() -> None:
     # random colorings, and split colorings on shuffled labels with up to
     # C(n,2)/6 flipped pairs, half of them complemented, n = 3..30; the
-    # digest also covers candidates_tested and converged of every miss
-    assert extremal_panel_digest() == EXTREMAL_PANEL_SHA256
+    # first digest also covers candidates_tested and converged of every
+    # miss, the second everything but candidates_tested
+    assert extremal_panel_digests() == (EXTREMAL_PANEL_SHA256, EXTREMAL_VERDICTS_SHA256)
 
 
 def test_random_coloring_is_not_extremal_at_tight_tolerance() -> None:
