@@ -21,9 +21,13 @@ UPPER_BOUND = "upper-bound"
 
 @dataclass(frozen=True)
 class RamseyValue:
+    """r(H) >= ``lower`` is certified; ``value`` is r(H) when it is pinned,
+    else None.  ``provenance`` is "formula" (closed form) or "search"."""
+
     pattern: Pattern
-    value: int
-    provenance: str  # always "formula"; search results are SearchRamseyResult
+    lower: int
+    value: int | None
+    provenance: str
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,8 @@ def r_path(k: int) -> RamseyValue:
     """r(P_k) = k - 1 + floor(k/2) for k >= 2."""
     if k < 2:
         raise DomainError("path Ramsey formula needs k >= 2")
-    return RamseyValue(Pattern.path(k), k - 1 + k // 2, "formula")
+    value = k - 1 + k // 2
+    return RamseyValue(Pattern.path(k), value, value, "formula")
 
 
 def r_cycle(k: int) -> RamseyValue:
@@ -50,7 +55,7 @@ def r_cycle(k: int) -> RamseyValue:
         value = 2 * k - 1
     else:
         value = k + k // 2 - 1
-    return RamseyValue(Pattern.cycle(k), value, "formula")
+    return RamseyValue(Pattern.cycle(k), value, value, "formula")
 
 
 def m_star(k: int) -> MultiplicityValue:

@@ -833,14 +833,10 @@ class BoundReport:
         return all(self.hypotheses.values())
 
     @property
-    def bound_le_exact(self) -> bool:
-        return self.bound <= self.exact_count
-
-    @property
     def verdict(self) -> str:
         if not self.hypotheses_satisfied:
             return "vacuous"
-        return "confirmed" if self.bound_le_exact else "violated"
+        return "confirmed" if self.bound <= self.exact_count else "violated"
 
 
 def _alternating_falling(n: int, m: int) -> int:
@@ -1004,17 +1000,11 @@ def dense_bipartite_bound(
     exact = sum(count_walks(cross, (v,), k - 1, inner=umask | vmask) for v in _bits(vmask))
     sb = math.sqrt(float(betaf))
     deltav = float(deltaf)
-    exp1 = 2 * sb * nu
-    if exp1 == 0:
-        f1 = 1.0
-    else:
-        f1 = (deltav / (4 * nv)) ** exp1 if deltav > 0 else 0.0
-    if sb * nu == 0:
-        f2 = 1.0
-    elif deltav > 0:
-        f2 = max(1 - 4 * sb * nu / deltav, 0.0) ** (k / 2)
-    else:
-        f2 = 0.0
+    # each factor clamps its base at 0.0, and 0.0 ** 0.0 == 1.0; at delta <= 0
+    # f2's base 1 - loss / delta clamps to 0.0 unless loss is 0
+    f1 = max(deltav / (4 * nv), 0.0) ** (2 * sb * nu)
+    loss = 4 * sb * nu
+    f2 = max(1 - loss / deltav, 0.0) ** (k / 2) if deltav > 0 else 0.0 ** loss
     f3 = max(1 - 6 * sb, 0.0) ** (k / 2)
     bound = f1 * f2 * f3 * math.perm(nu, k // 2) * math.perm(nv, (k + 1) // 2)
     return BoundReport(

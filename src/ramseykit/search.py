@@ -51,7 +51,7 @@ from .coloring import (
 )
 from .counting import Pattern, count_mono, total_copies_in_complete
 from .errors import CapabilityError, DomainError
-from .formulas import r_cycle, r_path
+from .formulas import RamseyValue, r_cycle, r_path
 
 EXHAUSTIVE_MAX_N = 7
 # nothing in the package branches on this since every n sweeps by vertex
@@ -490,26 +490,9 @@ def anneal_min(
 # Ramsey numbers and threshold multiplicities by search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchRamseyResult:
-    """Outcome of locating r(H) computationally.
-
-    ``value`` is set when consecutive certificates pin the number exactly:
-    an exhaustive zero at value-1 (or value-1 below the pattern size) and an
-    exhaustive positive minimum at value.  Otherwise only ``lower`` is
-    certified (a coloring with zero monochromatic copies exists at lower-1)
-    and ``value`` is None.
-    """
-
-    pattern: Pattern
-    lower: int
-    value: int | None
-    provenance: str = "search"
-
-
 def _locate(
     pattern: Pattern, n_max: int, config: SearchConfig | None
-) -> tuple[SearchRamseyResult, MinimizationResult | None]:
+) -> tuple[RamseyValue, MinimizationResult | None]:
     """`ramsey_via_search`'s answer, with the exhaustive result at n = r(H)
     when that search decided r(H)."""
     vc = pattern.vertex_count
@@ -518,28 +501,30 @@ def _locate(
         if n <= EXHAUSTIVE_MAX_N:
             res = exhaustive_min(pattern, n)
             if res.best_count > 0:
-                return SearchRamseyResult(pattern, n, n), res
+                return RamseyValue(pattern, n, n, "search"), res
             lower = n + 1
             continue
         found_zero = any(count_mono(split_coloring(a, n - a), pattern) == 0 for a in range(n + 1))
         if not found_zero and config is not None:
             found_zero = anneal_min(pattern, n, config).best_count == 0
         if not found_zero:
-            return SearchRamseyResult(pattern, lower, None), None
+            return RamseyValue(pattern, lower, None, "search"), None
         lower = n + 1
-    return SearchRamseyResult(pattern, lower, None), None
+    return RamseyValue(pattern, lower, None, "search"), None
 
 
 def ramsey_via_search(
     pattern: Pattern, n_max: int, config: SearchConfig | None = None
-) -> SearchRamseyResult:
+) -> RamseyValue:
     """Locate r(H) by certified search up to n_max.
 
     Exhaustive minimization decides each n <= 7 outright.  Beyond that, only
     zero-count witnesses can certify r(H) > n; the sweep tries split
     colorings chi(a, b) and, when a config is supplied, annealing.  A
     positive heuristic minimum certifies nothing, so the scan stops there
-    with an interval answer.
+    with ``value`` None and only ``lower`` certified.  ``value`` is set when
+    an exhaustive zero at value - 1 (or value - 1 below the pattern size)
+    and a positive exhaustive minimum at value pin it.
     """
     return _locate(pattern, n_max, config)[0]
 
@@ -550,13 +535,13 @@ def threshold_multiplicity(
     """The search result at n = r(H), whose ``best_count`` is the threshold
     Ramsey multiplicity and whose witness attains it.
 
-    r comes from the closed forms for paths and cycles and from certified
-    search otherwise, whose sweep ends with the result at n = r, returned
-    as it is.  ``exhaustive_min`` is exact for r <= 7; above that
+    r comes from the closed forms for paths with k >= 2 and cycles and from
+    certified search otherwise, whose sweep ends with the result at n = r,
+    returned as it is.  ``exhaustive_min`` is exact for r <= 7; above that
     ``anneal_min`` with the caller's config gives an upper bound
     (exact=False), and no config is a CapabilityError.
     """
-    if pattern.kind == "path":
+    if pattern.kind == "path" and pattern.k >= 2:
         r = r_path(pattern.k).value
     elif pattern.kind == "cycle":
         r = r_cycle(pattern.k).value

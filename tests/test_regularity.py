@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ramseykit import (
     BLUE,
     RED,
+    BoundReport,
     CapabilityError,
     DomainError,
     EdgeColoring,
@@ -806,6 +807,26 @@ def test_rooted_bound_goes_vacuous_when_density_hypothesis_fails() -> None:
     report = rooted_path_bound(g, range(8), range(8, 16), 0.36, 0.3, l=5, v=8)
     assert report.verdict == "vacuous"
     assert not report.hypotheses_satisfied
+
+
+@pytest.mark.parametrize(
+    "hypotheses,bound,exact,verdict",
+    [
+        ({"a": True, "b": False}, 3.0, 5, "vacuous"),
+        ({"a": False}, 5.0, 5, "vacuous"),
+        ({"a": False}, 6.0, 5, "vacuous"),
+        ({"a": True, "b": True}, 5.0, 5, "confirmed"),
+        ({"a": True}, 4.5, 5, "confirmed"),
+        ({"a": True}, 5.5, 5, "violated"),
+    ],
+)
+def test_bound_verdict_rule(
+    hypotheses: dict[str, bool], bound: float, exact: int, verdict: str
+) -> None:
+    # a failed hypothesis makes any bound vacuous; otherwise the bound is
+    # confirmed up to the exact count and violated past it
+    report = BoundReport("hand-built", hypotheses, bound, exact, {})
+    assert report.verdict == verdict
 
 
 def test_rooted_bound_random_dense_pairs_never_violate() -> None:

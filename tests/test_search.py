@@ -13,6 +13,7 @@ from ramseykit import (
     EdgeColoring,
     MinimizationResult,
     Pattern,
+    RamseyValue,
     SearchConfig,
     anneal_min,
     canonical_graph_reps,
@@ -20,6 +21,7 @@ from ramseykit import (
     count_mono,
     exhaustive_min,
     parse_pattern,
+    r_cycle,
     r_path,
     ramsey_via_search,
     split_coloring,
@@ -527,10 +529,17 @@ def test_anneal_accepts_warm_start() -> None:
     assert res.best_count <= count_mono(split_coloring(6, 2), pattern)
 
 
-def test_ramsey_search_agrees_with_path_formula() -> None:
-    res = ramsey_via_search(parse_pattern("P_4"), 6)
-    assert res.value == r_path(4).value == 5
-    assert res.provenance == "search"
+# every path and cycle whose closed form lies in the exhaustive range
+@pytest.mark.parametrize("label", ["P_2", "P_3", "P_4", "P_5", "C_3", "C_4"])
+def test_ramsey_search_agrees_with_path_formula(label: str) -> None:
+    pattern = parse_pattern(label)
+    closed = (r_path if pattern.kind == "path" else r_cycle)(pattern.k)
+    res = ramsey_via_search(pattern, 7)
+    assert res.value == closed.value
+    assert (res.provenance, closed.provenance) == ("search", "formula")
+    for answer in (res, closed):
+        assert isinstance(answer, RamseyValue)
+        assert answer.pattern == pattern and answer.lower == answer.value
 
 
 def test_ramsey_search_reports_lower_bound_when_capped() -> None:
@@ -569,12 +578,17 @@ def test_threshold_multiplicity_past_the_exhaustive_range(label: str, n: int, be
     assert res.witness.n == n and count_mono(res.witness, pattern) == best
 
 
-def test_threshold_multiplicity_is_the_exhaustive_result_in_range() -> None:
-    pattern = parse_pattern("P_4")
+# P_1 has no path formula (r_path needs k >= 2), so its r comes from search
+@pytest.mark.parametrize("label,n,best", [("P_4", 5, 10), ("P_1", 1, 2)])
+def test_threshold_multiplicity_is_the_exhaustive_result_in_range(
+    label: str, n: int, best: int
+) -> None:
+    pattern = parse_pattern(label)
     res = threshold_multiplicity(pattern)
-    assert res == exhaustive_min(pattern, 5)
-    assert (res.n, res.best_count, res.exact) == (5, 10, True)
-    assert count_mono(res.witness, pattern) == 10
+    assert res == exhaustive_min(pattern, n)
+    assert (res.n, res.best_count, res.exact) == (n, best, True)
+    assert res.method == "exhaustive-canonical"
+    assert count_mono(res.witness, pattern) == best
 
 
 def test_threshold_multiplicity_refusals() -> None:
