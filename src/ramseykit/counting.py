@@ -19,9 +19,11 @@ one, keeps its layers in dense numpy arrays, one entry per (subset, vertex)
 pair, and numpy is imported for those only; once numpy is loaded, walks
 from DENSE_LOADED_MIN_STATES run dense too.  A dense layer is one matrix
 product and one masked move per block of rows, exact in float64 or int64.
-Other walks keep the states they reach in a dict; the DP is exact for any
-graph but exponential in its length, so that kernel refuses instances whose
-largest layer is estimated above DP_STATE_BUDGET before allocating.
+Other walks keep the states they reach in a dict and count the last two
+steps of each, not store them, which needs `adj` symmetric and loop-free,
+as every caller's is; the DP is exact for any graph but exponential in its
+length, so that kernel refuses instances whose largest layer is estimated
+above DP_STATE_BUDGET before allocating.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Sequence
 
 from .coloring import BLUE, RED, EdgeColoring, pair_index
 from .errors import CapabilityError, DomainError
-from .structure import SimpleGraph
+from .structure import SimpleGraph, _bits
 
 # states in the largest stored layer of one dict kernel call.  Peak memory,
 # with the next layer being built, measured 200-260 bytes per state of the
@@ -45,14 +47,16 @@ from .structure import SimpleGraph
 # layer.
 DP_STATE_BUDGET = 2_000_000
 
-# The dense kernel runs from DENSE_MIN_STATES estimated states summed over
-# a walk's layers, its total work, or from DENSE_LOADED_MIN_STATES once
-# numpy is loaded.  The 494 walks of `exact_count_ops(1, 6)` under the
-# vertex cap with no layer of 10,000, replayed through both kernels (shared
-# two-core host, Python 3.11, numpy 2.4, best of three), took 1.5-2.7 times
-# as long on dense as on dict at totals below 724, 0.95-1.14 times at
-# 1,024-1,447, 0.60-0.66 at 1,448-2,047, 0.26-0.46 at 2,048-4,095 and
-# 0.09-0.14 at 8,192-16,383: the crossover is near 1,500.  Below 10,000 the
+# The dense kernel runs from DENSE_MIN_STATES estimated states summed over a
+# walk's layers, its total work, or from DENSE_LOADED_MIN_STATES once numpy
+# is loaded.  The 494 walks of `exact_count_ops(1, 6)` under the vertex cap
+# with no layer of 10,000, replayed through both kernels in three runs
+# (shared two-core host, Python 3.11, numpy 2.4, best of three calls), took
+# 1.8-2.9 times as long on dense as on dict at totals of 363-724 (up to 6.6
+# below), 0.99-1.08 at 725-1,023, 1.7-1.8 at 1,024-1,448, 0.88-0.99 at
+# 1,449-2,047, 0.42-0.82 at 2,048-4,095 and 0.16-0.22 at 8,192-16,383: the
+# crossover is near 1,500, and the replay took 131-135 ms with the gate
+# anywhere from 724 to 2,896, against 212 ms at 10,000.  Below 10,000 the
 # gate also asks that numpy be loaded already, as its one-time import
 # (about 0.1 s) costs more than the dense layers save on smaller walks, so
 # runs whose walks are all smaller, such as `verify --suite bounds`
@@ -157,7 +161,10 @@ def _layer_states(adj: Sequence[int], nstarts: int, edges: int, inner: int) -> l
     Layer t holds (subset, last vertex) states: a start, t vertices from the
     `a` allowed ones and a last vertex among those t, and no more than there
     are (t+1)-subsets of the n vertices with a marked member.  Their sum
-    estimates the work of a call, their max its memory.
+    estimates the work of a call, their max its memory.  The dict kernel
+    counts its last two steps without storing the layer of `edges` - 1
+    steps listed last here, so for it the estimate is conservative by one
+    layer.
     """
     n = len(adj)
     a = (inner & ((1 << n) - 1)).bit_count()
@@ -174,10 +181,12 @@ def count_walks(
 
     Vertices after the start lie in the bitmask `inner`, and the last one
     also in `end`.  Paths are vertex sequences: a path is counted once for
-    each of its ends it may start from, and a repeated start once.  The last
-    step is counted, not stored, so the largest layer holds paths of
-    `edges` - 1 steps; a dict-kernel instance whose estimate of it exceeds
-    DP_STATE_BUDGET raises CapabilityError before any layer is built.
+    each of its ends it may start from, and a repeated start once.  `adj`
+    must be symmetric and loop-free.  The last two steps are counted, not stored, so the
+    dict kernel's largest layer holds paths of `edges` - 2 steps; an
+    instance whose estimate of its largest layer exceeds DP_STATE_BUDGET
+    raises CapabilityError before any layer is built, and a negative
+    `edges` raises DomainError.
 
     Instances whose layers are estimated at DENSE_MIN_STATES or more in
     sum, or at DENSE_LOADED_MIN_STATES or more when numpy is already
@@ -187,6 +196,8 @@ def count_walks(
     are held to the budget.  Both give the same exact count, whichever
     number type the dense layers take.
     """
+    if edges < 0:
+        raise DomainError("walks need edges >= 0")
     starts = set(starts)
     if edges == 0:
         return len(starts)
@@ -206,10 +217,24 @@ def count_walks(
 
 
 def _dict_walks(adj: Sequence[int], starts: Sequence[int], edges: int, inner: int, end: int) -> int:
-    """`count_walks` for edges >= 1, one dict of (subset, last vertex) states a layer."""
+    """`count_walks` for edges >= 1, one dict of (subset, last vertex) states a layer.
+
+    Layers are built up to `edges` - 2 steps; the last two steps x -> w -> y
+    of each state (mask, x) are counted, not stored.  With F = step[x] - mask
+    and close[w] = step[w] & end, the state closes sum over w in F of
+    |close[w] - mask| walks, taken directly (one popcount per w) when
+    |F| <= edges, and otherwise by degrees, at about one term per vertex of
+    the mask, which holds `edges` - 1: two[x] = sum over w in step[x] of
+    deg[w] = |close[w]|, less deg[a] for each a in mask & step[x], less
+    |adj[a] & F| for each a in mask & inner & end, which counts the w in F
+    stepping to a because `adj` is symmetric.  As `adj` has no loops, no
+    row of `step` or `close` holds its own vertex.
+    """
     step = [m & inner for m in adj]
     layer: dict[tuple[int, int], int] = {(1 << v, v): 1 for v in starts}
-    for _ in range(edges - 1):
+    if edges == 1:
+        return sum((step[v] & end & ~mask).bit_count() for mask, v in layer)
+    for _ in range(edges - 2):
         nxt: dict[tuple[int, int], int] = {}
         get = nxt.get
         for (mask, last), cnt in layer.items():
@@ -220,9 +245,35 @@ def _dict_walks(adj: Sequence[int], starts: Sequence[int], edges: int, inner: in
                 key = (mask | b, b.bit_length() - 1)
                 nxt[key] = get(key, 0) + cnt
         layer = nxt
-    return sum(
-        cnt * (step[last] & end & ~mask).bit_count() for (mask, last), cnt in layer.items()
-    )
+    close = [m & end for m in step]
+    deg = [c.bit_count() for c in close]
+    two: dict[int, int] = {}
+    hits = inner & end
+    total = 0
+    for (mask, x), cnt in layer.items():
+        free = step[x] & ~mask
+        if free.bit_count() <= edges:
+            ways = 0
+            while free:
+                b = free & -free
+                free ^= b
+                ways += (close[b.bit_length() - 1] & ~mask).bit_count()
+        else:
+            ways = two.get(x)
+            if ways is None:
+                ways = two[x] = sum(deg[w] for w in _bits(step[x]))
+            used = step[x] & mask
+            while used:
+                b = used & -used
+                used ^= b
+                ways -= deg[b.bit_length() - 1]
+            used = mask & hits
+            while used:
+                b = used & -used
+                used ^= b
+                ways -= (adj[b.bit_length() - 1] & free).bit_count()
+        total += cnt * ways
+    return total
 
 
 @cache

@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import random
 import sys
+from functools import cache
 from itertools import combinations, permutations
 from math import factorial, perm
 
@@ -39,6 +41,8 @@ from ramseykit.counting import (
     copy_edge_masks,
     count_walks,
 )
+from ramseykit.regularity import _alternating_falling, _pair
+from ramseykit.structure import SimpleGraph, _bits
 
 from .oracles import brute_cycles, brute_paths, brute_stars, brute_triangles, brute_walks
 
@@ -338,6 +342,112 @@ def test_dense_walks_match_dict_walks_with_float64_bound_just_below_2_53(
     types = _dense_number_types(monkeypatch)
     assert _dense_walks(adj, range(n), edges, -1, -1) == _dict_walks(adj, range(n), edges, -1, -1)
     assert set(types) == {"float64"}
+
+
+@cache
+def _closing_marks() -> dict[int, str]:
+    """The line opening each of `_dict_walks`'s two closing forms."""
+    lines, first = inspect.getsourcelines(_dict_walks)
+    marks = {
+        first + i: form
+        for i, text in enumerate(lines)
+        for form, mark in (("direct", "ways = 0"), ("degrees", "ways = two.get(x)"))
+        if text.strip() == mark
+    }
+    assert sorted(marks.values()) == ["degrees", "direct"]
+    return marks
+
+
+def _closing_forms(adj, starts, edges: int, inner: int = -1, end: int = -1) -> tuple[int, set[str]]:
+    """`_dict_walks`'s count, and the forms its states closed in, read from
+    the lines it ran: "direct" (a popcount per middle vertex) or "degrees"."""
+    code, marks, seen = _dict_walks.__code__, _closing_marks(), set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno in marks:
+            seen.add(marks[frame.f_lineno])
+        return trace
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        got = _dict_walks(adj, starts, edges, inner, end)
+    finally:
+        sys.settrace(old)
+    return got, seen
+
+
+def test_dict_walks_close_the_last_two_steps_in_both_forms() -> None:
+    # every state of K_{8,8} rooted in V at l = 5 ends in U with two V
+    # vertices used, so six remain to step to, more than the 5 edges: the
+    # degree form, exact at the pair's alternating falling product
+    k88 = SimpleGraph.from_edges(16, ((u, v) for u in range(8) for v in range(8, 16)))
+    umask, vmask, cross = _pair(k88, range(8), range(8, 16))
+    assert _closing_forms(cross, (8,), 5, umask | vmask) == (
+        _alternating_falling(8, 5), {"degrees"})
+    assert _alternating_falling(8, 5) == 14_112
+    # P_12 on a 12-vertex host leaves at most two vertices after 9 steps, so
+    # every state closes directly; on K_12 each of the 12! vertex orders is
+    # a walk
+    k12 = [((1 << 12) - 1) ^ (1 << v) for v in range(12)]
+    assert _closing_forms(k12, range(12), 11) == (factorial(12), {"direct"})
+
+
+def _pair_hosts(rng: random.Random):
+    """(cross rows, U mask, V mask) of random bipartite pairs read by `_pair`:
+    pairs that are their whole host, and pairs inside a larger host, which
+    leaves the rows of the other vertices empty."""
+    for nu, nv, extra in ((3, 3, 0), (4, 5, 0), (3, 4, 4), (6, 6, 0), (5, 7, 6), (8, 8, 0)):
+        for p in (0.5, 0.85, 1.0):
+            n = nu + nv + extra
+            verts = rng.sample(range(n), nu + nv)
+            us, vs = verts[:nu], verts[nu:]
+            edges = [(u, v) for u in us for v in vs if rng.random() < p]
+            if extra:  # edges among the other vertices and into the pair
+                edges += [(a, b) for a, b in combinations(range(n), 2)
+                          if (a not in verts or b not in verts) and rng.random() < 0.5]
+            umask, vmask, cross = _pair(SimpleGraph.from_edges(n, edges), us, vs)
+            if extra:
+                assert not any(cross[w] for w in range(n) if not (umask | vmask) >> w & 1)
+            yield cross, umask, vmask
+
+
+def test_dict_walks_match_dense_and_brute_walks_on_bound_checker_shapes() -> None:
+    # the rooted, endpoint and per-V-start walks of the bound checkers on
+    # `_pair` cross rows, at 1 to 7 edges
+    rng = random.Random(29)
+    forms = set()
+    for cross, umask, vmask in _pair_hosts(rng):
+        n, both = len(cross), umask | vmask
+        u, v = rng.choice(list(_bits(umask))), rng.choice(list(_bits(vmask)))
+        shapes = [((v,), both, -1), ((u,), both & ~(1 << v), cross[v])]
+        shapes += [((w,), both, -1) for w in _bits(vmask)]
+        for edges in range(1, 8):
+            for i, (starts, inner, end) in enumerate(shapes):
+                if i < 2:  # the rooted and endpoint walks, traced
+                    got, seen = _closing_forms(cross, starts, edges, inner, end)
+                    forms |= seen
+                else:
+                    got = _dict_walks(cross, starts, edges, inner, end)
+                assert got == _dense_walks(cross, starts, edges, inner, end)
+                if perm(n, edges + 1) <= 20_000:
+                    want = brute_walks(lambda a, b: cross[a] >> b & 1, n, starts, edges,
+                                       inner=inner, last=end)
+                    assert got == want, (n, starts, edges, inner, end)
+    assert forms == {"direct", "degrees"}
+
+
+def test_count_walks_refuses_negative_edges_before_estimating(monkeypatch) -> None:
+    def estimate(*args):
+        raise AssertionError("estimated a walk of negative length")
+
+    monkeypatch.setattr(counting, "_layer_states", estimate)
+    k4 = [0b1111 ^ (1 << v) for v in range(4)]
+    for edges in (-1, -5):
+        with pytest.raises(DomainError, match="edges"):
+            count_walks(k4, range(4), edges)
 
 
 def test_count_walks_runs_dense_only_on_large_walks_over_few_vertices(monkeypatch) -> None:
