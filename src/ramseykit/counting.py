@@ -41,10 +41,11 @@ from .errors import CapabilityError, DomainError
 from .structure import SimpleGraph, _bits
 
 # states in the largest stored layer of one dict kernel call.  Peak memory,
-# with the next layer being built, measured 200-260 bytes per state of the
-# largest layer (n=20 P_10: 1.02 M states, +250 MB), so the budget caps a call
-# near 0.5 GB.  The estimate it is compared with is an upper bound on that
-# layer.
+# with the next layer being built, measured about 270 bytes per state of the
+# largest layer (n=20 P_10: 769,582 states after 7 steps, +196 MB, 3.7 s,
+# best of three fresh processes on a shared two-core host, Python 3.11), so
+# the budget caps a call near 0.5 GB.  The estimate it is compared with is an
+# upper bound on that layer (1,511,640 for that walk).
 DP_STATE_BUDGET = 2_000_000
 
 # The dense kernel runs from DENSE_MIN_STATES estimated states summed over a
@@ -67,7 +68,7 @@ DP_STATE_BUDGET = 2_000_000
 # m = 24 P_4 took 84 ms and +129 MB against 2 ms on dict.  Dense layers
 # are float64 or int64, and measured about 18 bytes per entry of the
 # largest layer with the next one being built (m = 20 P_10: 3.4 M entries,
-# 0.14 s and +60 MB, against 6.7 s and +302 MB on dict), so every dense
+# 0.14 s and +60 MB, against 3.7 s and +196 MB on dict), so every dense
 # call under the cap stays well inside the dict kernel's memory and needs
 # no budget of its own.  A block of DENSE_BLOCK_ROWS rows keeps the product
 # a small share of the layer: one of the full width took +7 MB at the peak

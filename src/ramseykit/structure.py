@@ -14,8 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import CapabilityError, DomainError
 
-BACKTRACK_MAX_N = 14
-BACKTRACK_MAX_PATHS = 200_000
+EXACT_PATHS_MAX_N = 14
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -293,18 +292,14 @@ class DisjointPathCert:
             for a, b in zip(path, path[1:]):
                 if not g.has_edge(a, b):
                     raise DomainError(f"pair ({a},{b}) in {path} is not an edge")
-            interior = 0
-            for w in path[1:-1]:
-                if w in (self.u, self.v):
-                    raise DomainError(f"path {path} passes through an endpoint")
-                interior |= 1 << w
+            # with both ends checked and no repeat, no interior is an end
+            interior = sum(1 << w for w in path[1:-1])
             if interior & seen_interior:
                 raise DomainError(f"path {path} shares an interior vertex")
             seen_interior |= interior
-            key = min(path, path[::-1])
-            if key in seen_paths:
+            if path in seen_paths:
                 raise DomainError(f"path {path} listed twice")
-            seen_paths.add(key)
+            seen_paths.add(path)
 
 
 def _bfs_short_path(
@@ -406,65 +401,62 @@ def _exact_le4(g: SimpleGraph, u: int, v: int, max_len: int) -> list[tuple[int, 
     return paths
 
 
-def _enumerate_short_paths(g: SimpleGraph, u: int, v: int, max_len: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    limit = BACKTRACK_MAX_PATHS
+def _exact_subsets(g: SimpleGraph, u: int, v: int, max_len: int) -> list[tuple[int, ...]]:
+    """Maximum family by two DPs over sets I of interior vertices.
 
-    def extend(w: int, used: int, path: list[int]) -> None:
-        if len(out) > limit:
-            raise CapabilityError(
-                f"more than {limit} candidate paths; backtracking mode is infeasible here"
-            )
-        if g.has_edge(w, v):
-            out.append(tuple(path + [v]))
-        if len(path) > max_len - 1:
-            return
-        cand = g.adj[w] & ~used & ~(1 << v)
-        for t in _bits(cand):
-            path.append(t)
-            extend(t, used | (1 << t), path)
-            path.pop()
-
-    if max_len >= 1:
-        extend(u, (1 << u), [u])
-    return out
-
-
-def _exact_backtracking(g: SimpleGraph, u: int, v: int, max_len: int) -> list[tuple[int, ...]]:
-    """Exact maximum family by packing enumerated candidate paths.
-
-    Exponential in the worst case; guarded to n <= BACKTRACK_MAX_N.
+    heads[I] holds the vertices of I that start a path through exactly I to
+    v, built by size up to max_len - 1; u reaches I when it has a neighbor
+    in heads[I], and I stands for its lexicographically least path, read
+    greedily from heads.  most(avail) is the most disjoint reached sets
+    inside avail.  Keeping I, in (length, path) order, when 1 + most(avail -
+    I) == most(avail) gives the family that packing the paths include-first
+    in that order gives.  The tables are indexed by subsets of the other
+    n - 2 vertices, hence EXACT_PATHS_MAX_N.
     """
-    if g.n > BACKTRACK_MAX_N:
-        raise CapabilityError(
-            f"exact packing limited to n <= {BACKTRACK_MAX_N} (got n={g.n})"
-        )
-    cands = _enumerate_short_paths(g, u, v, max_len)
-    cands.sort(key=len)
-    masks = []
-    for path in cands:
-        m = 0
-        for w in path[1:-1]:
-            m |= 1 << w
-        masks.append(m)
-    best: list[int] = []
+    if g.n > EXACT_PATHS_MAX_N:
+        raise CapabilityError(f"exact packing limited to n <= {EXACT_PATHS_MAX_N} (got n={g.n})")
+    others = [w for w in range(g.n) if w != u and w != v] + [v]
+    bit = {w: 1 << i for i, w in enumerate(others)}
+    # rows over the bits of others, u's row last; heads of the empty set is
+    # v's bit, so a lone vertex heads its set when it is adjacent to v
+    adj = [sum(bit.get(w, 0) for w in _bits(g.adj[x])) for x in others + [u]]
+    heads = [bit[v]] + [0] * (bit[v] - 1)
+    sets = []
+    for s in range(1, len(heads)):
+        if s.bit_count() < max_len:
+            heads[s] = sum(1 << x for x in _bits(s) if adj[x] & heads[s ^ 1 << x])
+        if adj[-1] & heads[s]:
+            path, x, rest = [], -1, s
+            while rest:
+                x = next(_bits(adj[x] & heads[rest]))
+                path.append(others[x])
+                rest ^= 1 << x
+            sets.append((len(path), path, s))
+    memo = {0: 0}
 
-    def pack(i: int, used: int, chosen: list[int]) -> None:
-        nonlocal best
-        if len(chosen) + (len(cands) - i) <= len(best):
-            return
-        if i == len(cands):
-            if len(chosen) > len(best):
-                best = chosen.copy()
-            return
-        if masks[i] & used == 0:
-            chosen.append(i)
-            pack(i + 1, used | masks[i], chosen)
-            chosen.pop()
-        pack(i + 1, used, chosen)
+    def most(avail: int) -> int:
+        if avail not in memo:
+            low = avail & -avail
+            rest = avail ^ low
+            best, sub = most(rest), 0
+            while True:  # the subsets of rest in increasing order
+                # dropping one vertex costs at most one set, so best + 1 is final
+                if adj[-1] & heads[sub | low] and most(rest ^ sub) == best:
+                    best += 1
+                    break
+                if sub == rest:
+                    break
+                sub = (sub - rest) & rest
+            memo[avail] = best
+        return memo[avail]
 
-    pack(0, 0, [])
-    return [cands[i] for i in best]
+    paths = [(u, v)] if g.has_edge(u, v) else []
+    avail = len(heads) - 1
+    for _, path, s in sorted(sets):
+        if s & avail == s and 1 + most(avail ^ s) == most(avail):
+            avail ^= s
+            paths.append((u, *path, v))
+    return paths
 
 
 def disjoint_short_paths(
@@ -482,7 +474,8 @@ def disjoint_short_paths(
 
     method="exact": true maximum.  For max_len <= 4, the common neighbors
     plus one blossom matching on the A, B and split middle vertices; for
-    max_len >= 5 exhaustive packing guarded to n <= BACKTRACK_MAX_N.
+    max_len >= 5 the subset DPs of _exact_subsets, guarded to
+    n <= EXACT_PATHS_MAX_N.
     """
     if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
         raise DomainError("u and v must be distinct vertices of g")
@@ -495,7 +488,7 @@ def disjoint_short_paths(
         if max_len <= 4:
             found = _exact_le4(g, u, v, max_len)
         else:
-            found = _exact_backtracking(g, u, v, max_len)
+            found = _exact_subsets(g, u, v, max_len)
         return DisjointPathCert(u, v, max_len, tuple(found), exact=True)
     raise DomainError(f"unknown method {method!r}")
 

@@ -220,6 +220,14 @@ def test_verify_unknown_suite_is_a_usage_error(capsys) -> None:
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("split", ["6", "a,b", "6,2,1"])
+def test_malformed_split_is_a_usage_error(split, capsys) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--split", split])
+    assert exc.value.code == 2
+    assert "--split" in capsys.readouterr().err
+
+
 def test_non_finite_temperature_is_a_usage_error(capsys) -> None:
     code, _, stderr = run_cli(
         capsys, "search", "--pattern", "K3", "--n", "6", "--anneal", "--seed", "1",

@@ -212,6 +212,9 @@ def test_random_is_deterministic_per_seed() -> None:
         b"RMC1 two\n0\n",
         b"RMC1 03\n80\n",
         b"RMC1 00\n\n",
+        b"RMC1 3\n7\n",
+        b"RMC1 5\n0f0\n",
+        b"RMC1 4\nA0\n",
     ],
 )
 def test_parse_rejects_malformed_payloads(payload: bytes) -> None:

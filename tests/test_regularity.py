@@ -517,6 +517,14 @@ def test_exact_scan_takes_an_eps_above_one() -> None:
         assert (res.regular, res.deviation, res.witness) == (True, 0, None)
 
 
+def test_sampler_takes_an_eps_above_one() -> None:
+    # no subset qualifies, so no trial is drawn
+    g = random_bipartite(4, 4, 0.5, 4)
+    for eps in (Fraction(5, 4), 2):
+        res = eps_regular_sample(g, range(4), range(4, 8), eps)
+        assert (res.status, res.trials) == ("no-violation-found", 0)
+
+
 # --- degree deviation ---------------------------------------------------
 
 

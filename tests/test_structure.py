@@ -1,7 +1,9 @@
 import hashlib
 import random
+import time
 from itertools import combinations
 from math import comb
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from ramseykit import (
     verify_erdos_gallai,
     well_connected_check,
 )
+from ramseykit.structure import _exact_subsets
 
 from .oracles import matching_number, max_disjoint_short_paths
 
@@ -122,17 +125,97 @@ def test_disjoint_path_certificates_validate_and_exact_is_optimal(
     assert len(greedy.paths) <= want
 
 
-def test_exact_paths_refuse_past_the_candidate_cap() -> None:
-    # K_11 has 260,650 candidate 0-1 paths of length <= 8, past
-    # BACKTRACK_MAX_PATHS = 200,000, so the exact packing refuses; without
-    # the edge {0, 1} the greedy finds 9 < t paths and the pair stays unknown
-    edges = list(combinations(range(11), 2))
-    with pytest.raises(CapabilityError, match="more than 200000 candidate paths"):
-        disjoint_short_paths(SimpleGraph.from_edges(11, edges), 0, 1, 8, method="exact")
-    g = SimpleGraph.from_edges(11, [e for e in edges if e != (0, 1)])
-    report = well_connected_check(g, [0, 1], 10, 8)
+def complete_graph(n: int, missing: tuple[tuple[int, int], ...] = ()) -> SimpleGraph:
+    return SimpleGraph.from_edges(n, [e for e in combinations(range(n), 2) if e not in missing])
+
+
+@pytest.mark.parametrize("n, max_len, want", [(10, 5, 9), (11, 8, 10), (14, 13, 13)])
+def test_exact_paths_answer_on_complete_graphs(n: int, max_len: int, want: int) -> None:
+    # a packer recursing once per candidate path overflowed the stack on
+    # K_10's 2,081 candidates, and K_11 at length 8 has 260,650 candidates;
+    # the subset tables hold 2^(n - 2) entries, so K_14 is the largest case
+    g = complete_graph(n)
+    start = time.perf_counter()
+    cert = disjoint_short_paths(g, 0, 1, max_len, method="exact")
+    assert time.perf_counter() - start < 1.0
+    cert.validate(g)
+    assert cert.count == want
+
+
+def test_exact_paths_answer_on_a_random_pair_within_the_guard() -> None:
+    rng = random.Random(1405)
+    g = SimpleGraph.from_edges(14, [e for e in combinations(range(14), 2) if rng.random() < 0.5])
+    start = time.perf_counter()
+    cert = disjoint_short_paths(g, 0, 1, 5, method="exact")
+    assert time.perf_counter() - start < 1.0
+    cert.validate(g)
+    assert cert.paths == ((0, 1), (0, 2, 1), (0, 5, 1), (0, 9, 1), (0, 10, 1))
+
+
+@pytest.mark.parametrize("n, t, max_len", [(10, 9, 5), (11, 10, 8)])
+def test_well_connected_check_refutes_complete_graphs_minus_the_pair(
+    n: int, t: int, max_len: int
+) -> None:
+    # the greedy finds the n - 2 common neighbors, and the exact family is
+    # no larger
+    report = well_connected_check(complete_graph(n, ((0, 1),)), [0, 1], t, max_len)
+    assert (report.status, report.failing_pair, report.failing_count) == ("refuted", (0, 1), n - 2)
+
+
+def test_exact_paths_refuse_past_the_size_guard() -> None:
+    # the greedy finds 13 < t paths in K_15 minus {0, 1}, and the exact
+    # family is refused at n = 15 before any table is built
+    with pytest.raises(CapabilityError, match="n <= 14"):
+        disjoint_short_paths(complete_graph(15), 0, 1, 5, method="exact")
+    report = well_connected_check(complete_graph(15, ((0, 1),)), [0, 1], 14, 5)
     assert (report.status, report.unknown_pairs) == ("unknown", [(0, 1)])
     assert report.failing_pair is None and report.certificates == {}
+
+
+def exact_panel() -> Iterator[tuple[int, SimpleGraph, int, int, int]]:
+    for i in range(400):
+        rng = random.Random(f"exact:{i}")
+        n = rng.randint(2, 12)
+        p = rng.choice((0.2, 0.4, 0.6, 0.8))
+        g = SimpleGraph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        u, v = rng.sample(range(n), 2)
+        yield i, g, u, v, rng.randint(5, 7)
+
+
+# sha256 of the exact families of exact_panel, recorded on the packer of
+# enumerated candidate paths; it raised RecursionError on 45 inputs and ran
+# past 3 s on five more, listed here, whose families are validated instead
+EXACT_PATHS_SHA256 = "01304b7078382478e88930f8dac4feff9c5381e5ea44f9edb3b86296fd0dba2a"
+EXACT_PANEL_UNANSWERED = frozenset({
+    3, 8, 14, 29, 53, 57, 67, 69, 70, 76, 83, 85, 89, 92, 99, 100, 101, 107, 127, 129,
+    145, 161, 171, 178, 187, 189, 193, 194, 195, 202, 231, 235, 243, 285, 298, 302, 314,
+    322, 323, 326, 347, 351, 356, 358, 359, 370, 372, 376, 391, 394,
+})
+
+
+def test_exact_families_past_length_four_are_pinned() -> None:
+    digest = hashlib.sha256()
+    for i, g, u, v, max_len in exact_panel():
+        cert = disjoint_short_paths(g, u, v, max_len, method="exact")
+        if i in EXACT_PANEL_UNANSWERED:
+            cert.validate(g)
+            assert cert.count >= disjoint_short_paths(g, u, v, max_len).count
+        else:
+            digest.update(repr((i, cert.paths)).encode())
+    assert digest.hexdigest() == EXACT_PATHS_SHA256
+
+
+def test_subset_dp_agrees_with_the_matching_up_to_length_four() -> None:
+    # two independent exact methods for the same maximum
+    for i in range(300):
+        rng = random.Random(f"le4:{i}")
+        n = rng.randint(2, 12)
+        g = SimpleGraph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
+        u, v = rng.sample(range(n), 2)
+        for max_len in range(1, 5):
+            cert = DisjointPathCert(u, v, max_len, tuple(_exact_subsets(g, u, v, max_len)), True)
+            cert.validate(g)
+            assert cert.count == disjoint_short_paths(g, u, v, max_len, method="exact").count
 
 
 # sha256 of greedy families and well-connectedness reports on seeded random
@@ -225,6 +308,23 @@ def test_certificate_validation_rejects_vertices_out_of_range(u, v, path) -> Non
     cert = DisjointPathCert(u, v, 4, (path,), True)
     with pytest.raises(DomainError, match="out of range"):
         cert.validate(g)
+
+
+@pytest.mark.parametrize(
+    "paths, message",
+    [
+        (((0, 1, 2),), "does not run from 0 to 3"),
+        (((0, 1, 2, 1, 3),), "exceeds length bound 3"),
+        (((0, 1, 2, 3), (0, 2, 2, 3)), "repeats a vertex"),
+        # a path through an end repeats it, as both ends are fixed
+        (((0, 3, 1, 3),), "repeats a vertex"),
+        (((0, 3), (0, 3)), "listed twice"),
+    ],
+)
+def test_certificate_validation_rejects_bad_paths(paths, message) -> None:
+    g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3), (0, 2)])
+    with pytest.raises(DomainError, match=message):
+        DisjointPathCert(0, 3, 3, paths, True).validate(g)
 
 
 @pytest.mark.parametrize("witness", [[0], [], [0, 1]])
