@@ -26,7 +26,7 @@ from random import Random
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, DomainError, InvalidSpecError
-from .structure import SimpleGraph
+from .structure import SimpleGraph, _bits
 
 RED = "red"
 BLUE = "blue"
@@ -103,7 +103,9 @@ class EdgeColoring:
         return pair_count(self.n) - self.red_edge_count
 
     def adj_masks(self, color: str) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmasks in the given color (cached)."""
+        """Per-vertex neighbor bitmasks in the given color (cached).  Red takes
+        row i of the layout whole, i's n - 1 - i pairs above i from bit
+        ``pair_index(n, i, i + 1)``, and sets bit i in each red neighbour."""
         cached = self._masks.get(color)
         if cached is not None:
             return cached
@@ -113,14 +115,11 @@ class EdgeColoring:
             out = tuple(full & ~m & ~(1 << v) for v, m in enumerate(self.adj_masks(RED)))
         elif color == RED:
             masks = [0] * n
-            bits = self.red_bits
-            e = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if bits >> e & 1:
-                        masks[i] |= 1 << j
-                        masks[j] |= 1 << i
-                    e += 1
+            for i in range(n - 1):
+                above = (self.red_bits >> pair_index(n, i, i + 1) & (1 << n - 1 - i) - 1) << i + 1
+                masks[i] |= above
+                for j in _bits(above):
+                    masks[j] |= 1 << i
             out = tuple(masks)
         else:
             raise DomainError(f"unknown color {color!r}")
@@ -262,13 +261,9 @@ def _apply_perm(adj: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
 
 def _bits_from_adj(adj: Sequence[int], n: int) -> int:
     """Red bits of K_n whose red graph on vertices 0..len(adj)-1 is adj and
-    whose other edges are all blue."""
-    bits = 0
-    for i in range(len(adj)):
-        for j in range(i + 1, len(adj)):
-            if adj[i] >> j & 1:
-                bits |= 1 << pair_index(n, i, j)
-    return bits
+    whose other edges are all blue: row i of the layout is adj[i]'s bits
+    above i, written at ``pair_index(n, i, i + 1)``."""
+    return sum(a >> i + 1 << pair_index(n, i, i + 1) for i, a in enumerate(adj[:-1]))
 
 
 # ---------------------------------------------------------------------------

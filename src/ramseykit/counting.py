@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .coloring import BLUE, RED, EdgeColoring, pair_index
 from .errors import CapabilityError, DomainError
-from .structure import SimpleGraph, _bits
+from .structure import SimpleGraph, _bit_matrix, _bits
 
 # states in the largest stored layer of one dict kernel call.  Peak memory,
 # with the next layer being built, measured about 270 bytes per state of the
@@ -369,7 +369,7 @@ def _dense_component(adj: Sequence[int], seeds: int, universe: int, edges: int, 
     # zero rows pad step to whole blocks: a one-row block would be a BLAS
     # matrix-vector call, which OpenBLAS threads from 9,216 entries
     step = np.zeros((-(-m // DENSE_BLOCK_ROWS) * DENSE_BLOCK_ROWS, m), dtype)
-    step[:m] = [[adj[u] >> w & inner >> w & 1 for u in verts] for w in verts]
+    step[:m] = _bit_matrix([adj[u] & inner for u in verts], len(adj))[:, verts].T
     blocks = [slice(b, b + DENSE_BLOCK_ROWS) for b in range(0, m, DENSE_BLOCK_ROWS)]
     width = DENSE_BLOCK_MACS // (DENSE_BLOCK_ROWS * m)
 

@@ -61,7 +61,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .coloring import BLUE, RED, EdgeColoring, job_seed
 from .counting import count_walks
 from .errors import CapabilityError, DomainError
-from .structure import SimpleGraph, _bits, max_matching
+from .structure import SimpleGraph, _bit_matrix, _bits, max_matching
 
 EXACT_REGULARITY_MAX = 18
 # the exhaustive checker scans 2^EXACT_BLOCK_BITS subsets at a time
@@ -181,16 +181,6 @@ def _check_pair_inputs(
     return xs_s, ys_s, base, cross
 
 
-def _adjacency(cross: Sequence[int], rows: Sequence[int], cols: Sequence[int]):
-    """0/1 uint8 matrix of the pair's edges, one row per vertex of `rows`
-    and one column per vertex of `cols`, unpacked from the cross rows."""
-    import numpy as np
-
-    width = max(cols) // 8 + 1
-    packed = np.frombuffer(b"".join(cross[r].to_bytes(width, "little") for r in rows), np.uint8)
-    return np.unpackbits(packed.reshape(len(rows), width), axis=1, bitorder="little")[:, cols]
-
-
 def _deviations(top, bottom, sizes, lo: int, p: int, q: int):
     """(high, low, den) of a subset S of `sizes` vertices whose lo
     counterparts of largest degree into S have degree sum `top` and whose lo
@@ -273,7 +263,7 @@ def eps_regular_exact(
     # a vertex's row is 1, then its edges to scan_side, so a subset's row
     # sum is |S|, then its degrees
     rows = np.ones((k, len(scan_side) + 1), np.int64)
-    rows[:, 1:] = _adjacency(cross, enum_side, scan_side)
+    rows[:, 1:] = _bit_matrix([cross[v] for v in enum_side], g.n)[:, scan_side]
     bits = min(k, EXACT_BLOCK_BITS)
     head, tails = _subset_sums(rows[:bits]), _subset_sums(rows[bits:])
     # the first S of strictly larger key in subset order

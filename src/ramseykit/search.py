@@ -52,6 +52,7 @@ from .coloring import (
 from .counting import Pattern, count_mono, total_copies_in_complete
 from .errors import CapabilityError, DomainError
 from .formulas import RamseyValue, r_cycle, r_path
+from .structure import _bit_matrix
 
 EXHAUSTIVE_MAX_N = 7
 # nothing in the package branches on this since every n sweeps by vertex
@@ -160,14 +161,11 @@ def _copy_edges(pattern: Pattern, n: int):
 
 
 def _red_counts(edges, nbits: int, states: Sequence[int]):
-    """(copies, len(states)) red-edge counts of ``edges``, a column per coloring."""
+    """(copies, len(states)) red-edge counts of ``edges``, a column per
+    coloring, from the states' red bits read by ``_bit_matrix``."""
     import numpy as np
 
-    width = (nbits + 7) // 8
-    raw = b"".join(v.to_bytes(width, "little") for v in states)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(states), width)
-    # bit e of states[j] at [e, j]
-    bits = np.unpackbits(rows.T, axis=0, count=nbits, bitorder="little")
+    bits = np.ascontiguousarray(_bit_matrix(states, nbits).T)  # bit e of states[j] at [e, j]
     red = np.zeros((len(edges), len(states)), dtype=np.min_scalar_type(edges.shape[1]))
     for column in edges.T:  # the j-th edge of every copy
         red += bits.take(column, axis=0)

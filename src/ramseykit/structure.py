@@ -1,8 +1,10 @@
 """Plain-graph machinery: matchings, edge-count bounds, disjoint path families.
 
 Graphs here are undirected simple graphs on vertex set ``0..n-1`` with
-adjacency stored as one Python-int bitmask per vertex.  Everything in this
-module is color-agnostic; two-coloring logic lives in :mod:`ramseykit.coloring`.
+adjacency stored as one Python-int bitmask per vertex; ``_bit_matrix`` is the
+one reader of such masks into numpy, for the searches' red counts, the exact
+regularity scan and the dense walk kernel.  Everything in this module is
+color-agnostic; two-coloring logic lives in :mod:`ramseykit.coloring`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,17 @@ def _bits(mask: int) -> Iterable[int]:
         b = mask & -mask
         mask ^= b
         yield b.bit_length() - 1
+
+
+def _bit_matrix(masks: Sequence[int], width: int):
+    """(len(masks), width) uint8 array with bit j of masks[i] at [i, j];
+    every mask must be below 2**width."""
+    import numpy as np
+
+    nbytes = (width + 7) // 8
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    rows = np.frombuffer(raw, np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(rows, axis=1, count=width, bitorder="little")
 
 
 class SimpleGraph:

@@ -4,7 +4,8 @@ Everything here is written for clarity over speed and deliberately avoids
 the package's own counting or matching code: permutation enumeration for
 paths and cycles, subset enumeration for matchings and pair regularity,
 a counterpart scan in exact fractions for pair regularity at mid sizes,
-plain backtracking for disjoint-path packing, and a sweep of every coloring
+plain backtracking for disjoint-path packing, a unit-capacity max flow
+for disjoint paths of any length, and a sweep of every coloring
 for minimum monochromatic counts (which takes its list of copies from
 ``copy_edge_masks``), and every vertex order for canonical graph forms.
 Only usable at small sizes.
@@ -12,6 +13,7 @@ Only usable at small sizes.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -239,3 +241,43 @@ def max_disjoint_short_paths(
 
     pack(0, frozenset(), 0)
     return best
+
+
+def menger_paths(adj: Sequence[Sequence[int]], u: int, v: int) -> int:
+    """Most internally-disjoint u-v paths of any length, by Menger's theorem.
+
+    A unit-capacity max flow from u to v in which every other vertex w is
+    split into w_in (node 2w) -> w_out (node 2w + 1) of capacity 1, and each
+    edge {a, b} is the arcs a_out -> b_in and b_out -> a_in; a direct edge
+    u-v is one path.  Each augmenting path is found by breadth-first search.
+    """
+    n = len(adj)
+    cap: list[dict[int, int]] = [{} for _ in range(2 * n)]
+
+    def arc(a: int, b: int, c: int) -> None:
+        cap[a][b] = cap[a].get(b, 0) + c
+        cap[b].setdefault(a, 0)
+
+    for w in range(n):
+        arc(2 * w, 2 * w + 1, n if w in (u, v) else 1)
+        for x in adj[w]:
+            arc(2 * w + 1, 2 * x, 1)
+    source, sink = 2 * u, 2 * v + 1
+    flow = 0
+    while True:
+        parent: dict[int, int | None] = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            a = queue.popleft()
+            for b, c in cap[a].items():
+                if c and b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        if sink not in parent:
+            return flow
+        b = sink
+        while (a := parent[b]) is not None:
+            cap[a][b] -= 1
+            cap[b][a] += 1
+            b = a
+        flow += 1

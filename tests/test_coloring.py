@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ramseykit import (
     BLUE,
     RED,
+    CapabilityError,
     DomainError,
     EdgeColoring,
     InvalidSpecError,
@@ -17,7 +18,7 @@ from ramseykit import (
     canonical_key,
     split_coloring,
 )
-from ramseykit.coloring import _apply_perm, _least_labeling, job_seed
+from ramseykit.coloring import _apply_perm, _bits_from_adj, _least_labeling, job_seed
 
 from .oracles import brute_canonical
 
@@ -38,6 +39,24 @@ def test_serialize_parse_round_trip(c: EdgeColoring) -> None:
 @given(colorings())
 def test_edge_counts_partition_complete_graph(c: EdgeColoring) -> None:
     assert c.red_edge_count + c.blue_edge_count == c.n * (c.n - 1) // 2
+
+
+@given(colorings(40), st.integers(0, 40), st.randoms(use_true_random=False))
+def test_edge_layout_round_trips_through_adjacency_rows(
+    c: EdgeColoring, m: int, rng: random.Random
+) -> None:
+    n = c.n
+    red, blue = c.adj_masks(RED), c.adj_masks(BLUE)
+    assert not any((red[v] | blue[v]) >> v & 1 for v in range(n))
+    for i, j in combinations(range(n), 2):
+        assert bool(red[i] >> j & 1) == bool(red[j] >> i & 1) == c.is_red(i, j)
+        assert bool(blue[i] >> j & 1) == bool(blue[j] >> i & 1) != c.is_red(i, j)
+    assert _bits_from_adj(red, n) == c.red_bits
+    # an m-vertex adjacency embedded in K_n sets exactly its own pairs
+    m = min(m, n)
+    own = {e for e in combinations(range(m), 2) if rng.random() < 0.5}
+    embedded = EdgeColoring(n, _bits_from_adj(SimpleGraph.from_edges(m, own).adj, n))
+    assert {e for e in combinations(range(n), 2) if embedded.is_red(*e)} == own
 
 
 @given(colorings(7))
@@ -264,6 +283,20 @@ def test_flip_rejects_loops_and_foreign_vertices() -> None:
 def test_split_flip_errors_keep_their_messages(flips, message) -> None:
     with pytest.raises(InvalidSpecError, match=message):
         split_coloring(3, 1, flips=flips)
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: split_coloring(2, 1).adj_masks("green"), DomainError, "unknown color 'green'"),
+        (lambda: split_coloring(2, 1).relabeled([0, 0, 1]), DomainError, "permutation"),
+        (lambda: canonical_key(EdgeColoring(13)), CapabilityError, r"n <= 12 \(got 13\)"),
+    ],
+    ids=["adj_masks-color", "relabeled-perm", "canonical_key-n"],
+)
+def test_guards_refuse_bad_arguments(call, error, message) -> None:
+    with pytest.raises(error, match=message):
+        call()
+
 
 def test_job_seeds_are_pinned() -> None:
     # anneal restart i of seed 7, and the red sample of parts 1, 2 at seed 0

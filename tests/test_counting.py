@@ -209,6 +209,41 @@ def test_unsupported_patterns_rejected(text: str) -> None:
         parse_pattern(text)
 
 
+_PATH3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Pattern("clique", 6), r"2 <= k <= 5"),
+        (lambda: Pattern("wheel", 4), "unknown pattern kind 'wheel'"),
+        (lambda: count_paths(_PATH3, 0), "k must be at least 1"),
+        (lambda: count_cycles(_PATH3, 2), "cycles need k >= 3"),
+        (lambda: count_stars(_PATH3, 0), "stars need k >= 1 leaves"),
+        (lambda: count_cliques(_PATH3, 1), r"2 <= k <= 5"),
+        (lambda: count_cliques(_PATH3, 6), r"2 <= k <= 5"),
+        (lambda: formula_split_paths(-1, 2, 3), "must be nonnegative"),
+        (lambda: formula_split_paths(2, 2, -1), "must be nonnegative"),
+        (lambda: total_copies_in_complete(-1, Pattern.path(3)), "n must be nonnegative"),
+    ],
+    ids=[
+        "Pattern-K6", "Pattern-kind", "count_paths-k", "count_cycles-k", "count_stars-k",
+        "count_cliques-1", "count_cliques-6", "formula_split_paths-a", "formula_split_paths-k",
+        "total_copies_in_complete-n",
+    ],
+)
+def test_guards_refuse_bad_arguments(call, message: str) -> None:
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (2, 3), (5, 4)])
+def test_split_path_formula_below_two_vertices(a: int, b: int) -> None:
+    # no path has no vertex, and each vertex is a P_1 in both views
+    assert formula_split_paths(a, b, 0) == 0
+    assert formula_split_paths(a, b, 1) == count_mono(split_coloring(a, b), Pattern.path(1))
+
+
 def test_clique_counts_match_subset_scan() -> None:
     for n in (0, 1, 4, 7, 9, 12):
         for seed in (15, 16, 17):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ramseykit import (
     DomainError,
+    Pattern,
     conjectured_m,
     count_mono,
     exhaustive_min,
@@ -116,6 +117,21 @@ def test_conjectured_path_values_closed_form(k: int) -> None:
         assert value == factorial(k) // 2
     else:
         assert value == (k - 1) * factorial(k - 1) // 4
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: r_path(1), "needs k >= 2"),
+        (lambda: r_cycle(2), "cycles need k >= 3"),
+        (lambda: m_star(0), "stars need k >= 1 leaves"),
+        (lambda: conjectured_m(Pattern.path(2)), "conjecture needs k >= 3"),
+    ],
+    ids=["r_path", "r_cycle", "m_star", "conjectured_m"],
+)
+def test_formulas_refuse_sizes_below_their_range(call, message: str) -> None:
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_conjectured_m_rejects_stars_and_cliques() -> None:

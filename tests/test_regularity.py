@@ -272,7 +272,7 @@ def test_exact_check_refuses_oversized_sides() -> None:
         build_reduced(split_coloring(19, 19), partition, Fraction(1, 5), Fraction(1, 2))
 
 
-@pytest.mark.parametrize("eps", ["abc", "nan", "inf", "1/0"])
+@pytest.mark.parametrize("eps", ["abc", "nan", "inf", "1/0", True, None, [1]])
 def test_unreadable_tolerances_are_domain_errors(eps) -> None:
     g = complete_bipartite(3, 3)
     with pytest.raises(DomainError, match="exact rational"):
@@ -552,6 +552,53 @@ def test_degree_deviation_check_validates_both_parts() -> None:
     for xs in ([-1], [9], [0, 0], [0, 2]):
         with pytest.raises(DomainError):
             degree_deviation_check(g, xs, [2, 3], Fraction(1, 2), Fraction(1, 10))
+
+
+_K33 = complete_bipartite(3, 3)
+_SIDES = (range(3), range(3, 6))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: VertexPartition.consecutive(4, 0), "1 <= parts_count <= n"),
+        (lambda: VertexPartition.consecutive(4, 5), "1 <= parts_count <= n"),
+        (lambda: VertexPartition.of_size(4, 0), "1 <= size <= n"),
+        (lambda: VertexPartition.of_size(4, 5), "1 <= size <= n"),
+        (
+            lambda: build_reduced(
+                split_coloring(3, 3), VertexPartition.of_size(6, 3), 0.2, 0.5
+            ).edges("green"),
+            "unknown color 'green'",
+        ),
+        (
+            lambda: build_reduced(
+                split_coloring(3, 3), VertexPartition.of_size(6, 3), 0.2, 0.5, mode="fast"
+            ),
+            "mode must be 'exact' or 'sample'",
+        ),
+        (
+            lambda: build_reduced(split_coloring(3, 3), VertexPartition.of_size(7, 3), 0.2, 0.5),
+            "disagree on n",
+        ),
+        (lambda: extremal_detect(split_coloring(1, 1), 0.1), "needs n >= 3"),
+        (lambda: dirac_check(_K33, [0, 3]), r"needs \|S\| >= 3"),
+        (lambda: rooted_path_bound(_K33, *_SIDES, 0.2, 0.5, l=0, v=3), "at least 1"),
+        (lambda: endpoint_path_bound(_K33, *_SIDES, 0.2, 0.5, l=0, u=0, v=3), "at least 1"),
+        (lambda: endpoint_path_bound(_K33, *_SIDES, 0.2, 0.5, l=3, u=0, v=0), "distinct"),
+        (lambda: dense_bipartite_bound(_K33, *_SIDES, -1, 1, 3), "beta must be nonnegative"),
+        (lambda: dense_bipartite_bound(_K33, *_SIDES, 0, 1, 0), "k must be at least 1"),
+        (lambda: verify_count_bounds(_K33, *_SIDES, {}), "must include a 'mode' key"),
+    ],
+    ids=[
+        "consecutive-0", "consecutive-5", "of_size-0", "of_size-5", "edges-color",
+        "build_reduced-mode", "build_reduced-n", "extremal_detect-n", "dirac_check-s",
+        "rooted-l", "endpoint-l", "endpoint-u-v", "dense-beta", "dense-k", "verify-mode",
+    ],
+)
+def test_guards_refuse_bad_arguments(call, message: str) -> None:
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("eps", [-1, 0])

@@ -397,6 +397,28 @@ def test_class_reps_reject_negative_n(n: int) -> None:
         canonical_graph_reps(n)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: exhaustive_min(Pattern.path(3), -1), "n must be nonnegative"),
+        (
+            lambda: anneal_min(Pattern.path(3), 5, SearchConfig(seed=1), initial=EdgeColoring(4)),
+            "wrong vertex count",
+        ),
+    ],
+    ids=["exhaustive_min-n", "anneal_min-initial"],
+)
+def test_searches_refuse_bad_arguments(call, message: str) -> None:
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_finish_refuses_a_witness_the_dp_recounts_differently(monkeypatch) -> None:
+    monkeypatch.setattr(search, "count_mono", lambda coloring, pattern: -1)
+    with pytest.raises(AssertionError, match="exhaustive-canonical said 1, DP says -1"):
+        exhaustive_min(Pattern.path(3), 3)
+
+
 def test_class_reps_refuse_hosts_above_the_cap() -> None:
     with pytest.raises(CapabilityError):
         canonical_graph_reps(search.CLASS_REPS_MAX_N + 1)

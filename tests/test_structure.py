@@ -25,7 +25,7 @@ from ramseykit import (
 )
 from ramseykit.structure import _exact_subsets
 
-from .oracles import matching_number, max_disjoint_short_paths
+from .oracles import matching_number, max_disjoint_short_paths, menger_paths
 
 
 def graphs(max_n: int = 8) -> st.SearchStrategy[SimpleGraph]:
@@ -123,6 +123,39 @@ def test_disjoint_path_certificates_validate_and_exact_is_optimal(
     greedy = disjoint_short_paths(g, u, v, max_len, method="greedy")
     greedy.validate(g)
     assert len(greedy.paths) <= want
+
+
+def seeded_graph(label: str, n: int, p: float) -> tuple[SimpleGraph, int, int]:
+    """G(n, p) and a random pair of its vertices, seeded by the label."""
+    rng = random.Random(f"{label}:{n}:{p}")
+    g = SimpleGraph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+    u, v = rng.sample(range(n), 2)
+    return g, u, v
+
+
+@pytest.mark.parametrize("n", range(10, 15))
+def test_exact_paths_of_any_length_match_the_max_flow(n: int) -> None:
+    # at max_len n - 1 no simple path is cut short, so the exact family is
+    # Menger's maximum: the candidate-listing oracle is out of reach here
+    for p in (0.2, 0.35, 0.5, 0.7, 0.9):
+        for i in range(3):
+            g, u, v = seeded_graph(f"menger{i}", n, p)
+            cert = disjoint_short_paths(g, u, v, n - 1, method="exact")
+            cert.validate(g)
+            assert cert.count == menger_paths([g.neighbors(w) for w in range(n)], u, v)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_exact_paths_past_length_four_match_the_packer_on_sparse_graphs(n: int) -> None:
+    # at p <= 0.3 every pair has a few hundred candidate paths at most
+    for p in (0.15, 0.2, 0.25, 0.3):
+        for i in range(5):
+            g, u, v = seeded_graph(f"sparse{i}", n, p)
+            adj = [g.neighbors(w) for w in range(n)]
+            for max_len in range(5, n - 1):
+                cert = disjoint_short_paths(g, u, v, max_len, method="exact")
+                cert.validate(g)
+                assert cert.count == max_disjoint_short_paths(adj, u, v, max_len)
 
 
 def complete_graph(n: int, missing: tuple[tuple[int, int], ...] = ()) -> SimpleGraph:
@@ -332,6 +365,37 @@ def test_well_connected_check_rejects_max_len_below_one(witness) -> None:
     g = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(DomainError, match="max_len"):
         well_connected_check(g, witness, 1, 0)
+
+
+_PATH3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SimpleGraph(-1), "vertex count must be nonnegative"),
+        (lambda: SimpleGraph(3, [0, 0]), "length must equal n"),
+        (lambda: SimpleGraph.from_edges(3, [(1, 1)]), "self-loops"),
+        (lambda: SimpleGraph.from_edges(3, [(0, 3)]), r"edge \(0,3\) out of range for n=3"),
+        (lambda: erdos_gallai_max_edges(-1, 0), "n and k must be nonnegative"),
+        (lambda: erdos_gallai_max_edges(3, -1), "n and k must be nonnegative"),
+        (lambda: konig_edge_bound_check(_PATH3, ([0], [2])), "must partition the vertex set"),
+        (lambda: disjoint_short_paths(_PATH3, 0, 0, 2), "distinct vertices of g"),
+        (lambda: disjoint_short_paths(_PATH3, 0, 3, 2), "distinct vertices of g"),
+        (lambda: disjoint_short_paths(_PATH3, 0, 2, 0), "max_len must be at least 1"),
+        (lambda: disjoint_short_paths(_PATH3, 0, 2, 2, method="fast"), "unknown method 'fast'"),
+        (lambda: well_connected_check(_PATH3, [0, 3], 1, 2), "witness_set must be vertices"),
+        (lambda: well_connected_check(_PATH3, [0, 2], 0, 2), "t must be at least 1"),
+    ],
+    ids=[
+        "graph-n", "graph-adj", "graph-loop", "graph-edge", "erdos_gallai-n", "erdos_gallai-k",
+        "konig-parts", "paths-u-v", "paths-range", "paths-max_len", "paths-method",
+        "well_connected-witness", "well_connected-t",
+    ],
+)
+def test_guards_refuse_bad_arguments(call, message: str) -> None:
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_cross_pair_vertices_in_split_graph_are_well_connected() -> None:
