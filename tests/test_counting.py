@@ -239,7 +239,7 @@ def test_guards_refuse_bad_arguments(call, message: str) -> None:
 
 @pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (2, 3), (5, 4)])
 def test_split_path_formula_below_two_vertices(a: int, b: int) -> None:
-    # no path has no vertex, and each vertex is a P_1 in both views
+    # P_0 has no copy, and each vertex is a P_1 in both views
     assert formula_split_paths(a, b, 0) == 0
     assert formula_split_paths(a, b, 1) == count_mono(split_coloring(a, b), Pattern.path(1))
 
