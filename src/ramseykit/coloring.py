@@ -270,7 +270,9 @@ def _bits_from_adj(adj: Sequence[int], n: int) -> int:
 # canonical keys (isomorphism-invariant serialization)
 # ---------------------------------------------------------------------------
 
-def _least_labeling(adj: Sequence[int], n: int, own: bool = False) -> list[int] | None:
+def _least_labeling(
+    adj: Sequence[int], n: int, own: bool = False
+) -> list[int] | list[list[int]] | None:
     """A labeling (position -> original vertex) with the least adjacency string.
 
     The string is column-major: each placed vertex contributes its row, its
@@ -291,6 +293,11 @@ def _least_labeling(adj: Sequence[int], n: int, own: bool = False) -> list[int] 
 
     With own=True the incumbents are adj's own rows and are never replaced:
     the result is None at the first smaller row, when adj is not canonical.
+    Otherwise it is a list of automorphisms of adj that generate its group,
+    as perms in the same position -> vertex form: the perm at every leaf
+    the descent reaches (each ties adj's own string, so it maps adj to
+    itself) and a transposition of each vertex with its next twin, which
+    stands for the twin swaps the descent skipped.
     """
     twin = [0] * n
     for v in range(n):
@@ -308,10 +315,14 @@ def _least_labeling(adj: Sequence[int], n: int, own: bool = False) -> list[int] 
             best[p] = r
     perm = [0] * n
     least: list[int] = []
+    leaves: list[list[int]] = []
 
     def rec(depth: int, used: int, rows: list[int]) -> bool:
         if depth == n:
-            least[:] = perm
+            if own:
+                leaves.append(perm[:])
+            else:
+                least[:] = perm
             return True
         t = best[depth]
         ties = []
@@ -337,7 +348,18 @@ def _least_labeling(adj: Sequence[int], n: int, own: bool = False) -> list[int] 
                 return False
         return True
 
-    return least if rec(0, 0, [0] * n) else None
+    if not rec(0, 0, [0] * n):
+        return None
+    if not own:
+        return least
+    for v in range(n):
+        later = twin[v] >> v + 1
+        if later:
+            w = v + (later & -later).bit_length()
+            swap = list(range(n))
+            swap[v], swap[w] = w, v
+            leaves.append(swap)
+    return leaves
 
 
 def canonical_key(coloring: EdgeColoring, swap_colors: bool = False) -> bytes:

@@ -16,9 +16,11 @@ Python integers, so no host size is capped by a machine word.
   generation.  A representative is the labeling with the least
   column-major adjacency string, and that form has a prefix property: its
   first m-1 rows are the representative of the graph they induce.  So each
-  level extends every representative on m-1 vertices by every last row and
+  level extends every representative on m-1 vertices by a last row and
   keeps the extensions that are already canonical; nothing is relabeled or
-  deduplicated.
+  deduplicated.  A last row that an automorphism of the representative
+  makes smaller, or whose first p bits are below the representative's row
+  p, cannot be canonical and is dropped before the canonicity test.
 * ``anneal_min`` -- simulated annealing with single-edge-flip moves and
   restarts, exact=False, run in turn on one ``_CopyEngine``, which also
   lists the copies through each edge.  Deterministic for a fixed config:
@@ -58,8 +60,8 @@ EXHAUSTIVE_MAX_N = 7
 # nothing in the package branches on this since every n sweeps by vertex
 # extension; perfbench/workloads.py names its exhaustive spans by it
 RAW_ENUM_MAX_N = 6
-# n = 8 (12,346 classes from 133,632 canonicity tests) takes 9.5-10.6 s on a
-# shared two-core host, Python 3.11; n = 9 would run about 3.2 M tests
+# n = 8 (12,346 classes from 17,637 canonicity tests) takes 3.9-5.1 s on a
+# shared two-core host, Python 3.11; n = 9 would run at least 274,668, one per class
 CLASS_REPS_MAX_N = 8
 # ENGINE_CELL_BUDGET caps copies * s copy-edge cells (edges, the sort keys that
 # become inc, the cell blocks) plus nbits * (s + 1) histogram cells.  Build and
@@ -316,6 +318,14 @@ def _finish(
 # exhaustive minimization
 # ---------------------------------------------------------------------------
 
+def _bit_table(bits: Sequence[int]) -> list[int]:
+    """table[x]: the OR of bits[b] over the set bits b of x."""
+    table = [0]
+    for bit in bits:
+        table += [t | bit for t in table]
+    return table
+
+
 def canonical_graph_reps(n: int) -> list[tuple[int, ...]]:
     """One canonically labeled representative per graph-isomorphism class on
     n vertices, as adjacency masks, in sorted order.
@@ -326,26 +336,52 @@ def canonical_graph_reps(n: int) -> list[tuple[int, ...]]:
     smaller string with the last vertex kept last.  So every class on m
     vertices is a representative on m-1 vertices plus one last row, and the
     levels are generated orderly (Read, 1978): each representative is
-    extended by every row, and an extension is kept only if it is already
+    extended by a row, and an extension is kept only if it is already
     canonical: ``_least_labeling(adj, m, own=True)`` finds no smaller row
     than adj's own.  Each class arises once, with no relabeling and no
     deduplication.  Guarded to n <= CLASS_REPS_MAX_N before any level is
     built.
+
+    Two rules drop, by table reads and with no descent, extensions that the
+    test would reject; each exhibits a labeling with a smaller string.
+
+    * Orbit rule (McKay, 1998): each representative keeps the generators of
+      its automorphism group that its own canonicity test returned.  A
+      generator maps the representative to itself, so if it moves the new
+      vertex's row r to a smaller row, relabeling by it keeps the first m-1
+      rows and makes the last one smaller.
+    * Identity-path rule: if the first p bits of r (the new vertex's edges
+      to positions 0..p-1) are below the representative's row p, placing
+      the new vertex at position p keeps rows 0..p-1 and makes row p
+      smaller.  So only rows r >= row_p << (m-1-p) for every p are tried.
+
+    Only the automorphism property of the generators matters for
+    correctness; a generating set only makes the orbit rule drop more.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
     if n > CLASS_REPS_MAX_N:
         raise CapabilityError(f"canonical_graph_reps limited to n <= {CLASS_REPS_MAX_N} (got {n})")
-    reps: list[tuple[int, ...]] = [()]
-    for m in range(1, n + 1):
-        level = []
-        for adj in reps:
-            for ext in range(1 << (m - 1)):  # ext: the last vertex's neighbours
-                adj2 = tuple(a | (ext >> i & 1) << (m - 1) for i, a in enumerate(adj)) + (ext,)
-                if _least_labeling(adj2, m, own=True) is not None:
-                    level.append(adj2)
-        reps = level
-    return sorted(reps)
+    # each representative with its own rows and generators of its group
+    level: list[tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]] = [((), (), [])]
+    for k in range(n):  # extend representatives on k vertices by vertex k
+        # row r holds the edge to position q at bit k-1-q; rev[r] is its mask
+        rev = _bit_table([1 << (k - 1 - q) for q in range(k)])
+        nxt = []
+        for adj, rows, gens in level:
+            # the row after a generator moves position v to g[v]
+            images = [_bit_table([1 << (k - 1 - g[k - 1 - b]) for b in range(k)]) for g in gens]
+            lo = max((row << (k - p) for p, row in enumerate(rows)), default=0)
+            for r in range(lo, 1 << k):
+                if any(img[r] < r for img in images):
+                    continue
+                ext = rev[r]
+                adj2 = tuple(a | (ext >> i & 1) << k for i, a in enumerate(adj)) + (ext,)
+                gens2 = _least_labeling(adj2, k + 1, own=True)
+                if gens2 is not None:
+                    nxt.append((adj2, rows + (r,), gens2))
+        level = nxt
+    return sorted(adj for adj, _, _ in level)
 
 
 @lru_cache(maxsize=None)

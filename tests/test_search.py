@@ -1,6 +1,7 @@
 import hashlib
 import time
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
@@ -28,7 +29,7 @@ from ramseykit import (
     threshold_multiplicity,
 )
 from ramseykit import search
-from ramseykit.coloring import job_seed, pair_count
+from ramseykit.coloring import _apply_perm, _least_labeling, job_seed, pair_count
 from ramseykit.counting import copy_edge_masks
 from ramseykit.search import _CopyEngine
 
@@ -381,6 +382,61 @@ def test_class_reps_are_the_brute_forms_of_every_small_graph() -> None:
                     adj[j] |= 1 << i
             forms.add(brute_canonical(adj, n))
         assert forms == set(canonical_graph_reps(n))
+
+
+def test_own_mode_returns_automorphisms_that_generate_the_group() -> None:
+    for n in range(8):
+        for rep in canonical_graph_reps(n):
+            gens = _least_labeling(rep, n, own=True)
+            assert all(_apply_perm(rep, g) == rep for g in gens)
+            if n <= 6:
+                group = {tuple(range(n))}
+                frontier = list(group)
+                while frontier:
+                    a = frontier.pop()
+                    for g in gens:
+                        b = tuple(a[v] for v in g)
+                        if b not in group:
+                            group.add(b)
+                            frontier.append(b)
+                autos = {p for p in permutations(range(n)) if _apply_perm(rep, p) == rep}
+                assert group == autos
+
+
+def _tested_extensions(monkeypatch, n: int) -> list[tuple[int, ...]]:
+    """Every graph that ``canonical_graph_reps(n)`` runs the canonicity test on."""
+    tested = []
+    test = search._least_labeling
+
+    def spy(adj, m, own=False):
+        tested.append(adj)
+        return test(adj, m, own)
+
+    monkeypatch.setattr(search, "_least_labeling", spy)
+    canonical_graph_reps(n)
+    return tested
+
+
+def test_extensions_dropped_before_the_test_are_not_canonical(monkeypatch) -> None:
+    for m in range(1, 7):
+        tested = set(_tested_extensions(monkeypatch, m))
+        for adj in canonical_graph_reps(m - 1):
+            for ext in range(1 << (m - 1)):
+                adj2 = tuple(a | (ext >> i & 1) << (m - 1) for i, a in enumerate(adj)) + (ext,)
+                if adj2 not in tested:
+                    assert brute_canonical(adj2, m) != adj2
+
+
+def test_canonicity_tests_per_level_are_pinned(monkeypatch) -> None:
+    # every extension was tested before the orbit and identity-path rules
+    # (1,307 tests at n = 6 and 11,291 at n = 7); a rule that stops dropping
+    # extensions leaves the class lists as they are but moves these counts
+    for n, per_level in [
+        (6, [1, 2, 4, 11, 36, 184]),
+        (7, [1, 2, 4, 11, 36, 184, 1311]),
+    ]:
+        sizes = Counter(len(adj) for adj in _tested_extensions(monkeypatch, n))
+        assert [sizes[m] for m in range(1, n + 1)] == per_level
 
 
 def test_canonical_key_leaves_every_class_rep_unchanged() -> None:
