@@ -60,7 +60,7 @@ EXHAUSTIVE_MAX_N = 7
 # nothing in the package branches on this since every n sweeps by vertex
 # extension; perfbench/workloads.py names its exhaustive spans by it
 RAW_ENUM_MAX_N = 6
-# n = 8 (12,346 classes from 17,637 canonicity tests) takes 3.9-5.1 s on a
+# n = 8 (12,346 classes from 17,637 canonicity tests) takes 3.9-6.2 s on a
 # shared two-core host, Python 3.11; n = 9 would run at least 274,668, one per class
 CLASS_REPS_MAX_N = 8
 # ENGINE_CELL_BUDGET caps copies * s copy-edge cells (edges, the sort keys that
