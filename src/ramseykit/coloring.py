@@ -280,16 +280,21 @@ def _least_labeling(
     least row sequence is unique, so every labeling attaining it gives the
     same relabeled graph.
 
-    A depth-first descent carries each unplaced vertex's row against the
-    placed prefix and keeps an incumbent row per depth.  At a node every
-    candidate is compared before any is descended: a larger row is dropped,
-    a smaller one becomes the incumbent and clears the incumbents below it,
-    and only the ties with the incumbent are descended.  Every node at one
-    depth has the same prefix rows, so a larger row there loses whatever
-    follows.  Twins (neighbourhoods equal apart from each other) are
-    swapped by an automorphism fixing the prefix, so one per twin group is
-    tried at a node; this keeps cliques and complete multipartite graphs
-    cheap.
+    A depth-first descent keeps an incumbent row per depth and holds the
+    unplaced vertices as cells: one (row, mask) pair per distinct row
+    against the placed prefix, in increasing row order.  At a node only the
+    first cell's row is compared: a larger row loses whatever follows, since
+    every node at one depth has the same prefix rows; a smaller one becomes
+    the incumbent and clears the incumbents below it; and on a tie the
+    cell's vertices are descended in increasing order.  Placing v splits
+    each cell into the part not adjacent to v (row << 1) and the part
+    adjacent to it (row << 1 | 1), which keeps the order, so a node costs
+    one step per cell, not per vertex.  Twins (neighbourhoods equal apart
+    from each other) have equal rows and are swapped by an automorphism
+    fixing the prefix, so only the first of each twin group in the tied
+    cell is tried; this keeps cliques and complete multipartite graphs
+    cheap.  The tree is the one a scan of every unplaced vertex's row
+    would give: the first cell holds the least row and exactly its ties.
 
     With own=True the incumbents are adj's own rows and are never replaced:
     the result is None at the first smaller row, when adj is not canonical.
@@ -317,38 +322,43 @@ def _least_labeling(
     least: list[int] = []
     leaves: list[list[int]] = []
 
-    def rec(depth: int, used: int, rows: list[int]) -> bool:
+    def rec(depth: int, cells: list[tuple[int, int]]) -> bool:
         if depth == n:
             if own:
                 leaves.append(perm[:])
             else:
                 least[:] = perm
             return True
-        t = best[depth]
-        ties = []
+        row, ties = cells[0]
+        if row > best[depth]:
+            return True
+        if row < best[depth]:
+            if own:
+                return False
+            best[depth] = row
+            best[depth + 1:] = [unset] * (n - depth - 1)
         tried = 0
-        for v in range(n):
-            if used >> v & 1 or twin[v] & tried:
+        while ties:
+            b = ties & -ties
+            ties ^= b
+            v = b.bit_length() - 1
+            if twin[v] & tried:
                 continue
-            tried |= 1 << v
-            r = rows[v]
-            if r < t:
-                if own:
-                    return False
-                t = best[depth] = r
-                best[depth + 1:] = [unset] * (n - depth - 1)
-                ties = []
-            if r == t:
-                ties.append(v)
-        for v in ties:
+            tried |= b
             perm[depth] = v
             av = adj[v]
-            nxt = [(rows[w] << 1) | (av >> w & 1) for w in range(n)]
-            if not rec(depth + 1, used | (1 << v), nxt):
+            off = ~(av | b)
+            nxt = []
+            for r, c in cells:
+                if lo := c & off:
+                    nxt.append((r << 1, lo))
+                if hi := c & av:
+                    nxt.append((r << 1 | 1, hi))
+            if not rec(depth + 1, nxt):
                 return False
         return True
 
-    if not rec(0, 0, [0] * n):
+    if not rec(0, [(0, (1 << n) - 1)] if n else []):
         return None
     if not own:
         return least

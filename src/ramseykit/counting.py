@@ -472,9 +472,7 @@ def count_in_view(g: SimpleGraph, pattern: Pattern) -> int:
         return count_cycles(g, pattern.k)
     if pattern.kind == "star":
         return count_stars(g, pattern.k)
-    if pattern.kind == "clique":
-        return count_cliques(g, pattern.k)
-    raise DomainError(f"unknown pattern kind {pattern.kind!r}")
+    return count_cliques(g, pattern.k)  # Pattern.__post_init__ admits no other kind
 
 
 def count_mono(coloring: EdgeColoring, pattern: Pattern) -> int:

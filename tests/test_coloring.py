@@ -147,6 +147,69 @@ def test_canonical_key_is_fast_on_symmetric_graphs() -> None:
     assert time.perf_counter() - start < 1.0
 
 
+def _shuffled(adj: tuple[int, ...], rng: random.Random) -> tuple[int, ...]:
+    perm = list(range(len(adj)))
+    rng.shuffle(perm)
+    return _apply_perm(adj, perm)
+
+
+def _multipartite(parts: tuple[int, ...], clique_parts: bool = False) -> tuple[int, ...]:
+    # complete multipartite on the given part sizes; with clique_parts every
+    # part is a clique as well, so its vertices are adjacent twins
+    side = [p for p, size in enumerate(parts) for _ in range(size)]
+    n = len(side)
+    return tuple(
+        sum(1 << w for w in range(n) if w != v and (side[w] != side[v] or clique_parts))
+        for v in range(n)
+    )
+
+
+def _labeling_panel() -> list[tuple[int, ...]]:
+    graphs = [
+        EdgeColoring.random(n, random.Random(f"label:{n}:{i}")).adj_masks(RED)
+        for n in range(12)
+        for i in range(8)
+    ]
+    for n in range(5, 13):
+        for jumps in ((1,), (1, 2), (1, n // 2), (2, 3)):
+            circ = tuple(
+                sum(1 << w for w in range(n) if (w - v) % n in jumps or (v - w) % n in jumps)
+                for v in range(n)
+            )
+            graphs.append(_shuffled(circ, random.Random(f"circ:{n}:{jumps}")))
+    for parts in ((2, 3), (1, 2, 3), (3, 3, 3), (2, 2, 2, 2), (4, 5), (1, 1, 4, 4)):
+        for clique_parts in (False, True):
+            graphs.append(_shuffled(_multipartite(parts, clique_parts), random.Random(str(parts))))
+    # path P_4 and cycle C_5 blown up: each vertex a set of three twins
+    for base in (((1,), (0, 2), (1, 3), (2,)), tuple(((v - 1) % 5, (v + 1) % 5) for v in range(5))):
+        n = 3 * len(base)
+        blown = tuple(sum(7 << 3 * u for u in base[v // 3]) for v in range(n))
+        graphs.append(_shuffled(blown, random.Random(f"blow:{n}")))
+    forms = [_apply_perm(adj, _least_labeling(adj, len(adj))) for adj in graphs]
+    return graphs + forms
+
+
+# sha256 over the perm and the own-mode result (generator list or None) of
+# _least_labeling on every graph of _labeling_panel, recorded while each
+# node rebuilt one row per vertex; a faster descent must walk the same tree,
+# not only reach the same keys
+LABELING_PANEL_SHA256 = "017e9d0d5d5111f80636ee369540bcd9fe31eb0beb10c8adc9ae332633f08906"
+
+
+def test_labelings_are_pinned() -> None:
+    digest = hashlib.sha256()
+    for adj in _labeling_panel():
+        n = len(adj)
+        digest.update(repr((_least_labeling(adj, n), _least_labeling(adj, n, own=True))).encode())
+    assert digest.hexdigest() == LABELING_PANEL_SHA256
+    # seven vertices is past the hypothesis test's reach of the brute oracle
+    for i in range(6):
+        adj = EdgeColoring.random(7, random.Random(f"brute:{i}")).adj_masks(RED)
+        assert _apply_perm(adj, _least_labeling(adj, 7)) == brute_canonical(adj, 7)
+    for adj in (_multipartite((2, 2, 3)), _multipartite((1, 2, 4), True)):
+        assert _apply_perm(adj, _least_labeling(adj, 7)) == brute_canonical(adj, 7)
+
+
 @given(colorings(7))
 def test_color_swap_key_matches_complement(c: EdgeColoring) -> None:
     assert canonical_key(c, swap_colors=True) == canonical_key(
