@@ -25,8 +25,8 @@ Python integers, so no host size is capped by a machine word.
   restarts, exact=False, run in turn on one ``_CopyEngine``, which also
   lists the copies through each edge.  Deterministic for a fixed config:
   restart i uses a seed derived from (config.seed, i) with a stable hash.
-  A proposal reads two cells of the engine's histogram, O(1) on every host;
-  an accepted flip costs O(c_e * s) for c_e copies per edge of s edges each.
+  A proposal reads one delta that the engine keeps, O(1) on every host; an
+  accepted flip costs O(c_e * s) for c_e copies per edge of s edges each.
 
 Witness tie-break everywhere: the serialized form that is lexicographically
 least among optimal colorings found.  numpy is imported by the searches,
@@ -69,16 +69,17 @@ CLASS_REPS_MAX_N = 8
 # 314 MB max RSS) and 17-18 on P_2/4000 and S_1/3500 (24 M: 448 and 485 MB), so
 # an engine stays near 0.5 GB.  Below 2**32, 32 bits of a sort key hold a cell.
 ENGINE_CELL_BUDGET = 25_000_000
-# an accepted flip on rows of c_e copies of s edges moves c_e * s histogram
-# cells: up to _LIST_FLIP_MAX in Python lists, more by numpy.  ms a restart,
-# numpy vs lists: K3/12 (c_e * s = 30) 16-27 vs 7-12, C_4/10 (224) 8-15 vs 11-16,
-# C_4/12 (360) 6.3-7.5 vs 6.4-9.2, C_5/9 (1,050) 9-15 vs 28-37.  The lists take
-# about 170 bytes a cell (P_2/1500: 3.4 M cells, +570 MB), so they serve s >= 2
-# only, where c_e grows with n and list rows end by K3/44 (43,516 cells).
+# an accepted flip on rows of c_e copies of s edges makes c_e * s updates to
+# each delta array: up to _LIST_FLIP_MAX in Python lists, more by numpy.  ms a
+# restart, numpy vs lists: K3/12 (c_e * s = 30) 12-15 vs 5.6-5.8, C_4/10 (224)
+# 4.7-5.2 vs 7.7-8.9, C_4/12 (360) 2.2-3.4 vs 3.1-3.3, C_5/9 (1,050) 4.2-4.7 vs
+# 18-20.  The lists take about 80 bytes a cell by tracemalloc (P_2/500: 374 k
+# cells, 28 MB), so they serve s >= 2 only, where c_e grows with n and list
+# rows end by K3/44 (43,516 cells).
 # Past _SKIP_FLIP_MIN, with s >= 5, numpy first drops the copies whose move
-# no proposal reads; its extra calls cost about 5 us a flip, which shorter
-# rows do not win back (K4/14: 11 us a flip without, 16 us with; P_7/9:
-# 530 us without, 390 us with).  All measured on a shared two-core host.
+# changes no delta; its extra calls cost about 5 us a flip, which shorter
+# rows do not win back (K4/14: 10 us a flip without, 15 us with; P_7/9:
+# 380 us without, 190 us with).  All measured on a shared two-core host.
 _LIST_FLIP_MAX = 128
 _SKIP_FLIP_MIN = 4096
 
@@ -182,18 +183,18 @@ class _CopyEngine:
     (C(n,2), c_e) array ``inc``.  ``start`` and ``flip`` walk one coloring an
     edge at a time.
 
-    The walk keeps one flat histogram: ``hist[e * (s + 1) + r]`` counts the
-    copies through edge e with r red edges, read through the bound getter
-    ``cell``.  Flipping a blue edge e changes the count by
-    cell(b + s - 1) - cell(b) for b = e * (s + 1), and a red one by
-    cell(b + 1) - cell(b + s), so a proposal reads two cells and nothing
-    else.  An accepted flip moves each copy through e one red count up or
-    down, and each edge of such a copy one cell, by one of two kernels:
-    rows with c_e * s <= _LIST_FLIP_MAX and s >= 2 move in Python lists,
-    others by one numpy ``bincount``.  On rows with c_e * s > _SKIP_FLIP_MIN
-    and s >= 5 the numpy kernel first drops the copies whose move neither
-    enters nor leaves a cell in {0, 1, s - 1, s}, so the other cells of
-    ``hist`` go stale there; only those four are ever read.  A host whose
+    The walk keeps the delta of every move: ``rise[e]`` is the change in the
+    count if edge e turns red, ``fall[e]`` if it turns blue.  A copy with r
+    red edges adds UP[r] = [r = s - 1] - [r = 0] to ``rise`` and
+    DOWN[r] = [r = 1] - [r = s] to ``fall`` at each of its edges, so a
+    proposal reads one value.  ``start`` projects a transient histogram of
+    the copies through each edge by red count onto (UP, DOWN).  An accepted
+    flip moves each copy through e one red count up or down, which changes
+    both terms at each of its edges by a row of ``_change``, by one of two
+    kernels: rows with c_e * s <= _LIST_FLIP_MAX and s >= 2 in Python lists,
+    others by one numpy ``bincount`` of the moves by (edge, red count)
+    times that table.  On rows with c_e * s > _SKIP_FLIP_MIN and s >= 5 the
+    numpy kernel first drops the moves that change no delta.  A host whose
     copy-edge and histogram cells exceed ENGINE_CELL_BUDGET is refused
     before any copy is listed.
     """
@@ -226,52 +227,57 @@ class _CopyEngine:
         self.inc = key.view(np.intp).reshape(nbits, width)
         self.lists = s >= 2 and width * s <= _LIST_FLIP_MAX
         self.skip = s >= 5 and width * s > _SKIP_FLIP_MIN
-        self._base = self.edges.astype(np.min_scalar_type(nbits * (s + 1)))  # cell blocks
+        # each copy's edges as cell blocks of the (edge, red count) histogram
+        self._base = self.edges.astype(np.min_scalar_type(nbits * (s + 1)))
         self._base *= s + 1
-        self._others = None  # the list kernel's rows, built by the first start using them
+        # UP[r] and DOWN[r] by red count r, and the change a copy at r makes
+        # to them moving down (_change[0]) or up (_change[1]); the padding
+        # gives the moves no copy makes, below 0 and above s, no change
+        r = np.arange(s + 1)
+        terms = self._terms = np.stack(((r == s - 1) * 1 - (r == 0), (r == 1) * 1 - (r == s)))
+        pad = np.pad(terms, ((0, 0), (1, 1)), mode="edge")
+        self._change = np.stack((pad[:, :-2], pad[:, 2:])) - terms
+        self._rows = None  # the list kernel's inc, edges and changes, built by its first start
 
     def start(self, bits: int) -> int:
         """Make ``bits`` the current coloring; returns its monochromatic count."""
         import numpy as np
 
         s1 = self.size + 1
-        if self.lists and self._others is None:
-            # per edge e: each copy through e with the blocks of its other edges
-            blocks = self._base.tolist()
-            self._others = [
-                [(c, [b for b in blocks[c] if b != e * s1]) for c in row]
-                for e, row in enumerate(self.inc.tolist())
-            ]
+        if self.lists and self._rows is None:
+            changes = [change.T.tolist() for change in self._change]
+            self._rows = self.inc.tolist(), self.edges.tolist(), changes
         self.bits = bits
         red = self.red = _red_counts(self.edges, self.nbits, [bits])[:, 0]
         # an edge of the copies at a time, so no (copies, s) temporary
-        self.hist = np.zeros(self.nbits * s1, dtype=np.intp)
+        hist = np.zeros(self.nbits * s1, dtype=np.intp)
         for column in self._base.T:
-            self.hist += np.bincount(column + red, minlength=len(self.hist))
+            hist += np.bincount(column + red, minlength=len(hist))
+        delta = self._terms @ hist.reshape(self.nbits, s1).T  # rows rise and fall
         if self.lists:
-            self.red, self.hist = red.tolist(), self.hist.tolist()
-        self.cell = self.hist.__getitem__ if self.lists else self.hist.item
+            self.red = red.tolist()
+            self.rise, self.fall = delta.tolist()
+        else:
+            # the numpy kernel adds to delta in place; memoryviews read it as ints
+            self.delta = delta
+            self.rise, self.fall = map(memoryview, delta)
         return int(np.count_nonzero(red == 0) + np.count_nonzero(red == self.size))
 
     def flip(self, e: int) -> None:
         """Flip edge e: every copy through it gains (or loses) a red edge."""
-        up = not self.bits >> e & 1
+        up = ~self.bits >> e & 1  # 1 if e turns red, an index into _change
         self.bits ^= 1 << e
-        s, hist, red = self.size, self.hist, self.red
+        s, red = self.size, self.red
         if self.lists:
-            # the other edges of each copy through e move one cell; e's own
-            # block, which holds every copy through e, shifts by one
-            step = 1 if up else -1
-            for c, blocks in self._others[e]:
+            rows, edges, change = self._rows
+            rise, fall, change, step = self.rise, self.fall, change[up], 1 if up else -1
+            for c in rows[e]:
                 r = red[c]
                 red[c] = r + step
-                for b in blocks:
-                    i = b + r
-                    hist[i] -= 1
-                    hist[i + step] += 1
-            b = e * (s + 1)
-            block = hist[b:b + s + 1]
-            hist[b:b + s + 1] = [0] + block[:-1] if up else block[1:] + [0]
+                du, dd = change[r]
+                for f in edges[c]:
+                    rise[f] += du
+                    fall[f] += dd
             return
         import numpy as np
 
@@ -279,21 +285,15 @@ class _CopyEngine:
         g = red.take(row)
         red[row] = g + 1 if up else g - 1
         if self.skip:
-            # keep the moves that enter or leave a cell in {0, 1, s - 1, s}:
-            # r in {0, 1, s - 2, s - 1} going up, r in {1, 2, s - 1, s} down
+            # keep the moves that change a delta: r in {0, 1, s - 2, s - 1}
+            # going up, r in {1, 2, s - 1, s} going down
             low, high = (1, s - 2) if up else (2, s - 1)
             kept = np.flatnonzero((g <= low) | (g >= high))
             row, g = row.take(kept), g.take(kept)
-        # each edge of each copy through e leaves cell r for r -/+ 1, within
-        # its own block of s + 1 cells since 0 < r (or r < s)
         cells = self._base.take(row, axis=0)
         cells += g.astype(cells.dtype)[:, None]
-        moved = np.bincount(cells.ravel(), minlength=len(hist))
-        hist -= moved
-        if up:
-            hist[1:] += moved[:-1]
-        else:
-            hist[:-1] += moved[1:]
+        moved = np.bincount(cells.ravel(), minlength=self.nbits * (s + 1))
+        self.delta += self._change[up] @ moved.reshape(self.nbits, s + 1).T
 
 
 def _finish(
@@ -465,9 +465,9 @@ def _anneal_restart(
     cur = engine.start(bits)
     best, best_bits = cur, bits
     temp, cooling = config.initial_temperature, config.cooling_rate
-    cell, flip, exp = engine.cell, engine.flip, math.exp
+    rise, fall, flip, exp = engine.rise, engine.fall, engine.flip, math.exp
     getrandbits, random = rng.getrandbits, rng.random
-    k, s1 = nbits.bit_length(), s + 1
+    k = nbits.bit_length()
     # a copy of at most one edge is always monochromatic: with no copy of two
     # or more edges every delta is 0, so no step can improve the start
     for _ in range(config.steps_per_restart if engine.copies and s >= 2 else 0):
@@ -475,12 +475,10 @@ def _anneal_restart(
         e = getrandbits(k)
         while e >= nbits:
             e = getrandbits(k)
-        b = e * s1
-        if bits >> e & 1:
-            d = cell(b + 1) - cell(b + s)
-        else:
-            d = cell(b + s - 1) - cell(b)
-        if d <= 0 or random() < exp(-d / temp):
+        d = fall[e] if bits >> e & 1 else rise[e]
+        # a temperature that underflowed to 0.0 takes no uphill move, but each
+        # still draws its random(), so the stream stays the same
+        if d <= 0 or random() < (exp(-d / temp) if temp else 0.0):
             flip(e)
             bits ^= 1 << e
             cur += d

@@ -176,6 +176,13 @@ def test_search_anneal_writes_a_consistent_witness(tmp_path, capsys) -> None:
     assert count_mono(witness, parse_pattern("P_6")) == int(
         report["results"]["best_count"]
     )
+    # at --cooling 0.5 the temperature underflows to 0.0 after 1,076 steps
+    code, stdout, _ = run_cli(
+        capsys, "search", "--pattern", "P_4", "--n", "5", "--anneal", "--seed", "0",
+        "--cooling", "0.5", "--steps", "1100", "--restarts", "1", "--json",
+    )
+    assert code == 0
+    assert json.loads(stdout)["results"]["best_count"] == "10"
 
 
 def test_search_exhaustive_on_large_host_suggests_annealing(capsys) -> None:

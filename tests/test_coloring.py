@@ -226,7 +226,9 @@ def test_flip_twice_is_identity(c: EdgeColoring, pairs: list[tuple[int, int]]) -
         if i != j and i < c.n and j < c.n and key not in seen:
             seen.add(key)
             deduped.append((i, j))
-    assert c.with_flipped(deduped).with_flipped(deduped) == c
+    twice = c.with_flipped(deduped).with_flipped(deduped)
+    assert twice == c and hash(twice) == hash(c)
+    assert len({twice, c}) == 1  # equal colorings collapse to one set element
 
 
 def test_flip_changes_single_edge_color() -> None:
@@ -251,6 +253,7 @@ def test_views_partition_edges() -> None:
     c = EdgeColoring.random(8, random.Random(11))
     red, blue = c.view(RED), c.view(BLUE)
     assert red.edge_count + blue.edge_count == 28
+    assert repr(c) == f"EdgeColoring(n=8, red={red.edge_count}, blue={blue.edge_count})"
     assert red.edge_count == c.red_edge_count
     for u in range(8):
         assert red.adj[u] & blue.adj[u] == 0

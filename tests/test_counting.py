@@ -110,6 +110,8 @@ def test_dispatch_agrees_with_specialized_counters() -> None:
     assert count_in_view(view, parse_pattern("C_4")) == count_cycles(view, 4)
     assert count_in_view(view, parse_pattern("S_2")) == count_stars(view, 2)
     assert count_in_view(view, parse_pattern("K3")) == count_cliques(view, 3)
+    for k in range(2, 6):
+        assert Pattern.clique(k) == parse_pattern(f"K{k}")
 
 
 def test_mono_count_sums_both_views() -> None:

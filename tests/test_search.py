@@ -67,20 +67,15 @@ def test_exhaustive_minimum_values(text: str, n: int, minimum: int) -> None:
 
 
 def _delta(engine, e: int) -> int:
-    """The change flipping edge e would make, read from two histogram cells
+    """The change flipping edge e would make, read from ``fall`` or ``rise``
     as ``_anneal_restart`` reads it."""
-    s, b = engine.size, e * (engine.size + 1)
-    if s == 0:  # no copy through any edge, as _anneal_restart assumes
-        return 0
-    if engine.bits >> e & 1:
-        return engine.cell(b + 1) - engine.cell(b + s)
-    return engine.cell(b + s - 1) - engine.cell(b)
+    return engine.fall[e] if engine.bits >> e & 1 else engine.rise[e]
 
 
 def _walk_matches_mask_recount(engine, masks, bits, moves) -> None:
     """Start at ``bits`` and flip each move's edge; every count and every
     delta, before and after the flip, must match the copy-mask recount, and
-    so must every cell a proposal reads once the walk ends."""
+    so must both deltas of every edge once the walk ends."""
 
     def recount(bits: int) -> int:
         return sum((m & bits == m) + (m & bits == 0) for m in masks)
@@ -96,15 +91,16 @@ def _walk_matches_mask_recount(engine, masks, bits, moves) -> None:
         assert engine.bits == bits
         assert _delta(engine, e) == -d  # the reverse move undoes it
     s = engine.size
-    for e in range(engine.nbits):  # cells 0, 1, s - 1 and s are never stale
+    for e in range(engine.nbits):  # in either color, no delta is ever stale
         through = [(m & bits).bit_count() for m in masks if m >> e & 1]
-        for r in {0, 1, s - 1, s} if s else ():
-            assert engine.cell(e * (s + 1) + r) == through.count(r)
+        assert engine.rise[e] == through.count(s - 1) - through.count(0)
+        assert engine.fall[e] == through.count(1) - through.count(s)
     assert engine.start(bits) == cur == recount(bits)
 
 
 # the largest host drawn for each label, so the mask recount stays cheap;
-# P_6, C_6 and S_5 (s >= 5 edges) can run the numpy kernel's unread-cell filter
+# P_6, C_6 and S_5 (s >= 5 edges) can run the numpy kernel's filter of the
+# moves that change no delta
 ENGINE_LABELS = {"P_1": 12, "P_2": 12, "P_3": 12, "P_4": 12, "C_3": 12, "C_4": 12, "C_5": 12,
                  "S_1": 12, "S_3": 12, "K3": 12, "K4": 12, "P_6": 8, "C_6": 8, "S_5": 10}
 
@@ -235,7 +231,7 @@ class _ZeroDeltas:
         self.nbits, self.size, self.copies, self.flips = nbits, size, copies, []
 
     def start(self, bits: int) -> int:
-        self.cell = lambda i: 0
+        self.rise = self.fall = [0] * self.nbits
         return 0
 
     def flip(self, e: int) -> None:
@@ -586,6 +582,10 @@ def test_anneal_never_beats_exhaustive_minimum() -> None:
     for seed in range(5):
         res = anneal_min(pattern, 6, SearchConfig(seed=seed, restarts=2, steps_per_restart=500))
         assert res.best_count >= floor
+    # at cooling rate 0.5 the temperature reaches 0.0 after 1,076 steps, and
+    # from there no uphill move is taken
+    cold = SearchConfig(seed=0, restarts=2, steps_per_restart=1500, cooling_rate=0.5)
+    assert anneal_min(pattern, 6, cold).best_count >= floor
 
 
 def test_anneal_matches_exhaustive_on_small_instances() -> None:

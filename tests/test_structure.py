@@ -61,6 +61,7 @@ def test_matching_handles_odd_cycles_and_blossoms() -> None:
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]
     )
     assert len(max_matching(g)) == 3
+    assert repr(g) == "SimpleGraph(n=6, edges=7)"
 
 
 @given(graphs())
