@@ -27,6 +27,10 @@ Python integers, so no host size is capped by a machine word.
   restart i uses a seed derived from (config.seed, i) with a stable hash.
   A proposal reads one delta that the engine keeps, O(1) on every host; an
   accepted flip costs O(c_e * s) for c_e copies per edge of s edges each.
+  Deltas depend only on the coloring, so a flip back to a coloring the
+  restart has already been in costs O(c_e): it moves the red counts and
+  restores that coloring's deltas, kept on hosts where their 2 * C(n,2)
+  cells are no more than the c_e * s a flip updates.
 
 Witness tie-break everywhere: the serialized form that is lexicographically
 least among optimal colorings found.  numpy is imported by the searches,
@@ -64,7 +68,9 @@ RAW_ENUM_MAX_N = 6
 # shared two-core host, Python 3.11; n = 9 would run at least 274,668, one per class
 CLASS_REPS_MAX_N = 8
 # ENGINE_CELL_BUDGET caps copies * s copy-edge cells (edges, the sort keys that
-# become inc, the cell blocks) plus nbits * (s + 1) histogram cells.  Build and
+# become inc, the cell blocks) plus nbits * (s + 1) histogram cells; a walk's
+# memo of the deltas of colorings seen, 2 * nbits cells each, clears before its
+# cells and these pass the budget.  Build and
 # first start add to numpy's 34 MB 12 bytes a cell on P_8/11 (23 M cells: 1.9 s,
 # 314 MB max RSS) and 17-18 on P_2/4000 and S_1/3500 (24 M: 448 and 485 MB), so
 # an engine stays near 0.5 GB.  Below 2**32, 32 bits of a sort key hold a cell.
@@ -192,10 +198,19 @@ class _CopyEngine:
     flip moves each copy through e one red count up or down, which changes
     both terms at each of its edges by a row of ``_change``, by one of two
     kernels: rows with c_e * s <= _LIST_FLIP_MAX and s >= 2 in Python lists,
-    others by one numpy ``bincount`` of the moves by (edge, red count)
-    times that table.  On rows with c_e * s > _SKIP_FLIP_MIN and s >= 5 the
-    numpy kernel first drops the moves that change no delta.  A host whose
-    copy-edge and histogram cells exceed ENGINE_CELL_BUDGET is refused
+    others by numpy.  On rows with c_e * s > _SKIP_FLIP_MIN and s >= 5 the
+    numpy kernel first drops the moves that change no delta.  It then adds
+    each moved copy's change at its own edges when the moved copy-edge
+    cells are fewer than the C(n,2) edges, and otherwise projects one
+    ``bincount`` of the moves by (edge, red count) through that table.
+
+    The deltas are a function of the coloring, so where restoring them is
+    no more work than a flip (2 * C(n,2) <= c_e * s, ``memo``), each walk
+    keeps a snapshot of the deltas of every coloring it reaches by a flip.
+    A flip back to one of them moves the red counts and copies the
+    snapshot in place of the kernel; ``start`` empties the memo, and it
+    clears before its cells and the engine's pass ENGINE_CELL_BUDGET.  A
+    host whose copy-edge and histogram cells exceed the budget is refused
     before any copy is listed.
     """
 
@@ -227,6 +242,9 @@ class _CopyEngine:
         self.inc = key.view(np.intp).reshape(nbits, width)
         self.lists = s >= 2 and width * s <= _LIST_FLIP_MAX
         self.skip = s >= 5 and width * s > _SKIP_FLIP_MIN
+        # the memo's entries, 2 * nbits cells each, share the engine's budget
+        self._seen_max = (ENGINE_CELL_BUDGET - cells) // max(2 * nbits, 1)
+        self.memo = 0 < 2 * nbits <= width * s and self._seen_max > 0
         # each copy's edges as cell blocks of the (edge, red count) histogram
         self._base = self.edges.astype(np.min_scalar_type(nbits * (s + 1)))
         self._base *= s + 1
@@ -248,6 +266,7 @@ class _CopyEngine:
             changes = [change.T.tolist() for change in self._change]
             self._rows = self.inc.tolist(), self.edges.tolist(), changes
         self.bits = bits
+        self._seen = {} if self.memo else None  # coloring bits -> its deltas
         red = self.red = _red_counts(self.edges, self.nbits, [bits])[:, 0]
         # an edge of the copies at a time, so no (copies, s) temporary
         hist = np.zeros(self.nbits * s1, dtype=np.intp)
@@ -258,19 +277,28 @@ class _CopyEngine:
             self.red = red.tolist()
             self.rise, self.fall = delta.tolist()
         else:
-            # the numpy kernel adds to delta in place; memoryviews read it as ints
+            # the numpy kernel adds to delta in place; memoryviews read it as
+            # ints, and its raw bytes are what the memo keeps and restores
             self.delta = delta
             self.rise, self.fall = map(memoryview, delta)
+            self._raw = memoryview(delta.reshape(-1).view(np.uint8))
         return int(np.count_nonzero(red == 0) + np.count_nonzero(red == self.size))
 
     def flip(self, e: int) -> None:
         """Flip edge e: every copy through it gains (or loses) a red edge."""
         up = ~self.bits >> e & 1  # 1 if e turns red, an index into _change
-        self.bits ^= 1 << e
-        s, red = self.size, self.red
+        bits = self.bits = self.bits ^ 1 << e
+        s, red, seen = self.size, self.red, self._seen
+        # a coloring this walk has been in has the deltas it had then
+        known = seen.get(bits) if seen is not None else None
         if self.lists:
             rows, edges, change = self._rows
             rise, fall, change, step = self.rise, self.fall, change[up], 1 if up else -1
+            if known is not None:
+                for c in rows[e]:
+                    red[c] += step
+                rise[:], fall[:] = known
+                return
             for c in rows[e]:
                 r = red[c]
                 red[c] = r + step
@@ -278,22 +306,45 @@ class _CopyEngine:
                 for f in edges[c]:
                     rise[f] += du
                     fall[f] += dd
+            if seen is not None:
+                if len(seen) >= self._seen_max:  # one more would pass the budget
+                    seen.clear()
+                seen[bits] = tuple(rise), tuple(fall)
             return
         import numpy as np
 
         row = self.inc[e]
         g = red.take(row)
         red[row] = g + 1 if up else g - 1
+        if known is not None:
+            self._raw[:] = known
+            return
         if self.skip:
             # keep the moves that change a delta: r in {0, 1, s - 2, s - 1}
             # going up, r in {1, 2, s - 1, s} going down
             low, high = (1, s - 2) if up else (2, s - 1)
             kept = np.flatnonzero((g <= low) | (g >= high))
             row, g = row.take(kept), g.take(kept)
-        cells = self._base.take(row, axis=0)
-        cells += g.astype(cells.dtype)[:, None]
-        moved = np.bincount(cells.ravel(), minlength=self.nbits * (s + 1))
-        self.delta += self._change[up] @ moved.reshape(self.nbits, s + 1).T
+        if len(row) * s < self.nbits:
+            # fewer moved cells than edges: add each moved copy's change at
+            # its own edges.  A moved cell costs add.at more than a histogram
+            # cell costs the projection; us a flip, projection vs add.at:
+            # K4/14 (396 moved cells, 91 edges) 12.0 vs 13.6, K4/20 (918, 190)
+            # 9.8 vs 10.8, K3/60 (174, 1,770) 18.1 vs 6.8, K3/200 (594,
+            # 19,900) 156 vs 12.1, on a shared two-core host
+            at = self.edges.take(row, axis=0).ravel().astype(np.intp)  # add.at's fast path
+            du, dd = self._change[up].take(g, axis=1).repeat(s, axis=1)
+            np.add.at(self.delta[0], at, du)
+            np.add.at(self.delta[1], at, dd)
+        else:
+            cells = self._base.take(row, axis=0)
+            cells += g.astype(cells.dtype)[:, None]
+            moved = np.bincount(cells.ravel(), minlength=self.nbits * (s + 1))
+            self.delta += self._change[up] @ moved.reshape(self.nbits, s + 1).T
+        if seen is not None:
+            if len(seen) >= self._seen_max:  # one more would pass the budget
+                seen.clear()
+            seen[bits] = bytes(self._raw)
 
 
 def _finish(

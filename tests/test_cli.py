@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import time
@@ -316,3 +317,18 @@ def test_module_entry_point_smoke() -> None:
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_module_entry_point_exits_with_the_code_main_returns(monkeypatch, tmp_path) -> None:
+    # run as ``python -m ramseykit.cli``; the module is dropped from
+    # sys.modules first, as runpy warns when it runs an imported module
+    monkeypatch.delitem(sys.modules, "ramseykit.cli", raising=False)
+    missing = tmp_path / "missing.rmc"
+    for argv, code in [
+        (["construct", "--split", "2,2", "--json"], 0),
+        (["count", "--in", str(missing), "--pattern", "P_4"], 2),
+    ]:
+        monkeypatch.setattr(sys, "argv", ["ramseykit", *argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("ramseykit.cli", run_name="__main__")
+        assert exc.value.code == code

@@ -75,7 +75,8 @@ def _delta(engine, e: int) -> int:
 def _walk_matches_mask_recount(engine, masks, bits, moves) -> None:
     """Start at ``bits`` and flip each move's edge; every count and every
     delta, before and after the flip, must match the copy-mask recount, and
-    so must both deltas of every edge once the walk ends."""
+    so must both deltas of every edge and every copy's red count once the
+    walk ends."""
 
     def recount(bits: int) -> int:
         return sum((m & bits == m) + (m & bits == 0) for m in masks)
@@ -95,6 +96,7 @@ def _walk_matches_mask_recount(engine, masks, bits, moves) -> None:
         through = [(m & bits).bit_count() for m in masks if m >> e & 1]
         assert engine.rise[e] == through.count(s - 1) - through.count(0)
         assert engine.fall[e] == through.count(1) - through.count(s)
+    assert list(engine.red) == [(m & bits).bit_count() for m in masks]
     assert engine.start(bits) == cur == recount(bits)
 
 
@@ -116,9 +118,10 @@ def test_copy_engine_matches_mask_recount(data) -> None:
     colorings = st.integers(0, (1 << nbits) - 1)
     engine = _CopyEngine(pattern, n)
     # either flip kernel, and numpy with or without the unread-cell filter,
-    # whatever the row length
+    # each with or without the memo of colorings seen, whatever the row length
     engine.lists = data.draw(st.booleans())
     engine.skip = not engine.lists and engine.size >= 5 and data.draw(st.booleans())
+    engine.memo = data.draw(st.booleans())
     states = data.draw(st.lists(colorings, min_size=1, max_size=6))
     red = search._red_counts(engine.edges, engine.nbits, states).T.tolist()
     assert red == [[(m & b).bit_count() for m in masks] for b in states]
@@ -143,6 +146,38 @@ def test_copy_engine_long_rows_match_mask_recount(label: str, n: int, lists: boo
     for skip in [False, True] if not lists and engine.size >= 5 else [False]:
         engine.skip = skip
         _walk_matches_mask_recount(engine, masks, bits, moves)
+
+
+def test_copy_engine_memo_is_per_walk_and_bounded(monkeypatch) -> None:
+    # a host memoizes when restoring its 2 * C(n,2) deltas is no more work
+    # than the c_e * s updates of a flip
+    assert [_CopyEngine(parse_pattern(label), n).memo for label, n in
+            [("S_3", 6), ("C_5", 9), ("P_7", 9), ("K3", 12), ("K3", 60)]] == [
+        True, True, True, False, False]
+    pattern, n = parse_pattern("C_5"), 9
+    nbits, masks = pair_count(n), copy_edge_masks(pattern, n)
+    rng = Random(9)
+    bits, moves = rng.getrandbits(nbits), rng.sample(range(nbits), 8)
+    engine = _CopyEngine(pattern, n)
+    engine.start(bits)
+    for e in moves:
+        engine.flip(e)
+    assert len(engine._seen) == len(moves)  # every coloring after the start
+    engine.start(bits)
+    assert engine._seen == {}
+    # room for three colorings' deltas beside the engine's own cells
+    cells = engine.copies * engine.size + nbits * (engine.size + 1)
+    monkeypatch.setattr(search, "ENGINE_CELL_BUDGET", cells + 3 * 2 * nbits)
+    small = _CopyEngine(pattern, n)
+    for lists in (False, True):
+        small.lists = lists
+        small.start(bits)
+        sizes = []
+        for e in moves:
+            small.flip(e)
+            sizes.append(len(small._seen))
+        assert sizes == [1, 2, 3, 1, 2, 3, 1, 2]
+        _walk_matches_mask_recount(small, masks, bits, moves + moves[::-1])
 
 
 def test_copy_engine_rows_list_the_copies_through_each_edge_in_order() -> None:

@@ -1,8 +1,10 @@
 import hashlib
+from dataclasses import replace
+from random import Random
 
 import pytest
 
-from ramseykit import DomainError
+from ramseykit import DomainError, SimpleGraph, verify
 from ramseykit.verify import SUITES, run_suite
 
 
@@ -49,3 +51,60 @@ def test_suite_outputs_are_pinned(suite: str) -> None:
     for seed in range(4):
         digest.update(repr(run_suite(suite, seed)).encode())
     assert digest.hexdigest() == SUITE_SHA256[suite]
+
+
+# the branches where a check fails: each test breaks the one function a check
+# relies on and calls that check alone, so the rest of its suite is untouched
+
+
+def test_disjoint_paths_check_fails_on_an_invalid_certificate(monkeypatch) -> None:
+    real, families = verify.disjoint_short_paths, []
+
+    def with_a_broken_path(g, u, v, max_len, **kwargs):
+        cert = real(g, u, v, max_len, **kwargs)
+        families.append(replace(cert, paths=(*cert.paths, (u,))))  # a path that never reaches v
+        return families[-1]
+
+    monkeypatch.setattr(verify, "disjoint_short_paths", with_a_broken_path)
+    [(name, passed, _)] = verify._disjoint_paths_greedy_vs_exact(Random(0), 0)
+    assert name == "disjoint-paths-greedy-vs-exact" and not passed
+    assert len(families) == 2  # greedy and exact of the first trial, which ends the check
+
+
+def test_rooted_random_suite_fails_when_no_trial_has_a_root(monkeypatch) -> None:
+    # edgeless pairs: no vertex reaches the root degree, so every trial is void
+    monkeypatch.setattr(
+        verify, "_bipartite", lambda a, b, keep: SimpleGraph.from_edges(a + b, [])
+    )
+    [(name, passed, detail)] = verify._rooted_random_suite(Random(0), 0)
+    assert name == "rooted-random-suite" and not passed
+    assert detail.startswith("0 confirmed, 0 violated")
+
+
+def test_subset_inheritance_fails_on_an_irregular_subset(monkeypatch) -> None:
+    real, subsets = verify.eps_regular_exact, []
+
+    def subsets_irregular(g, xs, ys, eps):
+        pair = real(g, xs, ys, eps)
+        if isinstance(xs, range):  # the whole parts are ranges, subsets lists
+            return pair
+        subsets.append(xs)
+        return replace(pair, regular=False)
+
+    monkeypatch.setattr(verify, "eps_regular_exact", subsets_irregular)
+    [(name, passed, _)] = verify._regularity_subset_inheritance(Random(0), 0)
+    assert name == "regularity-subset-inheritance" and not passed
+    assert len(subsets) == 1  # the first irregular subset ends the check
+
+
+def test_degree_deviation_check_fails_on_a_failing_report(monkeypatch) -> None:
+    real, reports = verify.degree_deviation_check, []
+
+    def failing(*args):
+        reports.append(real(*args)._replace(passed=False))
+        return reports[-1]
+
+    monkeypatch.setattr(verify, "degree_deviation_check", failing)
+    [(name, passed, _)] = verify._degree_deviation_on_regular_pairs(Random(0), 0)
+    assert name == "degree-deviation-on-regular-pairs" and not passed
+    assert len(reports) == 1  # the first failing report ends the check
