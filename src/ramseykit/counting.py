@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .coloring import BLUE, RED, EdgeColoring, pair_index
 from .errors import CapabilityError, DomainError
-from .structure import SimpleGraph, _bit_matrix, _bits
+from .structure import SimpleGraph, _bit_matrix, _bits, _numpy
 
 # states in the largest stored layer of one dict kernel call.  Peak memory,
 # with the next layer being built, measured about 270 bytes per state of the
@@ -59,7 +59,9 @@ DP_STATE_BUDGET = 2_000_000
 # crossover is near 1,500, and the replay took 131-135 ms with the gate
 # anywhere from 724 to 2,896, against 212 ms at 10,000.  Below 10,000 the
 # gate also asks that numpy be loaded already, as its one-time import
-# (about 0.1 s) costs more than the dense layers save on smaller walks, so
+# (through `structure._numpy`, with one BLAS thread: 45-50 ms in 12 fresh
+# interpreters on that host, against 86-143 ms with OpenBLAS's default
+# threads) costs more than the dense layers save on smaller walks, so
 # runs whose walks are all smaller, such as `verify --suite bounds`
 # (largest total 9,217 within the vertex cap: one start, 5 steps on 16
 # vertices) or a small `count`, never import it.  The dense universe of m
@@ -75,7 +77,9 @@ DP_STATE_BUDGET = 2_000_000
 # of P_9 on 18 vertices.  DENSE_BLOCK_MACS keeps every BLAS call under
 # OpenBLAS's threshold for threading it (65,536 * 4 multiply-adds), whose
 # threads made the kernel two to three times slower while another process
-# held the second core.
+# held the second core.  numpy loaded through `structure._numpy` has one
+# BLAS thread, but a caller who set a thread variable or imported numpy
+# first keeps a threaded BLAS, so the cap stays.
 DENSE_MIN_STATES = 10_000
 DENSE_LOADED_MIN_STATES = 1_500
 DENSE_MAX_VERTICES = 20
@@ -286,7 +290,7 @@ def _subsets_by_size(m: int):
     with m - 1 added.  So deleting member b from the masks of size s + 1
     that contain it gives, in order, the masks of size s that lack it.
     """
-    import numpy as np
+    np = _numpy()
 
     if m == 0:
         return (np.zeros(1, np.uint32),)
@@ -353,13 +357,16 @@ def _dense_component(adj: Sequence[int], seeds: int, universe: int, edges: int, 
 
     Both run DENSE_BLOCK_ROWS rows at a time, so the product is a small
     share of the layer, and each BLAS call takes at most DENSE_BLOCK_MACS
-    multiply-adds, below OpenBLAS's threshold for threading it.  Every
+    multiply-adds, below OpenBLAS's threshold for threading it.  numpy
+    loaded through ``structure._numpy`` has one BLAS thread anyway; the cap
+    is for callers who set a thread variable or imported numpy first, whose
+    BLAS keeps its threads.  Every
     entry and partial sum is a nonnegative integer at most
     seeds * perm(m - 1, edges), so below 2**53 the layers are float64 and
     the product is exact; above it they are int64, which holds the bound as
     distinct seeds make it at most m! <= 20! < 2**63 (DENSE_MAX_VERTICES).
     """
-    import numpy as np
+    np = _numpy()
 
     verts = [v for v in range(len(adj)) if universe >> v & 1]
     m = len(verts)

@@ -61,7 +61,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .coloring import BLUE, RED, EdgeColoring, job_seed
 from .counting import count_walks
 from .errors import CapabilityError, DomainError
-from .structure import SimpleGraph, _bit_matrix, _bits, max_matching
+from .structure import SimpleGraph, _bit_matrix, _bits, _numpy, max_matching
 
 EXACT_REGULARITY_MAX = 18
 # the exhaustive checker scans 2^EXACT_BLOCK_BITS subsets at a time
@@ -209,7 +209,7 @@ def _witness(
 
 def _subset_sums(rows):
     """Row i is the sum of the rows j of `rows` with bit j of i set."""
-    import numpy as np
+    np = _numpy()
 
     sums = np.zeros((1 << len(rows), rows.shape[1]), rows.dtype)
     for j, row in enumerate(rows):
@@ -233,7 +233,7 @@ def eps_regular_exact(
     shared two-core host), where one scan per subset took 34 ms and 0.8 s.
     All comparisons are exact.
     """
-    import numpy as np
+    np = _numpy()
 
     epsf = as_fraction(eps)
     xs_s, ys_s, base, cross = _check_pair_inputs(g, xs, ys, epsf)

@@ -33,8 +33,10 @@ Python integers, so no host size is capped by a machine word.
   cells are no more than the c_e * s a flip updates.
 
 Witness tie-break everywhere: the serialized form that is lexicographically
-least among optimal colorings found.  numpy is imported by the searches,
-not by the package.
+least among optimal colorings found.  The searches load numpy through
+``structure._numpy`` on their first call, with one BLAS thread unless the
+caller set a thread variable or imported numpy first; importing the package
+loads none.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .coloring import (
 from .counting import Pattern, count_mono, total_copies_in_complete
 from .errors import CapabilityError, DomainError
 from .formulas import RamseyValue, r_cycle, r_path
-from .structure import _bit_matrix
+from .structure import _bit_matrix, _numpy
 
 EXHAUSTIVE_MAX_N = 7
 # nothing in the package branches on this since every n sweeps by vertex
@@ -139,7 +141,7 @@ def _copy_edges(pattern: Pattern, n: int):
     positions it joins and those it must exceed, so each copy comes once: a
     path from its smaller end, a cycle from its least vertex towards its
     smaller neighbour, a star's leaves ascending, a clique ascending."""
-    import numpy as np
+    np = _numpy()
 
     kind, last = pattern.kind, pattern.vertex_count - 1
     if kind == "path":
@@ -172,7 +174,7 @@ def _copy_edges(pattern: Pattern, n: int):
 def _red_counts(edges, nbits: int, states: Sequence[int]):
     """(copies, len(states)) red-edge counts of ``edges``, a column per
     coloring, from the states' red bits read by ``_bit_matrix``."""
-    import numpy as np
+    np = _numpy()
 
     bits = np.ascontiguousarray(_bit_matrix(states, nbits).T)  # bit e of states[j] at [e, j]
     red = np.zeros((len(edges), len(states)), dtype=np.min_scalar_type(edges.shape[1]))
@@ -224,7 +226,7 @@ class _CopyEngine:
                 f"in K_{n} ({copies * s:,} copy-edge cells and {nbits * (s + 1):,} "
                 f"histogram cells), budget {ENGINE_CELL_BUDGET:,} cells"
             )
-        import numpy as np
+        np = self._np = _numpy()  # start and flip read it here, not by a call
 
         self.edges = _copy_edges(pattern, n)
         self.copies, self.size, self.nbits = copies, s, nbits
@@ -259,7 +261,7 @@ class _CopyEngine:
 
     def start(self, bits: int) -> int:
         """Make ``bits`` the current coloring; returns its monochromatic count."""
-        import numpy as np
+        np = self._np
 
         s1 = self.size + 1
         if self.lists and self._rows is None:
@@ -311,8 +313,7 @@ class _CopyEngine:
                     seen.clear()
                 seen[bits] = tuple(rise), tuple(fall)
             return
-        import numpy as np
-
+        np = self._np
         row = self.inc[e]
         g = red.take(row)
         red[row] = g + 1 if up else g - 1
@@ -472,7 +473,7 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     method = "exhaustive-canonical"
     if n == 0:  # one coloring, and no pattern fits in an empty host
         return _finish(pattern, 0, 0, [0], True, 1, method)
-    import numpy as np
+    np = _numpy()
 
     edges, s, nbits = _copy_edges(pattern, n), pattern.edge_count, pair_count(n)
     v, states = n - 1, _extension_states(n)

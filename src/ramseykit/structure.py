@@ -3,12 +3,15 @@
 Graphs here are undirected simple graphs on vertex set ``0..n-1`` with
 adjacency stored as one Python-int bitmask per vertex; ``_bit_matrix`` is the
 one reader of such masks into numpy, for the searches' red counts, the exact
-regularity scan and the dense walk kernel.  Everything in this module is
-color-agnostic; two-coloring logic lives in :mod:`ramseykit.coloring`.
+regularity scan and the dense walk kernel, and ``_numpy`` is the one place
+the package imports numpy.  Everything in this module is color-agnostic;
+two-coloring logic lives in :mod:`ramseykit.coloring`.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from math import comb
@@ -17,6 +20,8 @@ from typing import Iterable, Sequence
 from .errors import CapabilityError, DomainError
 
 EXACT_PATHS_MAX_N = 14
+# the variables OpenBLAS reads for its thread count when numpy loads it
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -26,10 +31,34 @@ def _bits(mask: int) -> Iterable[int]:
         yield b.bit_length() - 1
 
 
+def _numpy():
+    """The numpy module, imported on first use with one BLAS thread.
+
+    No BLAS call of the package is meant to be threaded: the dense walk
+    kernel keeps its float64 products under OpenBLAS's threading threshold,
+    and the searches and the exact regularity scan use integer arrays, which
+    do not go through BLAS.  OpenBLAS starts its worker threads when numpy
+    loads it, about half of numpy's import time, so when no thread variable
+    is set, OPENBLAS_NUM_THREADS=1 is set for the import only and the
+    environment ends as it began.  A caller who set one of those variables,
+    or imported numpy first, keeps their BLAS as it is."""
+    np = sys.modules.get("numpy")
+    if np is None:
+        pin = not any(name in os.environ for name in _BLAS_THREAD_VARS)
+        if pin:
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy as np
+        finally:
+            if pin:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+    return np
+
+
 def _bit_matrix(masks: Sequence[int], width: int):
     """(len(masks), width) uint8 array with bit j of masks[i] at [i, j];
     every mask must be below 2**width."""
-    import numpy as np
+    np = _numpy()
 
     nbytes = (width + 7) // 8
     raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import runpy
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import ramseykit
 from ramseykit import EdgeColoring, count_mono, parse_pattern, split_coloring
 from ramseykit.cli import canonical_json, main
+from ramseykit.structure import _BLAS_THREAD_VARS
 
 from .capture_golden import GOLDEN_PATH, capture
 
@@ -306,6 +308,70 @@ def test_sampled_regularity_does_not_load_numpy() -> None:
         "sys.exit(v.trials == 0 or rg.M != 2 or 'numpy' in sys.modules)"
     )
     assert subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV).returncode == 0
+
+
+# child code that sets `threads` to the process's thread count
+THREADS = (
+    "try:\n"
+    "    with open('/proc/self/status') as status:\n"
+    "        threads = next(line.split()[1] for line in status if line.startswith('Threads:'))\n"
+    "except OSError:  # no /proc off Linux\n"
+    "    threads = '?'\n"
+)
+# a child that runs the smallest search, the package's first numpy load, and
+# prints its thread count and whether its environment came back unchanged
+NUMPY_LOAD = (
+    "import os\n"
+    "before = dict(os.environ)\n"
+    "from ramseykit import Pattern, exhaustive_min\n"
+    "exhaustive_min(Pattern.path(3), 4)\n"
+    + THREADS
+    + "print(threads, dict(os.environ) == before)"
+)
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+
+
+def run_child(code: str, **blas: str) -> str:
+    """Output of `code` run under PACKAGE_ENV with no BLAS thread variable
+    but those given."""
+    env = {k: v for k, v in PACKAGE_ENV.items() if k not in _BLAS_THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", code], env={**env, **blas}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@linux_only
+def test_search_loads_numpy_with_one_blas_thread() -> None:
+    assert run_child(NUMPY_LOAD).split()[0] == "1"
+
+
+def test_numpy_load_leaves_the_environment_unchanged() -> None:
+    assert run_child(NUMPY_LOAD).split()[1] == "True"
+
+
+@linux_only
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_numpy_load_keeps_the_callers_blas_threads(var) -> None:
+    assert run_child(NUMPY_LOAD, **{var: "2"}) == "2 True"
+
+
+@linux_only
+def test_numpy_imported_first_keeps_its_threads() -> None:
+    own = run_child("import numpy\n" + THREADS + "print(threads)")
+    assert run_child("import numpy\n" + NUMPY_LOAD) == f"{own} True"
+
+
+def test_numpy_is_imported_at_one_site() -> None:
+    # every other module loads it through structure._numpy
+    package = Path(ramseykit.__file__).parent
+    sites = [
+        f"{path.name}:{i}"
+        for path in sorted(package.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if re.match(r"\s*(import numpy|from numpy\b)", line)
+    ]
+    assert len(sites) == 1 and sites[0].startswith("structure.py:"), sites
 
 
 def test_module_entry_point_smoke() -> None:
