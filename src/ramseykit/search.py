@@ -7,11 +7,14 @@ A copy with s edges is monochromatic when its count is 0 or s, and an
 edgeless copy is both, so it counts once in each color.  Colorings are
 Python integers, so no host size is capped by a machine word.
 
-* ``exhaustive_min`` -- exact minimum by vertex extension.  It takes one
+* ``exhaustive_min`` -- exact minimum by vertex extension, for
+  n <= EXHAUSTIVE_MAX_N = 9, one past the class table.  It takes one
   representative per graph-isomorphism class on n-1 vertices and every red
-  neighbourhood N of the last vertex: one ``_red_counts`` pass over the copy
+  neighbourhood N of the last vertex: a ``_red_counts`` pass over the copy
   list and two subset-sum tables, red read at N and blue at ~N, count every
-  copy in all those extensions at once; the count is relabeling-invariant.
+  copy in all those extensions at once, for a batch of representatives
+  with at most ENGINE_CELL_BUDGET copy counts; the count is
+  relabeling-invariant.
 * ``canonical_graph_reps`` -- the class representatives, by orderly
   generation.  A representative is the labeling with the least
   column-major adjacency string, and that form has a prefix property: its
@@ -62,13 +65,15 @@ from .errors import CapabilityError, DomainError
 from .formulas import RamseyValue, r_cycle, r_path
 from .structure import _bit_matrix, _numpy
 
-EXHAUSTIVE_MAX_N = 7
 # nothing in the package branches on this since every n sweeps by vertex
 # extension; perfbench/workloads.py names its exhaustive spans by it
 RAW_ENUM_MAX_N = 6
 # n = 8 (12,346 classes from 17,637 canonicity tests) takes 1.7-1.8 s on a
 # shared two-core host, Python 3.11; n = 9 would run at least 274,668, one per class
 CLASS_REPS_MAX_N = 8
+# the sweep on K_n extends the classes on n - 1 vertices, in batches that the
+# cell budget bounds, so only the class table limits it
+EXHAUSTIVE_MAX_N = CLASS_REPS_MAX_N + 1
 # ENGINE_CELL_BUDGET caps copies * s copy-edge cells (edges, the sort keys that
 # become inc, the cell blocks) plus nbits * (s + 1) histogram cells; a walk's
 # memo of the deltas of colorings seen, 2 * nbits cells each, clears before its
@@ -76,6 +81,10 @@ CLASS_REPS_MAX_N = 8
 # first start add to numpy's 34 MB 12 bytes a cell on P_8/11 (23 M cells: 1.9 s,
 # 314 MB max RSS) and 17-18 on P_2/4000 and S_1/3500 (24 M: 448 and 485 MB), so
 # an engine stays near 0.5 GB.  Below 2**32, 32 bits of a sort key hold a cell.
+# It also caps an exhaustive batch at copies * states red counts: a process
+# that builds the classes on 8 vertices and sweeps K_9 peaks at 223-226 MB max
+# RSS on P_7 (90,720 copies, batches of 275 states), 215-219 MB on P_8 and
+# 242 MB on P_6.
 ENGINE_CELL_BUDGET = 25_000_000
 # an accepted flip on rows of c_e copies of s edges makes c_e * s updates to
 # each delta array: up to _LIST_FLIP_MAX in Python lists, more by numpy.  ms a
@@ -444,15 +453,15 @@ def _extension_states(n: int) -> tuple[int, ...]:
 
 
 def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
-    """Exact minimum of count_mono over all colorings of K_n (n <= 7).
+    """Exact minimum of count_mono over all colorings of K_n (n <= 9).
 
     Sweeps by vertex extension.  Counts are invariant under relabeling, and
     every coloring of K_n restricted to vertices 0..n-2 is isomorphic to a
     representative r of ``canonical_graph_reps(n - 1)`` (built once per n
     and process), so it suffices to try each r with each red neighbourhood
     N of the last vertex v = n-1.
-    One ``_red_counts`` pass over the r, with every edge at v blue, gives each
-    copy's red-edge count, and then
+    A ``_red_counts`` pass over a batch of the r, with every edge at v blue,
+    gives each copy's red-edge count, and then
 
         count(r, N) = zeta(R_r)[N] + zeta(B_r)[~N]
 
@@ -460,15 +469,20 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     other edges are all red (all blue); zeta sums over the subsets of N.  A
     copy with no edge at v has S empty, inside every N and every ~N.
     ``explored`` is the number of (r, N) pairs, classes(n-1) * 2^(n-1).
-    The witness is the least serialized coloring among the tied pairs,
-    re-verified with the independent DP counter before returning.
+    A batch takes at most ENGINE_CELL_BUDGET // copies of the r (at least
+    one), so the red counts and masks stay within the budget at every n;
+    every sweep up to n = 7 is one batch.  The witness is the least
+    serialized coloring among the tied pairs, re-verified with the
+    independent DP counter before returning.  A host past EXHAUSTIVE_MAX_N,
+    whose classes on n-1 vertices the class table does not build, is
+    refused before any copy or class is listed.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
     if n > EXHAUSTIVE_MAX_N:
         raise CapabilityError(
-            f"exhaustive search limited to n <= {EXHAUSTIVE_MAX_N} (got n={n}); "
-            "use anneal_min for larger hosts"
+            f"exhaustive search limited to n <= {EXHAUSTIVE_MAX_N}, one past the graph "
+            f"classes built (n <= {CLASS_REPS_MAX_N}) (got n={n}); use anneal_min for larger hosts"
         )
     method = "exhaustive-canonical"
     if n == 0:  # one coloring, and no pattern fits in an empty host
@@ -482,26 +496,36 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     at_v[spoke] = 1 << np.arange(v)
     at = at_v[edges]
     hood = at.sum(axis=1)  # the neighbours of v in each copy, as a bitmask
-    red = _red_counts(edges, nbits, states)
     others = s - np.count_nonzero(at, axis=1)  # the edges of each copy off v
 
     def zeta(mono):
         """Row N, column r: the copies counted by mono with S a subset of N."""
-        c, r = np.divmod(np.flatnonzero(mono), len(states))
-        table = np.bincount(hood[c] * len(states) + r, minlength=len(states) << v)
-        table = table.reshape(1 << v, -1)
+        k = mono.shape[1]
+        c, r = np.divmod(np.flatnonzero(mono), k)
+        table = np.bincount(hood[c] * k + r, minlength=k << v).reshape(1 << v, k)
         for i in range(v):
-            half = table.reshape(-1, 2, 1 << i, len(states))
+            half = table.reshape(-1, 2, 1 << i, k)
             half[:, 1] += half[:, 0]
         return table
 
-    counts = zeta(red == others[:, None]) + zeta(red == 0)[::-1]
-    best = int(counts.min())
-    tied = (
-        states[r] | sum(1 << spoke[i] for i in range(v) if h >> i & 1)
-        for h, r in np.argwhere(counts == best).tolist()
-    )
-    return _finish(pattern, n, best, tied, True, counts.size, method)
+    # batches of states with at most ENGINE_CELL_BUDGET red counts each; each
+    # batch tied at the least count so far leaves its least serialized tie
+    batch = max(1, ENGINE_CELL_BUDGET // max(len(edges), 1))
+    best, tied = math.inf, []
+    for lo in range(0, len(states), batch):
+        part = states[lo : lo + batch]
+        red = _red_counts(edges, nbits, part)
+        counts = zeta(red == others[:, None]) + zeta(red == 0)[::-1]
+        low = int(counts.min())
+        if low < best:
+            best, tied = low, []
+        if low == best:
+            ties = (
+                part[r] | sum(1 << spoke[i] for i in range(v) if h >> i & 1)
+                for h, r in np.argwhere(counts == low).tolist()
+            )
+            tied.append(min(ties, key=lambda bits: EdgeColoring(n, bits).serialize()))
+    return _finish(pattern, n, best, tied, True, len(states) << v, method)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +626,7 @@ def ramsey_via_search(
 ) -> RamseyValue:
     """Locate r(H) by certified search up to n_max.
 
-    Exhaustive minimization decides each n <= 7 outright.  Beyond that, only
+    Exhaustive minimization decides each n <= 9 outright.  Beyond that, only
     zero-count witnesses can certify r(H) > n; the sweep tries split
     colorings chi(a, b) and, when a config is supplied, annealing.  A
     positive heuristic minimum certifies nothing, so the scan stops there
@@ -621,7 +645,7 @@ def threshold_multiplicity(
 
     r comes from the closed forms for paths with k >= 2 and cycles and from
     certified search otherwise, whose sweep ends with the result at n = r,
-    returned as it is.  ``exhaustive_min`` is exact for r <= 7; above that
+    returned as it is.  ``exhaustive_min`` is exact for r <= 9; above that
     ``anneal_min`` with the caller's config gives an upper bound
     (exact=False), and no config is a CapabilityError.
     """

@@ -7,7 +7,8 @@ a counterpart scan in exact fractions for pair regularity at mid sizes,
 plain backtracking for disjoint-path packing, a unit-capacity max flow
 for disjoint paths of any length, and a sweep of every coloring
 for minimum monochromatic counts (which takes its list of copies from
-``copy_edge_masks``), and every vertex order for canonical graph forms.
+``copy_edge_masks``), Goodman's closed form for the fewest monochromatic
+triangles, and every vertex order for canonical graph forms.
 Only usable at small sizes.
 """
 
@@ -104,6 +105,18 @@ def brute_min(pattern: Pattern, n: int) -> int:
     """Fewest monochromatic copies over all 2^C(n,2) colorings of K_n."""
     masks = copy_edge_masks(pattern, n)
     return min(mono_copies(masks, bits) for bits in range(1 << comb(n, 2)))
+
+
+def goodman_min_triangles(n: int) -> int:
+    """Fewest monochromatic triangles in a 2-coloring of K_n, by Goodman's
+    closed form (1959): m(m-1)(m-2)/3 at n = 2m, 2m(m-1)(4m+1)/3 at
+    n = 4m+1 and 2m(m+1)(4m-1)/3 at n = 4m+3."""
+    m, rest = divmod(n, 4)
+    if n % 2 == 0:
+        return (n // 2) * (n // 2 - 1) * (n // 2 - 2) // 3
+    if rest == 1:
+        return 2 * m * (m - 1) * (4 * m + 1) // 3
+    return 2 * m * (m + 1) * (4 * m - 1) // 3
 
 
 def brute_canonical(adj: Sequence[int], n: int) -> tuple[int, ...]:

@@ -190,7 +190,7 @@ def test_search_anneal_writes_a_consistent_witness(tmp_path, capsys) -> None:
 
 def test_search_exhaustive_on_large_host_suggests_annealing(capsys) -> None:
     code, _, stderr = run_cli(
-        capsys, "search", "--pattern", "P_6", "--n", "8", "--exhaustive"
+        capsys, "search", "--pattern", "P_6", "--n", "10", "--exhaustive"
     )
     assert code == 2
     assert "anneal" in stderr

@@ -1,6 +1,7 @@
 import hashlib
 import time
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, permutations
 from random import Random
 
@@ -33,7 +34,7 @@ from ramseykit.coloring import _apply_perm, _least_labeling, job_seed, pair_coun
 from ramseykit.counting import copy_edge_masks
 from ramseykit.search import _CopyEngine
 
-from .oracles import brute_canonical, brute_min, mono_copies
+from .oracles import brute_canonical, brute_min, goodman_min_triangles, mono_copies
 
 
 @pytest.mark.parametrize(
@@ -320,11 +321,41 @@ def test_exhaustive_outcomes_are_pinned() -> None:
     assert hashlib.sha256(repr(out).encode()).hexdigest() == EXHAUSTIVE_SHA256
 
 
-def test_exhaustive_outcomes_past_the_guard_are_pinned(monkeypatch) -> None:
-    monkeypatch.setattr(search, "EXHAUSTIVE_MAX_N", 8)
+def test_exhaustive_outcomes_past_the_guard_are_pinned() -> None:
     out = [_exhaustive_outcome(label, 8) for label in ("P_6", "C_6")]
     assert [best for best, *_ in out] == [300, 10]
     assert hashlib.sha256(repr(out).encode()).hexdigest() == EXHAUSTIVE_N8_SHA256
+
+
+# 1 sweeps a state at a time; at 3,500 the 156 classes on 6 vertices go in
+# uneven batches (K3/7's 35 copies take 100, then 56)
+@pytest.mark.parametrize("budget", [1, 3500])
+def test_batched_sweeps_keep_the_pinned_outcomes(monkeypatch, budget: int) -> None:
+    monkeypatch.setattr(search, "ENGINE_CELL_BUDGET", budget)
+    out = [_exhaustive_outcome(label, n) for label in EXHAUSTIVE_PIN_LABELS for n in range(8)]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == EXHAUSTIVE_SHA256
+    out = [_exhaustive_outcome(label, 8) for label in ("P_6", "C_6")]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == EXHAUSTIVE_N8_SHA256
+
+
+def test_exhaustive_batches_stay_within_the_cell_budget(monkeypatch) -> None:
+    batches = []
+    red_counts = search._red_counts
+
+    def spy(edges, nbits, states):
+        batches.append((len(edges), len(states)))
+        return red_counts(edges, nbits, states)
+
+    monkeypatch.setattr(search, "_red_counts", spy)
+    res = exhaustive_min(parse_pattern("C_6"), 9)
+    assert res.best_count == 64 and res.explored == 12346 << 8
+    assert len(batches) > 1 and sum(k for _, k in batches) == 12346
+    assert all(copies * k <= search.ENGINE_CELL_BUDGET for copies, k in batches)
+
+
+def test_exhaustive_triangle_minima_are_goodmans() -> None:
+    for n in range(3, search.EXHAUSTIVE_MAX_N + 1):
+        assert exhaustive_min(parse_pattern("K3"), n).best_count == goodman_min_triangles(n)
 
 
 def test_exhaustive_reads_the_copy_list_without_an_engine(monkeypatch) -> None:
@@ -364,9 +395,16 @@ def test_exhaustive_matches_brute_force(text: str, n: int) -> None:
     assert mono_copies(copy_edge_masks(pattern, n), res.witness.red_bits) == res.best_count
 
 
-def test_exhaustive_rejects_large_hosts() -> None:
-    with pytest.raises(CapabilityError):
-        exhaustive_min(parse_pattern("K3"), 8)
+def test_exhaustive_rejects_large_hosts(monkeypatch) -> None:
+    assert search.EXHAUSTIVE_MAX_N == search.CLASS_REPS_MAX_N + 1 == 9
+
+    def refuse(*args):
+        raise AssertionError("the refused sweep built its copies or classes")
+
+    monkeypatch.setattr(search, "_copy_edges", refuse)
+    monkeypatch.setattr(search, "_extension_states", refuse)
+    with pytest.raises(CapabilityError, match=r"limited to n <= 9, one past the graph classes"):
+        exhaustive_min(parse_pattern("K3"), 10)
 
 
 def test_graph_isomorphism_class_counts() -> None:
@@ -641,7 +679,7 @@ def test_anneal_accepts_warm_start() -> None:
     assert res.best_count <= count_mono(split_coloring(6, 2), pattern)
 
 
-# every path and cycle whose closed form lies in the exhaustive range
+# every path and cycle with r(H) <= 7; C_5 and P_7, at 9, have tests below
 @pytest.mark.parametrize("label", ["P_2", "P_3", "P_4", "P_5", "C_3", "C_4"])
 def test_ramsey_search_agrees_with_path_formula(label: str) -> None:
     pattern = parse_pattern(label)
@@ -660,34 +698,67 @@ def test_ramsey_search_reports_lower_bound_when_capped() -> None:
     assert res.lower == 5
 
 
+# the n = 9 sweeps take seconds, so the tests below share each one
+_sweep = lru_cache(maxsize=None)(exhaustive_min)
+
+
 def test_ramsey_search_certifies_past_the_exhaustive_range(monkeypatch) -> None:
-    # r(P_7) = 9: the exhaustive minimum at 7 and the split (6, 2) at 8 are
-    # zero, and no split of 9 is, so only lower = 9 is certified
-    pattern = parse_pattern("P_7")
-    assert exhaustive_min(pattern, 7).best_count == 0
-    assert count_mono(split_coloring(6, 2), pattern) == 0
-    assert all(count_mono(split_coloring(a, 9 - a), pattern) > 0 for a in range(10))
-    res = ramsey_via_search(pattern, 9)
-    assert (res.lower, res.value) == (r_path(7).value, None) == (9, None)
+    # r(C_7) = 13: the exhaustive minimum at 9 and the split (6, 6) at 12 are
+    # zero, and no split of 13 is, so only lower = 13 is certified
+    monkeypatch.setattr(search, "exhaustive_min", _sweep)
+    pattern = parse_pattern("C_7")
+    assert _sweep(pattern, 9).best_count == 0
+    assert count_mono(split_coloring(6, 6), pattern) == 0
+    assert all(count_mono(split_coloring(a, 13 - a), pattern) > 0 for a in range(14))
+    res = ramsey_via_search(pattern, 13)
+    assert (res.lower, res.value) == (r_cycle(7).value, None) == (13, None)
 
     calls = []
     anneal = search.anneal_min
     monkeypatch.setattr(search, "anneal_min", lambda p, n, c: calls.append(n) or anneal(p, n, c))
-    res = ramsey_via_search(pattern, 9, SearchConfig(seed=0, restarts=1, steps_per_restart=200))
-    assert (res.lower, res.value, calls) == (9, None, [9])
+    res = ramsey_via_search(pattern, 13, SearchConfig(seed=0, restarts=1, steps_per_restart=200))
+    assert (res.lower, res.value, calls) == (13, None, [13])
 
 
-# recorded on the four-field result type threshold_multiplicity returned before
-@pytest.mark.parametrize("label,n,best", [("P_6", 8, 310), ("C_5", 9, 12), ("P_7", 9, 720)])
-def test_threshold_multiplicity_past_the_exhaustive_range(label: str, n: int, best: int) -> None:
-    pattern, config = parse_pattern(label), SearchConfig(seed=1)
+def test_ramsey_search_decides_r_c5_exhaustively(monkeypatch) -> None:
+    monkeypatch.setattr(search, "exhaustive_min", _sweep)
+    res = ramsey_via_search(parse_pattern("C_5"), 9)
+    assert (res.lower, res.value) == (r_cycle(5).value, r_cycle(5).value) == (9, 9)
+
+
+def test_one_sweep_decides_r_p7_and_its_multiplicity(monkeypatch) -> None:
+    monkeypatch.setattr(search, "exhaustive_min", _sweep)
+    value, res = search._locate(Pattern.path(7), 9, None)
+    assert (value.lower, value.value) == (r_path(7).value, r_path(7).value) == (9, 9)
+    assert (res.n, res.best_count, res.exact, res.method) == (9, 720, True, "exhaustive-canonical")
+    assert count_mono(res.witness, Pattern.path(7)) == 720
+
+
+# the annealed values were recorded on the four-field result type
+# threshold_multiplicity returned before, when r(H) = 8 or 9 was past the
+# exhaustive range; P_6/8 anneals to 310 above its exact 300
+EXACT_THRESHOLDS = {"P_6": 300, "C_5": 12, "P_7": 720}
+
+
+@pytest.mark.parametrize("label,n,annealed", [("P_6", 8, 310), ("C_5", 9, 12), ("P_7", 9, 720)])
+def test_threshold_multiplicity_past_the_exhaustive_range(
+    monkeypatch, label: str, n: int, annealed: int
+) -> None:
+    pattern, config, exact = parse_pattern(label), SearchConfig(seed=1), EXACT_THRESHOLDS[label]
+    res = anneal_min(pattern, n, config)
+    assert (res.pattern, res.n, res.best_count, res.exact, res.method) == (
+        pattern, n, annealed, False, "anneal"
+    )
+    assert res.explored == config.restarts * config.steps_per_restart
+    assert res.witness.n == n and count_mono(res.witness, pattern) == annealed
+
+    monkeypatch.setattr(search, "exhaustive_min", _sweep)
     res = threshold_multiplicity(pattern, config)
     assert isinstance(res, MinimizationResult)
     assert (res.pattern, res.n, res.best_count, res.exact, res.method) == (
-        pattern, n, best, False, "anneal"
+        pattern, n, exact, True, "exhaustive-canonical"
     )
-    assert res.explored == config.restarts * config.steps_per_restart
-    assert res.witness.n == n and count_mono(res.witness, pattern) == best
+    assert res.witness.n == n and count_mono(res.witness, pattern) == exact
 
 
 # P_1 has no path formula (r_path needs k >= 2), so its r comes from search
@@ -704,8 +775,8 @@ def test_threshold_multiplicity_is_the_exhaustive_result_in_range(
 
 
 def test_threshold_multiplicity_refusals() -> None:
-    with pytest.raises(CapabilityError, match=r"r\(P_6\) = 8 > 7: supply a SearchConfig"):
-        threshold_multiplicity(parse_pattern("P_6"))
+    with pytest.raises(CapabilityError, match=r"r\(P_8\) = 11 > 9: supply a SearchConfig"):
+        threshold_multiplicity(parse_pattern("P_8"))
     with pytest.raises(CapabilityError, match=r"cannot certify r\(S_5\)"):
         threshold_multiplicity(parse_pattern("S_5"))
 
