@@ -10,11 +10,11 @@ Python integers, so no host size is capped by a machine word.
 * ``exhaustive_min`` -- exact minimum by vertex extension, for
   n <= EXHAUSTIVE_MAX_N = 9, one past the class table.  It takes one
   representative per graph-isomorphism class on n-1 vertices and every red
-  neighbourhood N of the last vertex: a ``_red_counts`` pass over the copy
-  list and two subset-sum tables, red read at N and blue at ~N, count every
-  copy in all those extensions at once, for a batch of representatives
-  with at most ENGINE_CELL_BUDGET copy counts; the count is
-  relabeling-invariant.
+  neighbourhood N of the last vertex: ``_red_counts`` passes over the copies
+  grouped by hood, their neighbours of that vertex, count every copy in all
+  those extensions at once, red read at N and blue at ~N by subset sums,
+  for a batch of representatives with at most ENGINE_CELL_BUDGET copy
+  counts; the count is relabeling-invariant.
 * ``canonical_graph_reps`` -- the class representatives, by orderly
   generation.  A representative is the labeling with the least
   column-major adjacency string, and that form has a prefix property: its
@@ -81,10 +81,10 @@ EXHAUSTIVE_MAX_N = CLASS_REPS_MAX_N + 1
 # first start add to numpy's 34 MB 12 bytes a cell on P_8/11 (23 M cells: 1.9 s,
 # 314 MB max RSS) and 17-18 on P_2/4000 and S_1/3500 (24 M: 448 and 485 MB), so
 # an engine stays near 0.5 GB.  Below 2**32, 32 bits of a sort key hold a cell.
-# It also caps an exhaustive batch at copies * states red counts: a process
-# that builds the classes on 8 vertices and sweeps K_9 peaks at 223-226 MB max
-# RSS on P_7 (90,720 copies, batches of 275 states), 215-219 MB on P_8 and
-# 242 MB on P_6.
+# It also caps an exhaustive batch at copies * states red counts, read a hood
+# group at a time: a process that builds the classes on 8 vertices and sweeps
+# K_9 peaks at 53-55 MB max RSS on P_7 (90,720 copies, batches of 275 states),
+# 51-52 MB on P_8 and 64-65 MB on P_6.
 ENGINE_CELL_BUDGET = 25_000_000
 # an accepted flip on rows of c_e copies of s edges makes c_e * s updates to
 # each delta array: up to _LIST_FLIP_MAX in Python lists, more by numpy.  ms a
@@ -460,17 +460,18 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     representative r of ``canonical_graph_reps(n - 1)`` (built once per n
     and process), so it suffices to try each r with each red neighbourhood
     N of the last vertex v = n-1.
-    A ``_red_counts`` pass over a batch of the r, with every edge at v blue,
-    gives each copy's red-edge count, and then
+    The copies are grouped once by hood S, their neighbours of v.  A
+    ``_red_counts`` pass per group over a batch of the r, with every edge at
+    v blue, gives R_r[S] (B_r[S]): the copies of hood S whose s - |S| edges
+    off v are all red (all blue).  Then
 
         count(r, N) = zeta(R_r)[N] + zeta(B_r)[~N]
 
-    R_r[S] (B_r[S]) counts the copies whose edges at v go to S and whose
-    other edges are all red (all blue); zeta sums over the subsets of N.  A
+    where zeta sums over the subsets of N, both tables in one pass.  A
     copy with no edge at v has S empty, inside every N and every ~N.
     ``explored`` is the number of (r, N) pairs, classes(n-1) * 2^(n-1).
     A batch takes at most ENGINE_CELL_BUDGET // copies of the r (at least
-    one), so the red counts and masks stay within the budget at every n;
+    one), so its red counts stay within the budget at every n;
     every sweep up to n = 7 is one batch.  The witness is the least
     serialized coloring among the tied pairs, re-verified with the
     independent DP counter before returning.  A host past EXHAUSTIVE_MAX_N,
@@ -494,19 +495,8 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     spoke = [pair_index(n, i, v) for i in range(v)]
     at_v = np.zeros(nbits, dtype=np.intp)
     at_v[spoke] = 1 << np.arange(v)
-    at = at_v[edges]
-    hood = at.sum(axis=1)  # the neighbours of v in each copy, as a bitmask
-    others = s - np.count_nonzero(at, axis=1)  # the edges of each copy off v
-
-    def zeta(mono):
-        """Row N, column r: the copies counted by mono with S a subset of N."""
-        k = mono.shape[1]
-        c, r = np.divmod(np.flatnonzero(mono), k)
-        table = np.bincount(hood[c] * k + r, minlength=k << v).reshape(1 << v, k)
-        for i in range(v):
-            half = table.reshape(-1, 2, 1 << i, k)
-            half[:, 1] += half[:, 0]
-        return table
+    hood = at_v[edges].sum(axis=1)  # the neighbours of v in each copy, as a bitmask
+    groups = [(h, edges[hood == h]) for h in np.flatnonzero(np.bincount(hood)).tolist()]
 
     # batches of states with at most ENGINE_CELL_BUDGET red counts each; each
     # batch tied at the least count so far leaves its least serialized tie
@@ -514,8 +504,16 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     best, tied = math.inf, []
     for lo in range(0, len(states), batch):
         part = states[lo : lo + batch]
-        red = _red_counts(edges, nbits, part)
-        counts = zeta(red == others[:, None]) + zeta(red == 0)[::-1]
+        # R_r[h] at [0, h, r] and B_r[h] at [1, h, r], then zeta in place
+        table = np.zeros((2, 1 << v, len(part)), dtype=np.intp)
+        for h, rows in groups:
+            red = _red_counts(rows, nbits, part)
+            table[0, h] = np.count_nonzero(red == s - h.bit_count(), axis=0)
+            table[1, h] = np.count_nonzero(red == 0, axis=0)
+        for i in range(v):
+            half = table.reshape(2, -1, 2, 1 << i, len(part))
+            half[:, :, 1] += half[:, :, 0]
+        counts = table[0] + table[1, ::-1]
         low = int(counts.min())
         if low < best:
             best, tied = low, []

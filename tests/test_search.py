@@ -31,7 +31,7 @@ from ramseykit import (
 )
 from ramseykit import search
 from ramseykit.coloring import _apply_perm, _least_labeling, job_seed, pair_count
-from ramseykit.counting import copy_edge_masks
+from ramseykit.counting import copy_edge_masks, total_copies_in_complete
 from ramseykit.search import _CopyEngine
 
 from .oracles import brute_canonical, brute_min, goodman_min_triangles, mono_copies
@@ -339,18 +339,26 @@ def test_batched_sweeps_keep_the_pinned_outcomes(monkeypatch, budget: int) -> No
 
 
 def test_exhaustive_batches_stay_within_the_cell_budget(monkeypatch) -> None:
-    batches = []
+    calls = []
     red_counts = search._red_counts
 
     def spy(edges, nbits, states):
-        batches.append((len(edges), len(states)))
+        calls.append((len(edges), tuple(states)))
         return red_counts(edges, nbits, states)
 
     monkeypatch.setattr(search, "_red_counts", spy)
-    res = exhaustive_min(parse_pattern("C_6"), 9)
+    pattern = parse_pattern("C_6")
+    res = exhaustive_min(pattern, 9)
     assert res.best_count == 64 and res.explored == 12346 << 8
-    assert len(batches) > 1 and sum(k for _, k in batches) == 12346
-    assert all(copies * k <= search.ENGINE_CELL_BUDGET for copies, k in batches)
+    assert all(copies * len(part) <= search.ENGINE_CELL_BUDGET for copies, part in calls)
+    # the calls on one batch of states read every copy once between them
+    batches = Counter()
+    for copies, part in calls:
+        batches[part] += copies
+    assert len(batches) > 1
+    assert set(batches.values()) == {total_copies_in_complete(9, pattern)}
+    classes = [state for part in batches for state in part]
+    assert len(classes) == len(set(classes)) == 12346
 
 
 def test_exhaustive_triangle_minima_are_goodmans() -> None:

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from ramseykit import DomainError, SimpleGraph, verify
+from ramseykit.cli import main
 from ramseykit.verify import SUITES, run_suite
 
 
@@ -108,3 +109,33 @@ def test_degree_deviation_check_fails_on_a_failing_report(monkeypatch) -> None:
     [(name, passed, _)] = verify._degree_deviation_on_regular_pairs(Random(0), 0)
     assert name == "degree-deviation-on-regular-pairs" and not passed
     assert len(reports) == 1  # the first failing report ends the check
+
+
+def _one_below(exhaustive_min):
+    """``exhaustive_min`` with every minimum one below the sweep's."""
+
+    def wrong(pattern, n):
+        res = exhaustive_min(pattern, n)
+        return replace(res, best_count=res.best_count - 1)
+
+    return wrong
+
+
+# (suite, check, the verify function the check reads, a maker of a wrong
+# version of it); the sweep-backed minima one low read P_3/3 and S_2/3 as 0
+# and K3/5 as -1
+WRONG_INPUTS = [
+    ("formulas", "path-threshold-positivity", "exhaustive_min", _one_below),
+    ("formulas", "star-thresholds", "exhaustive_min", _one_below),
+    ("formulas", "triangle-threshold", "exhaustive_min", _one_below),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, name, function, wrong", WRONG_INPUTS, ids=[row[1] for row in WRONG_INPUTS]
+)
+def test_check_fails_on_a_wrong_input(monkeypatch, suite, name, function, wrong) -> None:
+    monkeypatch.setattr(verify, function, wrong(getattr(verify, function)))
+    [passed] = [r.passed for r in run_suite(suite, seed=0) if r.name == name]
+    assert not passed
+    assert main(["verify", "--suite", suite]) == 1
