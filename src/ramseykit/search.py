@@ -1,20 +1,23 @@
 """Minimizing monochromatic pattern counts over colorings of K_n.
 
-Both searches count from one copy list: ``_copy_edges`` lists the edges of
-each copy of the pattern in K_n once, by vertex extension, and
-``_red_counts`` gives each copy's red-edge count in a batch of colorings.
-A copy with s edges is monochromatic when its count is 0 or s, and an
-edgeless copy is both, so it counts once in each color.  Colorings are
-Python integers, so no host size is capped by a machine word.
+Both searches list the copies of the pattern in K_n once, by vertex
+extension from one per-kind table (``_extension_table``): ``_copy_edges``
+as a numpy array of each copy's edges for annealing, ``_walk_copies`` as a
+stream of Python ints for the exhaustive sweep.  A copy with s edges is
+monochromatic when its red-edge count is 0 or s, and an edgeless copy is
+both, so it counts once in each color.  Colorings are Python integers, so
+no host size is capped by a machine word.
 
 * ``exhaustive_min`` -- exact minimum by vertex extension, for
   n <= EXHAUSTIVE_MAX_N = 9, one past the class table.  It takes one
   representative per graph-isomorphism class on n-1 vertices and every red
-  neighbourhood N of the last vertex: ``_red_counts`` passes over the copies
-  grouped by hood, their neighbours of that vertex, count every copy in all
-  those extensions at once, red read at N and blue at ~N by subset sums,
-  for a batch of representatives with at most ENGINE_CELL_BUDGET copy
-  counts; the count is relabeling-invariant.
+  neighbourhood N of the last vertex, and counts all of those extensions at
+  once in Python ints bit-sliced over the classes, bit j for class j: each
+  copy's all-red and all-blue class sets go into a counter for its hood
+  (its neighbours of that vertex), one int per count bit, and subset sums
+  over the hoods read red at N and blue at ~N.  All the classes of one n
+  fit in one int, so there are no batches, and the sweep loads no numpy;
+  the count is relabeling-invariant.
 * ``canonical_graph_reps`` -- the class representatives, by orderly
   generation.  A representative is the labeling with the least
   column-major adjacency string, and that form has a prefix property: its
@@ -36,10 +39,10 @@ Python integers, so no host size is capped by a machine word.
   cells are no more than the c_e * s a flip updates.
 
 Witness tie-break everywhere: the serialized form that is lexicographically
-least among optimal colorings found.  The searches load numpy through
-``structure._numpy`` on their first call, with one BLAS thread unless the
+least among optimal colorings found.  Annealing loads numpy through
+``structure._numpy`` on its first call, with one BLAS thread unless the
 caller set a thread variable or imported numpy first; importing the package
-loads none.
+and the exhaustive sweep load none.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .coloring import (
     EdgeColoring,
@@ -63,7 +66,7 @@ from .coloring import (
 from .counting import Pattern, count_mono, total_copies_in_complete
 from .errors import CapabilityError, DomainError
 from .formulas import RamseyValue, r_cycle, r_path
-from .structure import _bit_matrix, _numpy
+from .structure import _bit_matrix, _bits, _numpy
 
 # nothing in the package branches on this since every n sweeps by vertex
 # extension; perfbench/workloads.py names its exhaustive spans by it
@@ -71,8 +74,8 @@ RAW_ENUM_MAX_N = 6
 # n = 8 (12,346 classes from 17,637 canonicity tests) takes 1.7-1.8 s on a
 # shared two-core host, Python 3.11; n = 9 would run at least 274,668, one per class
 CLASS_REPS_MAX_N = 8
-# the sweep on K_n extends the classes on n - 1 vertices, in batches that the
-# cell budget bounds, so only the class table limits it
+# the sweep on K_n extends the classes on n - 1 vertices, all of them in one
+# int per count bit, so only the class table limits it
 EXHAUSTIVE_MAX_N = CLASS_REPS_MAX_N + 1
 # ENGINE_CELL_BUDGET caps copies * s copy-edge cells (edges, the sort keys that
 # become inc, the cell blocks) plus nbits * (s + 1) histogram cells; a walk's
@@ -81,10 +84,7 @@ EXHAUSTIVE_MAX_N = CLASS_REPS_MAX_N + 1
 # first start add to numpy's 34 MB 12 bytes a cell on P_8/11 (23 M cells: 1.9 s,
 # 314 MB max RSS) and 17-18 on P_2/4000 and S_1/3500 (24 M: 448 and 485 MB), so
 # an engine stays near 0.5 GB.  Below 2**32, 32 bits of a sort key hold a cell.
-# It also caps an exhaustive batch at copies * states red counts, read a hood
-# group at a time: a process that builds the classes on 8 vertices and sweeps
-# K_9 peaks at 53-55 MB max RSS on P_7 (90,720 copies, batches of 275 states),
-# 51-52 MB on P_8 and 64-65 MB on P_6.
+# It bounds the annealing engine only: the exhaustive sweep holds no copy list.
 ENGINE_CELL_BUDGET = 25_000_000
 # an accepted flip on rows of c_e copies of s edges makes c_e * s updates to
 # each delta array: up to _LIST_FLIP_MAX in Python lists, more by numpy.  ms a
@@ -141,33 +141,37 @@ class MinimizationResult:
     method: str
 
 
-def _copy_edges(pattern: Pattern, n: int):
-    """(copies, s) array: the edges of each copy of the pattern in K_n,
-    ascending in each row, the copies in ``copy_edge_masks`` order.
-
-    Copies are sequences of distinct vertices, extended a position at a time
-    in lexicographic order.  ``table`` gives each position i >= 1 the earlier
-    positions it joins and those it must exceed, so each copy comes once: a
-    path from its smaller end, a cycle from its least vertex towards its
-    smaller neighbour, a star's leaves ascending, a clique ascending."""
-    np = _numpy()
-
+def _extension_table(pattern: Pattern) -> list[tuple[list[int], int | None]]:
+    """How copies are listed.  Copies are sequences of distinct vertices,
+    extended a position at a time in lexicographic order; entry i - 1 gives
+    position i >= 1 the earlier positions it joins and the one it must
+    exceed (None: none), so each copy comes once: a path from its smaller
+    end, a cycle from its least vertex towards its smaller neighbour, a
+    star's leaves ascending, a clique ascending."""
     kind, last = pattern.kind, pattern.vertex_count - 1
     if kind == "path":
-        table = [([i - 1], [0] if i == last else []) for i in range(1, last + 1)]
-    elif kind == "cycle":
-        table = [([i - 1], [0]) for i in range(1, last)] + [([0, last - 1], [1])]
-    elif kind == "star":
-        table = [([0], [i - 1] if i > 1 else []) for i in range(1, last + 1)]
-    else:
-        table = [(list(range(i)), [i - 1]) for i in range(1, last + 1)]
+        return [([i - 1], 0 if i == last else None) for i in range(1, last + 1)]
+    if kind == "cycle":
+        return [([i - 1], 0) for i in range(1, last)] + [([0, last - 1], 1)]
+    if kind == "star":
+        return [([0], i - 1 if i > 1 else None) for i in range(1, last + 1)]
+    return [(list(range(i)), i - 1) for i in range(1, last + 1)]
+
+
+def _copy_edges(pattern: Pattern, n: int):
+    """(copies, s) array: the edges of each copy of the pattern in K_n,
+    ascending in each row, the copies in ``copy_edge_masks`` order, listed
+    by ``_extension_table`` a position at a time for every copy at once."""
+    np = _numpy()
+
+    table = _extension_table(pattern)
     grid = np.arange(n, dtype=np.min_scalar_type(n))
     verts = grid[:, None]
     for _, above in table:
         free = np.ones((len(verts), n), dtype=bool)
         free[np.arange(len(verts))[:, None], verts] = False  # no vertex twice
-        for j in above:
-            free &= grid > verts[:, j, None]
+        if above is not None:
+            free &= grid > verts[:, above, None]
         w = np.broadcast_to(grid, free.shape)[free]  # row-major: sequences stay in order
         verts = np.column_stack((verts.repeat(free.sum(axis=1), axis=0), w))
     pairs = np.zeros((n, n), np.min_scalar_type(pair_count(n)))
@@ -180,15 +184,45 @@ def _copy_edges(pattern: Pattern, n: int):
     return edges
 
 
-def _red_counts(edges, nbits: int, states: Sequence[int]):
-    """(copies, len(states)) red-edge counts of ``edges``, a column per
-    coloring, from the states' red bits read by ``_bit_matrix``."""
+def _extend(nodes, joins: list[int], above: int | None, free: list[list[int]], row):
+    """One position of ``_walk_copies``: each partial copy (vertices, used
+    mask, OR so far) extended by every vertex the table allows, in order."""
+    for verts, used, acc in nodes:
+        lo = -1 if above is None else verts[above]
+        for w in free[used]:
+            if w > lo:
+                a = acc
+                for j in joins:
+                    a |= row[verts[j]][w]
+                yield verts + (w,), used | 1 << w, a
+
+
+def _walk_copies(pattern: Pattern, n: int, weight: Sequence[int]) -> Iterator[int]:
+    """The OR of ``weight[e]`` over the edges e of each copy of the pattern
+    in K_n, copy by copy in ``_copy_edges`` order: with weight[e] = 1 << e,
+    each copy's edge mask.
+
+    The same extension by ``_extension_table`` as ``_copy_edges``, depth
+    first, so a partial copy's OR is taken once for all its extensions and
+    no copy list is held.  ``row[u][w]`` is the weight of edge {u, w} and
+    ``free[used]`` the vertices outside the mask ``used``, ascending: 2^n
+    lists, built for the sweep's n <= EXHAUSTIVE_MAX_N."""
+    row = [[weight[pair_index(n, u, w)] if u != w else 0 for w in range(n)] for u in range(n)]
+    free = [[w for w in range(n) if not used >> w & 1] for used in range(1 << n)]
+    nodes = (((w,), 1 << w, 0) for w in range(n))
+    for joins, above in _extension_table(pattern):
+        nodes = _extend(nodes, joins, above, free, row)
+    return (acc for _, _, acc in nodes)
+
+
+def _red_counts(edges, nbits: int, bits: int):
+    """Red-edge count of each copy of ``edges`` in the coloring ``bits``."""
     np = _numpy()
 
-    bits = np.ascontiguousarray(_bit_matrix(states, nbits).T)  # bit e of states[j] at [e, j]
-    red = np.zeros((len(edges), len(states)), dtype=np.min_scalar_type(edges.shape[1]))
+    bit = _bit_matrix([bits], nbits)[0]  # bit e of bits at [e]
+    red = np.zeros(len(edges), dtype=np.min_scalar_type(edges.shape[1]))
     for column in edges.T:  # the j-th edge of every copy
-        red += bits.take(column, axis=0)
+        red += bit.take(column)
     return red
 
 
@@ -278,7 +312,7 @@ class _CopyEngine:
             self._rows = self.inc.tolist(), self.edges.tolist(), changes
         self.bits = bits
         self._seen = {} if self.memo else None  # coloring bits -> its deltas
-        red = self.red = _red_counts(self.edges, self.nbits, [bits])[:, 0]
+        red = self.red = _red_counts(self.edges, self.nbits, bits)
         # an edge of the copies at a time, so no (copies, s) temporary
         hist = np.zeros(self.nbits * s1, dtype=np.intp)
         for column in self._base.T:
@@ -452,6 +486,81 @@ def _extension_states(n: int) -> tuple[int, ...]:
     return tuple(_bits_from_adj(adj, n) for adj in canonical_graph_reps(n - 1))
 
 
+@lru_cache(maxsize=None)
+def _class_planes(n: int) -> tuple[int, ...]:
+    """For each edge e of K_n, the classes of ``_extension_states(n)`` in
+    which e is red, bit j for class j; built once per process."""
+    nbits = pair_count(n)
+    # each state's bits as a string from edge 0 up (the top bit pads the
+    # width); a column of these strings, read from class 0 up, is a plane
+    rows = [format(bits | 1 << nbits, "b")[:0:-1] for bits in _extension_states(n)]
+    return tuple(int("".join(column)[::-1], 2) for column in zip(*rows))
+
+
+def _sliced_add(a: list[int], b: list[int]) -> list[int]:
+    """The sum of two bit-sliced counters, whose plane i holds bit i of the
+    count of every class, with no zero top plane."""
+    if len(a) < len(b):
+        a, b = b, a
+    out, carry = [], 0
+    for i, x in enumerate(a):
+        if i >= len(b) and not carry:  # the rest of a as it is
+            out += a[i:]
+            break
+        y = b[i] if i < len(b) else 0
+        out.append(x ^ y ^ carry)
+        carry = x & y | (x ^ y) & carry
+    out.append(carry)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _extension_counts(pattern: Pattern, n: int) -> Iterator[list[int]]:
+    """count(r, N) for every class r of ``_extension_states(n)``, as
+    bit-sliced counters over the classes, one for each red neighbourhood N
+    of v = n-1 in turn, N = 0 .. 2^(n-1) - 1.
+
+    A copy of hood S (its neighbours of v) is red in the extension (r, N)
+    when its edges off v are all red in r and S is inside N, and blue when
+    they are all blue in r and S is inside ~N.  So each copy's all-red and
+    all-blue class sets go into the counter of its hood, red in the low m
+    bits of a plane and blue in the high m for m classes, and
+
+        count(r, N) = zeta(red)[N] + zeta(blue)[~N]
+
+    where zeta sums over the subsets of N, both halves in one pass.  A copy
+    with no edge at v has S empty, inside every N and every ~N.  The copies
+    stream from ``_walk_copies``, which ORs each copy's edge weights: an
+    edge off v blue in class j bars the copy from all-red in j (bit j), a
+    red one from all-blue (bit m + j), above the v bits where an edge at v
+    sets the bit of its other end."""
+    v, m = n - 1, len(_extension_states(n))
+    every, both, hoods = (1 << m) - 1, (1 << 2 * m) - 1, (1 << v) - 1
+    weight = [(every ^ red | red << m) << v for red in _class_planes(n)]
+    for u in range(v):
+        weight[pair_index(n, u, v)] = 1 << u
+    counters: list[list[int]] = [[] for _ in range(1 << v)]
+    for x in _walk_copies(pattern, n, weight):
+        planes = counters[x & hoods]
+        x = x >> v ^ both  # the classes where the copy is all red, all blue
+        for i, p in enumerate(planes):  # add 1 at each of them, with carries
+            planes[i] = p ^ x
+            x &= p
+            if not x:
+                break
+        else:
+            if x:
+                planes.append(x)
+    for i in range(v):  # in place: counters[N] comes to count the hoods inside N
+        for nbhd in range(1 << i, 1 << v):
+            if nbhd >> i & 1 and counters[nbhd ^ 1 << i]:
+                counters[nbhd] = _sliced_add(counters[nbhd], counters[nbhd ^ 1 << i])
+    for nbhd in range(1 << v):
+        red, blue = counters[nbhd], counters[hoods ^ nbhd]
+        yield _sliced_add([p & every for p in red], [p >> m for p in blue])
+
+
 def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     """Exact minimum of count_mono over all colorings of K_n (n <= 9).
 
@@ -459,24 +568,15 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     every coloring of K_n restricted to vertices 0..n-2 is isomorphic to a
     representative r of ``canonical_graph_reps(n - 1)`` (built once per n
     and process), so it suffices to try each r with each red neighbourhood
-    N of the last vertex v = n-1.
-    The copies are grouped once by hood S, their neighbours of v.  A
-    ``_red_counts`` pass per group over a batch of the r, with every edge at
-    v blue, gives R_r[S] (B_r[S]): the copies of hood S whose s - |S| edges
-    off v are all red (all blue).  Then
-
-        count(r, N) = zeta(R_r)[N] + zeta(B_r)[~N]
-
-    where zeta sums over the subsets of N, both tables in one pass.  A
-    copy with no edge at v has S empty, inside every N and every ~N.
-    ``explored`` is the number of (r, N) pairs, classes(n-1) * 2^(n-1).
-    A batch takes at most ENGINE_CELL_BUDGET // copies of the r (at least
-    one), so its red counts stay within the budget at every n;
-    every sweep up to n = 7 is one batch.  The witness is the least
-    serialized coloring among the tied pairs, re-verified with the
-    independent DP counter before returning.  A host past EXHAUSTIVE_MAX_N,
-    whose classes on n-1 vertices the class table does not build, is
-    refused before any copy or class is listed.
+    N of the last vertex v = n-1.  ``_extension_counts`` gives the counts
+    of every r at one N as bit planes in Python ints, with no numpy and no
+    batches; read from the top plane down, they give the least count at N
+    and the classes that have it.  ``explored`` is the number of (r, N)
+    pairs, classes(n-1) * 2^(n-1).  The witness is the least serialized
+    coloring among the tied pairs, re-verified with the independent DP
+    counter before returning.  A host past EXHAUSTIVE_MAX_N, whose classes
+    on n-1 vertices the class table does not build, is refused before any
+    copy or class is listed.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -488,42 +588,24 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     method = "exhaustive-canonical"
     if n == 0:  # one coloring, and no pattern fits in an empty host
         return _finish(pattern, 0, 0, [0], True, 1, method)
-    np = _numpy()
-
-    edges, s, nbits = _copy_edges(pattern, n), pattern.edge_count, pair_count(n)
     v, states = n - 1, _extension_states(n)
     spoke = [pair_index(n, i, v) for i in range(v)]
-    at_v = np.zeros(nbits, dtype=np.intp)
-    at_v[spoke] = 1 << np.arange(v)
-    hood = at_v[edges].sum(axis=1)  # the neighbours of v in each copy, as a bitmask
-    groups = [(h, edges[hood == h]) for h in np.flatnonzero(np.bincount(hood)).tolist()]
-
-    # batches of states with at most ENGINE_CELL_BUDGET red counts each; each
-    # batch tied at the least count so far leaves its least serialized tie
-    batch = max(1, ENGINE_CELL_BUDGET // max(len(edges), 1))
     best, tied = math.inf, []
-    for lo in range(0, len(states), batch):
-        part = states[lo : lo + batch]
-        # R_r[h] at [0, h, r] and B_r[h] at [1, h, r], then zeta in place
-        table = np.zeros((2, 1 << v, len(part)), dtype=np.intp)
-        for h, rows in groups:
-            red = _red_counts(rows, nbits, part)
-            table[0, h] = np.count_nonzero(red == s - h.bit_count(), axis=0)
-            table[1, h] = np.count_nonzero(red == 0, axis=0)
-        for i in range(v):
-            half = table.reshape(2, -1, 2, 1 << i, len(part))
-            half[:, :, 1] += half[:, :, 0]
-        counts = table[0] + table[1, ::-1]
-        low = int(counts.min())
+    for nbhd, planes in enumerate(_extension_counts(pattern, n)):
+        # the least count at N a bit at a time from the top, and its classes
+        low, classes = 0, (1 << len(states)) - 1
+        for i in reversed(range(len(planes))):
+            clear = classes & ~planes[i]  # those whose count has bit i clear
+            if clear:
+                classes = clear
+            else:
+                low |= 1 << i
         if low < best:
             best, tied = low, []
-        if low == best:
-            ties = (
-                part[r] | sum(1 << spoke[i] for i in range(v) if h >> i & 1)
-                for h, r in np.argwhere(counts == low).tolist()
-            )
-            tied.append(min(ties, key=lambda bits: EdgeColoring(n, bits).serialize()))
-    return _finish(pattern, n, best, tied, True, len(states) << v, method)
+        if low == best:  # N's red edges at v, and its tied classes
+            tied.append((sum(1 << spoke[i] for i in _bits(nbhd)), classes))
+    ties = (states[r] | at_v for at_v, classes in tied for r in _bits(classes))
+    return _finish(pattern, n, best, ties, True, len(states) << v, method)
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,20 @@ def test_bounds_suite_and_small_counts_do_not_load_numpy(tmp_path) -> None:
     assert subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV).returncode == 0
 
 
+def test_exhaustive_search_does_not_load_numpy() -> None:
+    # the sweep counts in Python ints, bit-sliced over the graph classes
+    code = (
+        "import contextlib, io, sys\n"
+        "from ramseykit import Pattern, exhaustive_min\n"
+        "from ramseykit.cli import main\n"
+        "best = exhaustive_min(Pattern.path(5), 7).best_count\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['search', '--pattern', 'P_5', '--n', '7', '--exhaustive'])\n"
+        "sys.exit(best != 96 or code != 0 or 'numpy' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV).returncode == 0
+
+
 def test_sampled_regularity_does_not_load_numpy() -> None:
     # the sampler counts degrees as popcounts in Python ints
     code = (
@@ -318,13 +332,14 @@ THREADS = (
     "except OSError:  # no /proc off Linux\n"
     "    threads = '?'\n"
 )
-# a child that runs the smallest search, the package's first numpy load, and
-# prints its thread count and whether its environment came back unchanged
+# a child that runs the smallest annealing search, the package's first numpy
+# load, and prints its thread count and whether its environment came back
+# unchanged
 NUMPY_LOAD = (
     "import os\n"
     "before = dict(os.environ)\n"
-    "from ramseykit import Pattern, exhaustive_min\n"
-    "exhaustive_min(Pattern.path(3), 4)\n"
+    "from ramseykit import Pattern, SearchConfig, anneal_min\n"
+    "anneal_min(Pattern.path(3), 4, SearchConfig(seed=0, restarts=1, steps_per_restart=1))\n"
     + THREADS
     + "print(threads, dict(os.environ) == before)"
 )

@@ -124,7 +124,7 @@ def test_copy_engine_matches_mask_recount(data) -> None:
     engine.skip = not engine.lists and engine.size >= 5 and data.draw(st.booleans())
     engine.memo = data.draw(st.booleans())
     states = data.draw(st.lists(colorings, min_size=1, max_size=6))
-    red = search._red_counts(engine.edges, engine.nbits, states).T.tolist()
+    red = [search._red_counts(engine.edges, engine.nbits, b).tolist() for b in states]
     assert red == [[(m & b).bit_count() for m in masks] for b in states]
     moves = data.draw(st.lists(st.integers(0, max(nbits - 1, 0)), max_size=12 if nbits else 0))
     _walk_matches_mask_recount(engine, masks, data.draw(colorings), moves + moves[::-1])
@@ -327,8 +327,10 @@ def test_exhaustive_outcomes_past_the_guard_are_pinned() -> None:
     assert hashlib.sha256(repr(out).encode()).hexdigest() == EXHAUSTIVE_N8_SHA256
 
 
-# 1 sweeps a state at a time; at 3,500 the 156 classes on 6 vertices go in
-# uneven batches (K3/7's 35 copies take 100, then 56)
+# the sweep holds every class in one int and ENGINE_CELL_BUDGET bounds the
+# annealing engine only, so no budget batches it: these check that the
+# pinned outcomes do not depend on the budget (1 once swept a state at a
+# time, and 3,500 the 156 classes on 6 vertices in uneven batches)
 @pytest.mark.parametrize("budget", [1, 3500])
 def test_batched_sweeps_keep_the_pinned_outcomes(monkeypatch, budget: int) -> None:
     monkeypatch.setattr(search, "ENGINE_CELL_BUDGET", budget)
@@ -338,27 +340,41 @@ def test_batched_sweeps_keep_the_pinned_outcomes(monkeypatch, budget: int) -> No
     assert hashlib.sha256(repr(out).encode()).hexdigest() == EXHAUSTIVE_N8_SHA256
 
 
-def test_exhaustive_batches_stay_within_the_cell_budget(monkeypatch) -> None:
-    calls = []
-    red_counts = search._red_counts
+# every kind, on hosts up to K_9 (P_7/9: 90,720 copies)
+WALK_PATTERNS = (
+    [Pattern("path", k) for k in range(1, 8)] + [Pattern("cycle", k) for k in range(3, 8)]
+    + [Pattern("star", k) for k in range(1, 7)] + [Pattern("clique", k) for k in range(2, 6)]
+)
 
-    def spy(edges, nbits, states):
-        calls.append((len(edges), tuple(states)))
-        return red_counts(edges, nbits, states)
 
-    monkeypatch.setattr(search, "_red_counts", spy)
+def test_exhaustive_walk_lists_each_copy_once_in_bounded_counters(monkeypatch) -> None:
+    # with weight 1 << e the walk yields each copy's edge mask: the copies of
+    # _copy_edges, each once, in the same order
+    for pattern in WALK_PATTERNS:
+        for n in range(10):
+            masks = list(search._walk_copies(pattern, n, [1 << e for e in range(pair_count(n))]))
+            assert len(masks) == total_copies_in_complete(n, pattern), (pattern.label, n)
+            rows = [[e for e in range(m.bit_length()) if m >> e & 1] for m in masks]
+            assert rows == search._copy_edges(pattern, n).tolist(), (pattern.label, n)
+    # a count is at most the copies in each color, and a sum of the two at
+    # most twice that: no counter needs more planes than that
+    sums = []
+    sliced_add = search._sliced_add
+
+    def spy(a, b):
+        sums.append((a, b, sliced_add(a, b)))
+        return sums[-1][2]
+
+    monkeypatch.setattr(search, "_sliced_add", spy)
     pattern = parse_pattern("C_6")
+    copies = total_copies_in_complete(9, pattern)
+    planes_max = copies.bit_length() + 1  # ceil(log2(copies + 1)) + 1
+    table = list(search._extension_counts(pattern, 9))
+    assert len(table) == 1 << 8
+    assert all(len(planes) <= planes_max for planes in table)
+    assert all(max(map(len, counters)) <= planes_max for counters in sums)
     res = exhaustive_min(pattern, 9)
     assert res.best_count == 64 and res.explored == 12346 << 8
-    assert all(copies * len(part) <= search.ENGINE_CELL_BUDGET for copies, part in calls)
-    # the calls on one batch of states read every copy once between them
-    batches = Counter()
-    for copies, part in calls:
-        batches[part] += copies
-    assert len(batches) > 1
-    assert set(batches.values()) == {total_copies_in_complete(9, pattern)}
-    classes = [state for part in batches for state in part]
-    assert len(classes) == len(set(classes)) == 12346
 
 
 def test_exhaustive_triangle_minima_are_goodmans() -> None:
@@ -409,7 +425,7 @@ def test_exhaustive_rejects_large_hosts(monkeypatch) -> None:
     def refuse(*args):
         raise AssertionError("the refused sweep built its copies or classes")
 
-    monkeypatch.setattr(search, "_copy_edges", refuse)
+    monkeypatch.setattr(search, "_walk_copies", refuse)
     monkeypatch.setattr(search, "_extension_states", refuse)
     with pytest.raises(CapabilityError, match=r"limited to n <= 9, one past the graph classes"):
         exhaustive_min(parse_pattern("K3"), 10)

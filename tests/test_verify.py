@@ -121,13 +121,40 @@ def _one_below(exhaustive_min):
     return wrong
 
 
+def _wrong_report(**fields):
+    """A maker of a bound function whose reports take each of ``fields``
+    from a function of the true report."""
+
+    def maker(bound):
+        def wrong(*args, **kwargs):
+            rep = bound(*args, **kwargs)
+            return replace(rep, **{name: field(rep) for name, field in fields.items()})
+
+        return wrong
+
+    return maker
+
+
 # (suite, check, the verify function the check reads, a maker of a wrong
 # version of it); the sweep-backed minima one low read P_3/3 and S_2/3 as 0
-# and K3/5 as -1
+# and K3/5 as -1.  Every endpoint-random-suite trial is vacuous, with bound
+# 0, so only a report that claims its hypotheses and a bound above its count
+# can fail that check
 WRONG_INPUTS = [
     ("formulas", "path-threshold-positivity", "exhaustive_min", _one_below),
     ("formulas", "star-thresholds", "exhaustive_min", _one_below),
     ("formulas", "triangle-threshold", "exhaustive_min", _one_below),
+    ("bounds", "rooted-complete-product", "rooted_path_bound",
+     _wrong_report(exact_count=lambda rep: rep.exact_count + 1)),
+    ("bounds", "rooted-random-suite", "rooted_path_bound",
+     _wrong_report(exact_count=lambda rep: 0)),
+    ("bounds", "endpoint-random-suite", "endpoint_path_bound",
+     _wrong_report(hypotheses=lambda rep: dict.fromkeys(rep.hypotheses, True),
+                   bound=lambda rep: rep.exact_count + 1)),
+    ("bounds", "dense-complete-exact", "dense_bipartite_bound",
+     _wrong_report(exact_count=lambda rep: rep.exact_count - 1)),
+    ("bounds", "dense-near-complete", "dense_bipartite_bound",
+     _wrong_report(exact_count=lambda rep: 0)),
 ]
 
 
