@@ -20,10 +20,9 @@ afterwards.
 
 from __future__ import annotations
 
-import hashlib
 from itertools import product
 from random import Random
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapabilityError, DomainError, InvalidSpecError
 from .structure import SimpleGraph, _bits
@@ -41,8 +40,20 @@ _REVERSE_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 def job_seed(*parts: object) -> int:
     """64-bit seed of one job: blake2b of its parts joined by ':'."""
+    import hashlib  # loads OpenSSL, so only the seeded layers pay for it
+
     text = ":".join(map(str, parts))
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+
+
+def payload_bytes(n: int) -> Callable[[int], bytes]:
+    """The map from red bits on K_n to their RMC1 payload before its hex
+    encoding.  For one n, the order of payloads is the order of the
+    serialized forms, since the header is the same and hex keeps byte order."""
+    nbytes = (pair_count(n) + 7) // 8
+    # little-endian bytes put edge 8i in the low bit of byte i; RMC1 puts it
+    # in the high bit
+    return lambda red_bits: red_bits.to_bytes(nbytes, "little").translate(_REVERSE_BITS)
 
 
 def pair_count(n: int) -> int:
@@ -161,10 +172,7 @@ class EdgeColoring:
     # -- serialization -----------------------------------------------------
 
     def serialize(self) -> bytes:
-        nbytes = (pair_count(self.n) + 7) // 8
-        # little-endian bytes put edge 8i in the low bit of byte i; RMC1 puts
-        # it in the high bit
-        raw = self.red_bits.to_bytes(nbytes, "little").translate(_REVERSE_BITS)
+        raw = payload_bytes(self.n)(self.red_bits)
         return MAGIC + b" " + str(self.n).encode() + b"\n" + raw.hex().encode() + b"\n"
 
     @classmethod

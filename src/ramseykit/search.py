@@ -61,6 +61,7 @@ from .coloring import (
     job_seed,
     pair_count,
     pair_index,
+    payload_bytes,
     split_coloring,
 )
 from .counting import Pattern, count_mono, total_copies_in_complete
@@ -401,8 +402,9 @@ def _finish(
     method: str,
 ) -> MinimizationResult:
     """The result whose witness is the least serialized of the tied
-    ``candidates`` (red bits), once the DP counter has recounted it."""
-    witness = min((EdgeColoring(n, bits) for bits in candidates), key=EdgeColoring.serialize)
+    ``candidates`` (red bits), once the DP counter has recounted it.  The
+    least is found by payload bytes, so only the winner is built."""
+    witness = EdgeColoring(n, min(candidates, key=payload_bytes(n)))
     check = count_mono(witness, pattern)
     if check != best:
         raise AssertionError(f"witness recount mismatch: {method} said {best}, DP says {check}")

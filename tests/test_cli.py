@@ -275,9 +275,31 @@ def test_text_reports_match_golden_outputs(case) -> None:
     assert capture(case["argv"], GOLDEN["files"]) == case["stdout"]
 
 
+# child code that exits with the names of the modules it should not have
+# loaded: numpy, and the layers only verify, sampled regularity and
+# annealing use (hashlib's _hashlib maps OpenSSL)
+UNUSED_LOADED = (
+    "' '.join(sorted({'numpy', 'ramseykit.regularity', 'ramseykit.verify', '_hashlib'}"
+    " & set(sys.modules))) or None"
+)
+
+
 def test_cli_import_does_not_load_numpy() -> None:
-    code = "import sys, ramseykit.cli; sys.exit('numpy' in sys.modules)"
+    code = f"import sys, ramseykit.cli; sys.exit({UNUSED_LOADED})"
     assert subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV).returncode == 0
+
+
+def test_every_exported_name_resolves() -> None:
+    for name in ramseykit.__all__:
+        assert getattr(ramseykit, name) is vars(ramseykit)[name]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ramseykit.no_such_name
+
+
+def test_cli_suites_are_the_verify_suites() -> None:
+    from ramseykit import cli, verify
+
+    assert cli.SUITES == verify.SUITES
 
 
 def test_bounds_suite_and_small_counts_do_not_load_numpy(tmp_path) -> None:
@@ -305,7 +327,7 @@ def test_exhaustive_search_does_not_load_numpy() -> None:
         "best = exhaustive_min(Pattern.path(5), 7).best_count\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(['search', '--pattern', 'P_5', '--n', '7', '--exhaustive'])\n"
-        "sys.exit(best != 96 or code != 0 or 'numpy' in sys.modules)"
+        f"sys.exit(best != 96 or code != 0 or {UNUSED_LOADED})"
     )
     assert subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV).returncode == 0
 

@@ -122,8 +122,8 @@ def _one_below(exhaustive_min):
 
 
 def _wrong_report(**fields):
-    """A maker of a bound function whose reports take each of ``fields``
-    from a function of the true report."""
+    """A maker of a bound or check function whose reports take each of
+    ``fields`` from a function of the true report."""
 
     def maker(bound):
         def wrong(*args, **kwargs):
@@ -135,11 +135,27 @@ def _wrong_report(**fields):
     return maker
 
 
+def _one_edge_short(max_matching):
+    """``max_matching`` with the last edge of every matching dropped."""
+    return lambda g: max_matching(g)[:-1]
+
+
+def _exact_one_short(disjoint_short_paths):
+    """``disjoint_short_paths`` whose exact families lack their last path."""
+
+    def wrong(g, u, v, max_len, **kwargs):
+        cert = disjoint_short_paths(g, u, v, max_len, **kwargs)
+        return replace(cert, paths=cert.paths[:-1]) if kwargs.get("method") == "exact" else cert
+
+    return wrong
+
+
 # (suite, check, the verify function the check reads, a maker of a wrong
 # version of it); the sweep-backed minima one low read P_3/3 and S_2/3 as 0
 # and K3/5 as -1.  Every endpoint-random-suite trial is vacuous, with bound
 # 0, so only a report that claims its hypotheses and a bound above its count
-# can fail that check
+# can fail that check.  The matching row fails once a graph has an edge, and
+# the disjoint-paths row once greedy and exact agree on a nonempty family
 WRONG_INPUTS = [
     ("formulas", "path-threshold-positivity", "exhaustive_min", _one_below),
     ("formulas", "star-thresholds", "exhaustive_min", _one_below),
@@ -155,6 +171,14 @@ WRONG_INPUTS = [
      _wrong_report(exact_count=lambda rep: rep.exact_count - 1)),
     ("bounds", "dense-near-complete", "dense_bipartite_bound",
      _wrong_report(exact_count=lambda rep: 0)),
+    ("structure", "matching-oracle-sweep", "max_matching", _one_edge_short),
+    ("structure", "edge-bound-matching-sweep", "verify_erdos_gallai",
+     _wrong_report(ok=lambda rep: False)),
+    ("structure", "bipartite-edge-bound-sweep", "konig_edge_bound_check",
+     _wrong_report(ok=lambda rep: False)),
+    ("structure", "disjoint-paths-greedy-vs-exact", "disjoint_short_paths", _exact_one_short),
+    ("structure", "well-connected-split-vs-cliques", "well_connected_check",
+     _wrong_report(status=lambda rep: "refuted" if rep.status == "certified" else "certified")),
 ]
 
 
