@@ -17,7 +17,10 @@ no host size is capped by a machine word.
   (its neighbours of that vertex), one int per count bit, and subset sums
   over the hoods read red at N and blue at ~N.  All the classes of one n
   fit in one int, so there are no batches, and the sweep loads no numpy;
-  the count is relabeling-invariant.
+  the count is relabeling-invariant.  The class table (``_class_table``) is
+  in witness order, bit j the j-th least serialized class, so each N at the
+  best count hands ``_finish`` one candidate, its lowest tied class joined
+  to N.
 * ``canonical_graph_reps`` -- the class representatives, by orderly
   generation.  A representative is the labeling with the least
   column-major adjacency string, and that form has a prefix property: its
@@ -67,7 +70,7 @@ from .coloring import (
 from .counting import Pattern, count_mono, total_copies_in_complete
 from .errors import CapabilityError, DomainError
 from .formulas import RamseyValue, r_cycle, r_path
-from .structure import _bit_matrix, _bits, _numpy
+from .structure import _bit_matrix, _numpy
 
 # nothing in the package branches on this since every n sweeps by vertex
 # extension; perfbench/workloads.py names its exhaustive spans by it
@@ -482,21 +485,19 @@ def canonical_graph_reps(n: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _extension_states(n: int) -> tuple[int, ...]:
-    """Red bits of each class representative on n-1 vertices, embedded in
-    K_n with every edge at vertex n-1 blue; built once per process."""
-    return tuple(_bits_from_adj(adj, n) for adj in canonical_graph_reps(n - 1))
-
-
-@lru_cache(maxsize=None)
-def _class_planes(n: int) -> tuple[int, ...]:
-    """For each edge e of K_n, the classes of ``_extension_states(n)`` in
-    which e is red, bit j for class j; built once per process."""
+def _class_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The classes the sweep on K_n extends, built once per process: the
+    red bits of each class representative on n-1 vertices, embedded in K_n
+    with every edge at vertex n-1 blue, in increasing serialized order, and
+    for each edge e of K_n the int of the classes in which e is red, bit j
+    for class j.  So bit j of a class set is the j-th least serialized."""
     nbits = pair_count(n)
+    reps = (_bits_from_adj(adj, n) for adj in canonical_graph_reps(n - 1))
+    states = sorted(reps, key=payload_bytes(n))
     # each state's bits as a string from edge 0 up (the top bit pads the
     # width); a column of these strings, read from class 0 up, is a plane
-    rows = [format(bits | 1 << nbits, "b")[:0:-1] for bits in _extension_states(n)]
-    return tuple(int("".join(column)[::-1], 2) for column in zip(*rows))
+    rows = [format(bits | 1 << nbits, "b")[:0:-1] for bits in states]
+    return tuple(states), tuple(int("".join(column)[::-1], 2) for column in zip(*rows))
 
 
 def _sliced_add(a: list[int], b: list[int]) -> list[int]:
@@ -519,7 +520,7 @@ def _sliced_add(a: list[int], b: list[int]) -> list[int]:
 
 
 def _extension_counts(pattern: Pattern, n: int) -> Iterator[list[int]]:
-    """count(r, N) for every class r of ``_extension_states(n)``, as
+    """count(r, N) for every class r of ``_class_table(n)``, as
     bit-sliced counters over the classes, one for each red neighbourhood N
     of v = n-1 in turn, N = 0 .. 2^(n-1) - 1.
 
@@ -537,23 +538,24 @@ def _extension_counts(pattern: Pattern, n: int) -> Iterator[list[int]]:
     edge off v blue in class j bars the copy from all-red in j (bit j), a
     red one from all-blue (bit m + j), above the v bits where an edge at v
     sets the bit of its other end."""
-    v, m = n - 1, len(_extension_states(n))
+    states, planes = _class_table(n)
+    v, m = n - 1, len(states)
     every, both, hoods = (1 << m) - 1, (1 << 2 * m) - 1, (1 << v) - 1
-    weight = [(every ^ red | red << m) << v for red in _class_planes(n)]
+    weight = [(every ^ red | red << m) << v for red in planes]
     for u in range(v):
         weight[pair_index(n, u, v)] = 1 << u
     counters: list[list[int]] = [[] for _ in range(1 << v)]
     for x in _walk_copies(pattern, n, weight):
-        planes = counters[x & hoods]
+        counter = counters[x & hoods]
         x = x >> v ^ both  # the classes where the copy is all red, all blue
-        for i, p in enumerate(planes):  # add 1 at each of them, with carries
-            planes[i] = p ^ x
+        for i, p in enumerate(counter):  # add 1 at each of them, with carries
+            counter[i] = p ^ x
             x &= p
             if not x:
                 break
         else:
             if x:
-                planes.append(x)
+                counter.append(x)
     for i in range(v):  # in place: counters[N] comes to count the hoods inside N
         for nbhd in range(1 << i, 1 << v):
             if nbhd >> i & 1 and counters[nbhd ^ 1 << i]:
@@ -576,9 +578,12 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     and the classes that have it.  ``explored`` is the number of (r, N)
     pairs, classes(n-1) * 2^(n-1).  The witness is the least serialized
     coloring among the tied pairs, re-verified with the independent DP
-    counter before returning.  A host past EXHAUSTIVE_MAX_N, whose classes
-    on n-1 vertices the class table does not build, is refused before any
-    copy or class is listed.
+    counter before returning.  The tied pairs at one N share their edges at
+    v, which no class touches, and the class table is in serialized order,
+    so N's least tie is its lowest tied class: ``_finish`` gets one
+    candidate per tied N, at most 2^(n-1).  A host past EXHAUSTIVE_MAX_N,
+    whose classes on n-1 vertices the class table does not build, is
+    refused before any copy or class is listed.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -590,8 +595,8 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
     method = "exhaustive-canonical"
     if n == 0:  # one coloring, and no pattern fits in an empty host
         return _finish(pattern, 0, 0, [0], True, 1, method)
-    v, states = n - 1, _extension_states(n)
-    spoke = [pair_index(n, i, v) for i in range(v)]
+    v, states = n - 1, _class_table(n)[0]
+    at_v = _bit_table([1 << pair_index(n, i, v) for i in range(v)])  # N's red edges at v
     best, tied = math.inf, []
     for nbhd, planes in enumerate(_extension_counts(pattern, n)):
         # the least count at N a bit at a time from the top, and its classes
@@ -604,10 +609,9 @@ def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
                 low |= 1 << i
         if low < best:
             best, tied = low, []
-        if low == best:  # N's red edges at v, and its tied classes
-            tied.append((sum(1 << spoke[i] for i in _bits(nbhd)), classes))
-    ties = (states[r] | at_v for at_v, classes in tied for r in _bits(classes))
-    return _finish(pattern, n, best, ties, True, len(states) << v, method)
+        if low == best:  # N's least serialized tie: its lowest tied class
+            tied.append(states[(classes & -classes).bit_length() - 1] | at_v[nbhd])
+    return _finish(pattern, n, best, tied, True, len(states) << v, method)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from ramseykit import (
     threshold_multiplicity,
 )
 from ramseykit import search
-from ramseykit.coloring import _apply_perm, _least_labeling, job_seed, pair_count
+from ramseykit.coloring import _apply_perm, _least_labeling, job_seed, pair_count, payload_bytes
 from ramseykit.counting import copy_edge_masks, total_copies_in_complete
 from ramseykit.search import _CopyEngine
 
@@ -402,6 +402,36 @@ def test_exhaustive_builds_each_class_list_once(monkeypatch) -> None:
     )
 
 
+def test_class_table_is_in_witness_order() -> None:
+    # bit j of every class set is the j-th least serialized class, so the
+    # lowest tied bit at a neighbourhood is its least serialized tie
+    for n in range(1, 9):
+        states, planes = search._class_table(n)
+        assert len(states) == len(canonical_graph_reps(n - 1))
+        payload = [payload_bytes(n)(bits) for bits in states]
+        assert all(a < b for a, b in zip(payload, payload[1:])), n
+        assert len(planes) == pair_count(n)
+        for e, plane in enumerate(planes):
+            assert all((plane >> j & 1) == (bits >> e & 1) for j, bits in enumerate(states))
+
+
+@pytest.mark.parametrize("label", ["P_2", "S_1"])
+def test_exhaustive_hands_finish_one_candidate_per_neighbourhood(monkeypatch, label) -> None:
+    # every coloring of K_7 ties for P_2 and S_1: 156 classes times 64
+    # neighbourhoods, of which the sweep hands on each neighbourhood's least
+    finish, handed = search._finish, []
+
+    def spy(pattern, n, best, candidates, *rest):
+        handed.append(list(candidates))
+        return finish(pattern, n, best, handed[-1], *rest)
+
+    monkeypatch.setattr(search, "_finish", spy)
+    res = exhaustive_min(parse_pattern(label), 7)
+    assert len(handed) == 1 and len(handed[0]) <= 1 << 6
+    assert res.witness.serialize() == b"RMC1 7\n000000\n"
+    assert res.explored == 156 << 6
+
+
 # every family, on every host small enough to sweep all 2^C(n,2) colorings
 BRUTE_CASES = [
     (label, n)
@@ -426,7 +456,7 @@ def test_exhaustive_rejects_large_hosts(monkeypatch) -> None:
         raise AssertionError("the refused sweep built its copies or classes")
 
     monkeypatch.setattr(search, "_walk_copies", refuse)
-    monkeypatch.setattr(search, "_extension_states", refuse)
+    monkeypatch.setattr(search, "_class_table", refuse)
     with pytest.raises(CapabilityError, match=r"limited to n <= 9, one past the graph classes"):
         exhaustive_min(parse_pattern("K3"), 10)
 

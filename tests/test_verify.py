@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -128,11 +129,39 @@ def _wrong_report(**fields):
     def maker(bound):
         def wrong(*args, **kwargs):
             rep = bound(*args, **kwargs)
-            return replace(rep, **{name: field(rep) for name, field in fields.items()})
+            new = {name: field(rep) for name, field in fields.items()}
+            return rep._replace(**new) if isinstance(rep, tuple) else replace(rep, **new)
 
         return wrong
 
     return maker
+
+
+def _one_above(count_mono):
+    """``count_mono`` one above the DP count on every coloring."""
+    return lambda coloring, pattern: count_mono(coloring, pattern) + 1
+
+
+def _irregular_when_dense(eps_regular_exact):
+    """``eps_regular_exact`` with its verdict flipped on pairs of density
+    above 1/2, so a pair and its bipartite complement disagree."""
+
+    def wrong(g, xs, ys, eps):
+        pair = eps_regular_exact(g, xs, ys, eps)
+        return replace(pair, regular=pair.regular != (pair.base_density > Fraction(1, 2)))
+
+    return wrong
+
+
+def _subsets_irregular(eps_regular_exact):
+    """``eps_regular_exact`` that calls every pair of proper subsets
+    irregular; the whole parts are ranges, subsets lists."""
+
+    def wrong(g, xs, ys, eps):
+        pair = eps_regular_exact(g, xs, ys, eps)
+        return pair if isinstance(xs, range) else replace(pair, regular=False)
+
+    return wrong
 
 
 def _one_edge_short(max_matching):
@@ -155,8 +184,17 @@ def _exact_one_short(disjoint_short_paths):
 # and K3/5 as -1.  Every endpoint-random-suite trial is vacuous, with bound
 # 0, so only a report that claims its hypotheses and a bound above its count
 # can fail that check.  The matching row fails once a graph has an edge, and
-# the disjoint-paths row once greedy and exact agree on a nonempty family
+# the disjoint-paths row once greedy and exact agree on a nonempty family.
+# The other 14 formulas checks compare count_mono with a closed form (with 0
+# for path-zero-witnesses), so a count one above fails each of them
 WRONG_INPUTS = [
+    *[("formulas", name, "count_mono", _one_above) for name in (
+        "even-path-split-k4", "even-path-closed-form-k4", "even-path-split-k6",
+        "even-path-closed-form-k6", "even-path-split-k8", "even-path-closed-form-k8",
+        "odd-path-split-k5", "odd-path-split-k7", "even-cycle-flip-k6", "even-cycle-flip-k8",
+        "odd-cycle-split-k5", "odd-cycle-split-k7", "path-zero-witnesses",
+        "complete-graph-copy-counts",
+    )],
     ("formulas", "path-threshold-positivity", "exhaustive_min", _one_below),
     ("formulas", "star-thresholds", "exhaustive_min", _one_below),
     ("formulas", "triangle-threshold", "exhaustive_min", _one_below),
@@ -179,6 +217,18 @@ WRONG_INPUTS = [
     ("structure", "disjoint-paths-greedy-vs-exact", "disjoint_short_paths", _exact_one_short),
     ("structure", "well-connected-split-vs-cliques", "well_connected_check",
      _wrong_report(status=lambda rep: "refuted" if rep.status == "certified" else "certified")),
+    ("stability", "regularity-complement-symmetry", "eps_regular_exact", _irregular_when_dense),
+    ("stability", "regularity-subset-inheritance", "eps_regular_exact", _subsets_irregular),
+    ("stability", "degree-deviation-on-regular-pairs", "degree_deviation_check",
+     _wrong_report(passed=lambda rep: False)),
+    ("stability", "reduced-split-shape", "build_reduced",
+     _wrong_report(red_edges=lambda rg: rg.blue_edges, blue_edges=lambda rg: rg.red_edges)),
+    ("stability", "reduced-one-color-matching", "dichotomy_classify",
+     _wrong_report(case1=lambda verdict: not verdict.case1)),
+    ("stability", "near-split-detection", "extremal_detect",
+     _wrong_report(is_extremal=lambda verdict: not verdict.is_extremal)),
+    ("stability", "minimum-degree-threshold", "dirac_check",
+     lambda dirac_check: lambda g, vertices: not dirac_check(g, vertices)),
 ]
 
 
@@ -190,3 +240,8 @@ def test_check_fails_on_a_wrong_input(monkeypatch, suite, name, function, wrong)
     [passed] = [r.passed for r in run_suite(suite, seed=0) if r.name == name]
     assert not passed
     assert main(["verify", "--suite", suite]) == 1
+
+
+def test_every_check_has_one_wrong_input() -> None:
+    checks = sorted((suite, r.name) for suite in SUITES for r in run_suite(suite, seed=0))
+    assert sorted((suite, name) for suite, name, _, _ in WRONG_INPUTS) == checks
