@@ -19,11 +19,14 @@ one, keeps its layers in dense numpy arrays, one entry per (subset, vertex)
 pair, and numpy is imported for those only; once numpy is loaded, walks
 from DENSE_LOADED_MIN_STATES run dense too.  A dense layer is one matrix
 product and one masked move per block of rows, exact in float64 or int64.
-Other walks keep the states they reach in a dict and count the last two
-steps of each, not store them, which needs `adj` symmetric and loop-free,
-as every caller's is; the DP is exact for any graph but exponential in its
-length, so that kernel refuses instances whose largest layer is estimated
-above DP_STATE_BUDGET before allocating.
+Other walks keep the states they reach in a dict.  Both kernels build
+layers up to `edges` - 2 steps and count the last two steps from there,
+not store them: the dense kernel with one more small product per block,
+which counts each middle vertex's free neighbours, and the dict kernel
+state by state.  That needs `adj` loop-free, and the dict kernel's degree
+form needs it symmetric, as every caller's is.  The DP is exact for any
+graph but exponential in its length, so the dict kernel refuses instances
+whose largest layer is estimated above DP_STATE_BUDGET before allocating.
 """
 
 from __future__ import annotations
@@ -53,11 +56,12 @@ DP_STATE_BUDGET = 2_000_000
 # is loaded.  The 494 walks of `exact_count_ops(1, 6)` under the vertex cap
 # with no layer of 10,000, replayed through both kernels in three runs
 # (shared two-core host, Python 3.11, numpy 2.4, best of three calls), took
-# 1.8-2.9 times as long on dense as on dict at totals of 363-724 (up to 6.6
-# below), 0.99-1.08 at 725-1,023, 1.7-1.8 at 1,024-1,448, 0.88-0.99 at
-# 1,449-2,047, 0.42-0.82 at 2,048-4,095 and 0.16-0.22 at 8,192-16,383: the
-# crossover is near 1,500, and the replay took 131-135 ms with the gate
-# anywhere from 724 to 2,896, against 212 ms at 10,000.  Below 10,000 the
+# 1.9-2.1 times as long on dense as on dict at totals of 363-724 (4.0-4.3
+# below), 0.93-1.07 at 725-1,023, 1.5-1.6 at 1,024-1,448, 0.78-0.90 at
+# 1,449-2,047, 0.42-0.47 at 2,048-4,095, 0.25-0.28 at 4,096-8,191 and
+# 0.14-0.16 at 8,192-16,383: the crossover is near 1,500, and the replay
+# took 98-124 ms with the gate anywhere from 724 to 2,896, against
+# 169-215 ms at 10,000.  Below 10,000 the
 # gate also asks that numpy be loaded already, as its one-time import
 # (through `structure._numpy`, with one BLAS thread: 45-50 ms in 12 fresh
 # interpreters on that host, against 86-143 ms with OpenBLAS's default
@@ -68,13 +72,15 @@ DP_STATE_BUDGET = 2_000_000
 # vertices is capped by DENSE_MAX_VERTICES: the subset table takes
 # 4 * 2**m bytes (and as much again for smaller m), 8 MB at m = 20, while
 # m = 24 P_4 took 84 ms and +129 MB against 2 ms on dict.  Dense layers
-# are float64 or int64, and measured about 18 bytes per entry of the
-# largest layer with the next one being built (m = 20 P_10: 3.4 M entries,
-# 0.14 s and +60 MB, against 3.7 s and +196 MB on dict), so every dense
-# call under the cap stays well inside the dict kernel's memory and needs
-# no budget of its own.  A block of DENSE_BLOCK_ROWS rows keeps the product
-# a small share of the layer: one of the full width took +7 MB at the peak
-# of P_9 on 18 vertices.  DENSE_BLOCK_MACS keeps every BLAS call under
+# are float64 or int64, and a call measured about 20 bytes per entry of
+# its largest layer, subset table included (m = 20 P_10 on a random color
+# class, best of three fresh processes: 2.5 M entries, 0.07-0.08 s and
+# +50-51 MB, against 0.10-0.14 s and +68 MB when the kernel also built the
+# 3.4 M-entry layer of `edges` - 1 steps, and 3.7 s and +196 MB on dict),
+# so every dense call under the cap stays well inside the dict kernel's
+# memory and needs no budget of its own.  A block of DENSE_BLOCK_ROWS rows
+# keeps the product a small share of the layer: one of the full width took
+# +7 MB at the peak of P_9 on 18 vertices.  DENSE_BLOCK_MACS keeps every BLAS call under
 # OpenBLAS's threshold for threading it (65,536 * 4 multiply-adds), whose
 # threads made the kernel two to three times slower while another process
 # held the second core.  numpy loaded through `structure._numpy` has one
@@ -166,10 +172,9 @@ def _layer_states(adj: Sequence[int], nstarts: int, edges: int, inner: int) -> l
     Layer t holds (subset, last vertex) states: a start, t vertices from the
     `a` allowed ones and a last vertex among those t, and no more than there
     are (t+1)-subsets of the n vertices with a marked member.  Their sum
-    estimates the work of a call, their max its memory.  The dict kernel
-    counts its last two steps without storing the layer of `edges` - 1
-    steps listed last here, so for it the estimate is conservative by one
-    layer.
+    estimates the work of a call, their max its memory.  Both kernels count
+    their last two steps without storing the layer of `edges` - 1 steps
+    listed last here, so for both the estimate is conservative by one layer.
     """
     n = len(adj)
     a = (inner & ((1 << n) - 1)).bit_count()
@@ -187,11 +192,11 @@ def count_walks(
     Vertices after the start lie in the bitmask `inner`, and the last one
     also in `end`.  Paths are vertex sequences: a path is counted once for
     each of its ends it may start from, and a repeated start once.  `adj`
-    must be symmetric and loop-free.  The last two steps are counted, not stored, so the
-    dict kernel's largest layer holds paths of `edges` - 2 steps; an
-    instance whose estimate of its largest layer exceeds DP_STATE_BUDGET
-    raises CapabilityError before any layer is built, and a negative
-    `edges` raises DomainError.
+    must be symmetric and loop-free.  Both kernels count the last two steps,
+    not store them, so the largest layer either kernel builds holds paths
+    of `edges` - 2 steps; an instance whose estimate of its largest layer
+    exceeds DP_STATE_BUDGET raises CapabilityError before any layer is
+    built, and a negative `edges` raises DomainError.
 
     Instances whose layers are estimated at DENSE_MIN_STATES or more in
     sum, or at DENSE_LOADED_MIN_STATES or more when numpy is already
@@ -310,7 +315,8 @@ def _dense_walks(adj: Sequence[int], starts: Sequence[int], edges: int, inner: i
     The walks run through the universe of ``inner`` and the starts.  A single
     start takes its first step here, which keeps it out of the universe.  A
     walk never leaves the component of its first vertex, so each component
-    holding one is counted on its own by `_dense_component`.
+    holding one is counted on its own by `_dense_component`; a walk left
+    with one step is a popcount per seed.
     """
     n = len(adj)
     inner &= (1 << n) - 1
@@ -325,6 +331,8 @@ def _dense_walks(adj: Sequence[int], starts: Sequence[int], edges: int, inner: i
     else:
         seeds = sum(1 << v for v in starts)
         universe = inner | seeds
+    if edges == 1:
+        return sum((adj[v] & inner & universe & end).bit_count() for v in _bits(seeds))
     total = 0
     while seeds:
         comp, front = 0, seeds & -seeds
@@ -343,7 +351,7 @@ def _dense_walks(adj: Sequence[int], starts: Sequence[int], edges: int, inner: i
 
 def _dense_component(adj: Sequence[int], seeds: int, universe: int, edges: int, inner: int,
                      end: int) -> int:
-    """Walks of `edges` steps from the vertices in `seeds`, in layers over `universe`.
+    """Walks of `edges` >= 2 steps from the vertices in `seeds`, in layers over `universe`.
 
     With m = |universe|, relabelled 0..m-1, layer s is an (m, C(m, s)) array:
     entry [b, j] counts the walks that visit exactly the j-th s-subset M
@@ -352,10 +360,18 @@ def _dense_component(adj: Sequence[int], seeds: int, universe: int, edges: int, 
     ``pre = step @ cur`` holds the next layer's row b in the columns lacking
     b, and one masked assignment, ``nxt[holds] = pre[lacks]``, moves it to
     the columns holding b: boolean indexing visits the rows in order, and
-    within a row the colex order lines the two column sets up.  The last
-    step sums ``pre[lacks]`` over the rows of the vertices in ``end``.
+    within a row the colex order lines the two column sets up.
 
-    Both run DENSE_BLOCK_ROWS rows at a time, so the product is a small
+    Layers are built up to `edges` - 2 steps, sets of `edges` - 1 vertices;
+    the last two steps x -> w -> y are counted, not stored, as `_dict_walks`
+    does.  ``pre[w, M]`` counts the walks extended to a w outside M, and
+    each closes in |close[w] - M| ways, with close[w] = adj[w] & inner &
+    end in the universe, which holds no w as `adj` has no loops.  Those
+    sizes are one more product, ``close @ outside`` with ``outside`` the
+    layer's `lacks` as 0/1 float32, exact as no sum passes m <= 20, and
+    the count sums ``pre * ways`` over the (w, M) with w outside M.
+
+    Every product runs DENSE_BLOCK_ROWS rows at a time, so it is a small
     share of the layer, and each BLAS call takes at most DENSE_BLOCK_MACS
     multiply-adds, below OpenBLAS's threshold for threading it.  numpy
     loaded through ``structure._numpy`` has one BLAS thread anyway; the cap
@@ -363,7 +379,7 @@ def _dense_component(adj: Sequence[int], seeds: int, universe: int, edges: int, 
     BLAS keeps its threads.  Every
     entry and partial sum is a nonnegative integer at most
     seeds * perm(m - 1, edges), so below 2**53 the layers are float64 and
-    the product is exact; above it they are int64, which holds the bound as
+    the products are exact; above it they are int64, which holds the bound as
     distinct seeds make it at most m! <= 20! < 2**63 (DENSE_MAX_VERTICES).
     """
     np = _numpy()
@@ -380,10 +396,10 @@ def _dense_component(adj: Sequence[int], seeds: int, universe: int, edges: int, 
     blocks = [slice(b, b + DENSE_BLOCK_ROWS) for b in range(0, m, DENSE_BLOCK_ROWS)]
     width = DENSE_BLOCK_MACS // (DENSE_BLOCK_ROWS * m)
 
-    def product(block, cur, out):
-        """Rows `block` of step @ cur, in `out`, `width` columns a call."""
-        for j in range(0, cur.shape[1], width):
-            np.matmul(step[block], cur[:, j:j + width], out=out[:, j:j + width])
+    def product(left, block, right, out):
+        """Rows `block` of left @ right, in `out`, `width` columns a call."""
+        for j in range(0, right.shape[1], width):
+            np.matmul(left[block], right[:, j:j + width], out=out[:, j:j + width])
         return out[:m - block.start]
 
     subsets = _subsets_by_size(m)
@@ -392,20 +408,31 @@ def _dense_component(adj: Sequence[int], seeds: int, universe: int, edges: int, 
     cur = np.zeros((m, m), dtype)
     cur[first, first] = 1
     lacks = ~np.eye(m, dtype=bool)
-    for s in range(2, edges + 1):
+    for s in range(2, edges):
         nxt = np.zeros((m, len(subsets[s])), dtype)
         holds = np.empty(nxt.shape, bool)
         pre = np.empty((DENSE_BLOCK_ROWS, cur.shape[1]), dtype)
         for block in blocks:
             np.not_equal(subsets[s] & bits[block], 0, out=holds[block])
-            nxt[block][holds[block]] = product(block, cur, pre)[lacks[block]]
+            nxt[block][holds[block]] = product(step, block, cur, pre)[lacks[block]]
         cur = nxt
         lacks = np.logical_not(holds, out=holds)
-    step[[i for i, w in enumerate(verts) if not end >> w & 1]] = 0
+    # the last two steps, from the layer of edges - 2 steps
+    close = _bit_matrix(
+        [adj[u] & inner & end for u in verts] + [0] * (len(step) - m), len(adj)
+    )[:, verts].astype(np.float32)
+    outside = lacks.astype(np.float32)
     pre = np.empty((DENSE_BLOCK_ROWS, cur.shape[1]), dtype)
-    return sum(
-        int(product(block, cur, pre)[lacks[block]].sum()) for block in blocks if step[block].any()
-    )
+    free = np.empty(pre.shape, np.float32)
+    ways = np.empty(pre.shape, dtype)
+    total = 0
+    for block in blocks:
+        if close[block].any():
+            # free counts are at most m, so int64 ways take them exactly
+            closes = np.multiply(product(close, block, outside, free), lacks[block],
+                                 out=ways[:m - block.start], casting="unsafe")
+            total += int(np.vdot(product(step, block, cur, pre), closes))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 import sys
 from functools import cache
 from itertools import combinations, permutations
-from math import factorial, perm
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +31,7 @@ from ramseykit import (
 from ramseykit import counting
 from ramseykit.coloring import pair_index
 from ramseykit.counting import (
+    DENSE_BLOCK_MACS,
     DENSE_LOADED_MIN_STATES,
     DENSE_MAX_VERTICES,
     DENSE_MIN_STATES,
@@ -379,6 +380,57 @@ def test_dense_walks_match_dict_walks_with_float64_bound_just_below_2_53(
     types = _dense_number_types(monkeypatch)
     assert _dense_walks(adj, range(n), edges, -1, -1) == _dict_walks(adj, range(n), edges, -1, -1)
     assert set(types) == {"float64"}
+
+
+def test_dense_walks_count_the_last_two_steps_without_building_their_layers(monkeypatch) -> None:
+    # The widest float layer of a walk of `edges` steps over m vertices
+    # holds the (edges - 1)-subsets, C(m, edges - 1) columns; the layer of
+    # edges - 1 steps, C(m, edges) columns, is never allocated.  The
+    # all-start P_9 walk on 18 vertices behind exact-count's peak memory
+    # has m = 18 and 8 steps.  A C_8/16 anchor walk's start takes its
+    # first step in `_dense_walks`, so its layers span the other 15
+    # vertices over 6 steps.
+    import numpy
+
+    widths, zeros = [], numpy.zeros
+
+    def spy(shape, dtype=float, *args, **kwargs):
+        if numpy.dtype(dtype).kind == "f":
+            widths.append(shape[1])
+        return zeros(shape, dtype, *args, **kwargs)
+
+    adj18 = random_coloring(18, 18).view(RED).adj
+    adj16 = random_coloring(16, 16).view(BLUE).adj
+    want = _dict_walks(adj16, (0,), 7, -1 << 1, adj16[0])
+    monkeypatch.setattr(numpy, "zeros", spy)
+    assert _dense_walks(adj18, range(18), 8, -1, -1) > 0
+    assert max(widths) == comb(18, 7) < comb(18, 8)
+    widths.clear()
+    assert _dense_walks(adj16, (0,), 7, -1 << 1, adj16[0]) == want > 0
+    assert max(widths) == comb(15, 5) < comb(15, 6)
+
+
+def test_dense_products_stay_under_the_blas_threading_cap(monkeypatch) -> None:
+    # every BLAS call of the dense kernel, the layer products and the
+    # float32 product that counts each closing vertex's free neighbours,
+    # takes at most DENSE_BLOCK_MACS multiply-adds; on 20 vertices the
+    # 9-step walks' widest layers are cut into column chunks at the cap
+    import numpy
+
+    calls, matmul = [], numpy.matmul
+
+    def spy(left, right, *args, **kwargs):
+        calls.append((left.dtype.name, left.shape[0] * left.shape[1] * right.shape[1]))
+        return matmul(left, right, *args, **kwargs)
+
+    rng = random.Random(45)
+    adj = random_coloring(20, 20).view(BLUE).adj
+    monkeypatch.setattr(numpy, "matmul", spy)
+    for starts, inner, end in _walk_shapes(adj, 20, rng):
+        for edges in (2, 5, 9):
+            _dense_walks(adj, starts, edges, inner, end)
+    assert max(macs for _, macs in calls) <= DENSE_BLOCK_MACS
+    assert {name for name, macs in calls if macs > DENSE_BLOCK_MACS // 2} == {"float32", "float64"}
 
 
 @cache
