@@ -19,10 +19,11 @@ from . import __version__
 from .coloring import BLUE, RED, EdgeColoring, split_coloring
 from .counting import count_in_view, parse_pattern
 from .errors import CapabilityError, DomainError, InvalidSpecError
-from .search import SearchConfig, anneal_min, exhaustive_min
 
 # verify.SUITES (a test holds the two equal), kept here so that building the
-# parser does not import verify, and with it regularity, for every command
+# parser does not import verify, and with it regularity, for every command;
+# the search parser's defaults are SearchConfig's, written as literals (a
+# test holds them equal too) so that only `search` imports the search layer
 SUITES = ("formulas", "structure", "bounds", "stability")
 
 
@@ -93,6 +94,8 @@ def cmd_count(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_search(args: argparse.Namespace) -> Outcome:
+    from .search import SearchConfig, anneal_min, exhaustive_min
+
     pattern = parse_pattern(args.pattern)
     if args.exhaustive:
         result = exhaustive_min(pattern, args.n)
@@ -195,10 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--anneal", action="store_true")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
-    p.add_argument("--steps", type=int, default=SearchConfig.steps_per_restart)
-    p.add_argument("--t0", type=float, default=SearchConfig.initial_temperature)
-    p.add_argument("--cooling", type=float, default=SearchConfig.cooling_rate)
+    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--steps", type=int, default=4000)
+    p.add_argument("--t0", type=float, default=2.0)
+    p.add_argument("--cooling", type=float, default=0.995)
     p.add_argument("--out", default=None, metavar="FILE")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)

@@ -69,7 +69,6 @@ from .coloring import (
 )
 from .counting import Pattern, count_mono, total_copies_in_complete
 from .errors import CapabilityError, DomainError
-from .formulas import RamseyValue, r_cycle, r_path
 from .structure import _bit_matrix, _numpy
 
 # nothing in the package branches on this since every n sweeps by vertex
@@ -689,6 +688,8 @@ def _locate(
 ) -> tuple[RamseyValue, MinimizationResult | None]:
     """`ramsey_via_search`'s answer, with the exhaustive result at n = r(H)
     when that search decided r(H)."""
+    from .formulas import RamseyValue
+
     vc = pattern.vertex_count
     lower = vc  # r(H) >= vertex count: smaller hosts carry no copy at all
     for n in range(vc, n_max + 1):
@@ -735,6 +736,8 @@ def threshold_multiplicity(
     ``anneal_min`` with the caller's config gives an upper bound
     (exact=False), and no config is a CapabilityError.
     """
+    from .formulas import r_cycle, r_path
+
     if pattern.kind == "path" and pattern.k >= 2:
         r = r_path(pattern.k).value
     elif pattern.kind == "cycle":

@@ -35,7 +35,6 @@ from .regularity import (
     extremal_detect,
     rooted_path_bound,
 )
-from .search import exhaustive_min
 from .structure import (
     SimpleGraph,
     disjoint_short_paths,
@@ -139,6 +138,14 @@ def _split_counts(rng: Random, seed: int) -> Results:
         "; ".join(bad)
         or "no monochromatic path in the one-short split coloring for k=3..12",
     )
+
+
+def exhaustive_min(pattern: Pattern, n: int) -> MinimizationResult:
+    """``search.exhaustive_min``, whose layer loads on the first call, so that
+    only the formulas suite loads it."""
+    from .search import exhaustive_min
+
+    return exhaustive_min(pattern, n)
 
 
 @_suite("formulas")

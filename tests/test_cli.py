@@ -284,8 +284,15 @@ UNUSED_LOADED = (
 )
 
 
+# child code that exits with the search and formulas layers if it loaded
+# them: only the `search` and `verify` commands call them
+SEARCH_LOADED = (
+    "' '.join(sorted({'ramseykit.search', 'ramseykit.formulas'} & set(sys.modules))) or None"
+)
+
+
 def test_cli_import_does_not_load_numpy() -> None:
-    code = f"import sys, ramseykit.cli; sys.exit({UNUSED_LOADED})"
+    code = f"import sys, ramseykit.cli; sys.exit({UNUSED_LOADED} or {SEARCH_LOADED})"
     assert subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV).returncode == 0
 
 
@@ -302,9 +309,25 @@ def test_cli_suites_are_the_verify_suites() -> None:
     assert cli.SUITES == verify.SUITES
 
 
+def test_cli_search_defaults_are_the_search_config_defaults() -> None:
+    from dataclasses import fields
+
+    from ramseykit import SearchConfig
+    from ramseykit.cli import build_parser
+
+    args = build_parser().parse_args(["search", "--pattern", "P_3", "--n", "5", "--anneal"])
+    defaults = {f.name: f.default for f in fields(SearchConfig) if f.name != "seed"}
+    assert defaults == {
+        "restarts": args.restarts,
+        "steps_per_restart": args.steps,
+        "initial_temperature": args.t0,
+        "cooling_rate": args.cooling,
+    }
+
+
 def test_bounds_suite_and_small_counts_do_not_load_numpy(tmp_path) -> None:
     # their walks stay on the dict kernel: numpy's import would cost more
-    # than the dense layers save on them
+    # than the dense layers save on them; neither calls a search
     host = tmp_path / "c8.rmc"
     host.write_bytes(EdgeColoring.random(8, random.Random(8)).serialize())
     code = (
@@ -313,7 +336,7 @@ def test_bounds_suite_and_small_counts_do_not_load_numpy(tmp_path) -> None:
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['verify', '--suite', 'bounds']),\n"
         f"             main(['count', '--in', {str(host)!r}, '--pattern', 'P_4'])]\n"
-        "sys.exit(codes != [0, 0] or 'numpy' in sys.modules)"
+        "sys.exit(codes != [0, 0] or 'numpy' in sys.modules or 'ramseykit.search' in sys.modules)"
     )
     assert subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV).returncode == 0
 
