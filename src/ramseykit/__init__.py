@@ -27,6 +27,7 @@ _EXPORTS = {
     ),
     "errors": ("CapabilityError", "DomainError", "InvalidSpecError"),
     "formulas": ("MultiplicityValue", "RamseyValue", "conjectured_m", "m_star", "r_cycle", "r_path"),
+    "graph": ("SimpleGraph",),
     "regularity": (
         "BoundReport",
         "DichotomyVerdict",
@@ -60,7 +61,6 @@ _EXPORTS = {
     ),
     "structure": (
         "DisjointPathCert",
-        "SimpleGraph",
         "disjoint_short_paths",
         "erdos_gallai_max_edges",
         "konig_edge_bound_check",

@@ -25,7 +25,7 @@ from random import Random
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapabilityError, DomainError, InvalidSpecError
-from .structure import SimpleGraph, _bits
+from .graph import SimpleGraph, _bits
 
 RED = "red"
 BLUE = "blue"

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import combinations
 from math import comb, factorial, perm
@@ -41,7 +41,7 @@ from typing import Sequence
 
 from .coloring import BLUE, RED, EdgeColoring, pair_index
 from .errors import CapabilityError, DomainError
-from .structure import SimpleGraph, _bit_matrix, _bits, _numpy
+from .graph import SimpleGraph, _bit_matrix, _bits, _numpy
 
 # states in the largest stored layer of one dict kernel call.  Peak memory,
 # with the next layer being built, measured about 270 bytes per state of the
@@ -63,7 +63,7 @@ DP_STATE_BUDGET = 2_000_000
 # took 98-124 ms with the gate anywhere from 724 to 2,896, against
 # 169-215 ms at 10,000.  Below 10,000 the
 # gate also asks that numpy be loaded already, as its one-time import
-# (through `structure._numpy`, with one BLAS thread: 45-50 ms in 12 fresh
+# (through `graph._numpy`, with one BLAS thread: 45-50 ms in 12 fresh
 # interpreters on that host, against 86-143 ms with OpenBLAS's default
 # threads) costs more than the dense layers save on smaller walks, so
 # runs whose walks are all smaller, such as `verify --suite bounds`
@@ -83,7 +83,7 @@ DP_STATE_BUDGET = 2_000_000
 # +7 MB at the peak of P_9 on 18 vertices.  DENSE_BLOCK_MACS keeps every BLAS call under
 # OpenBLAS's threshold for threading it (65,536 * 4 multiply-adds), whose
 # threads made the kernel two to three times slower while another process
-# held the second core.  numpy loaded through `structure._numpy` has one
+# held the second core.  numpy loaded through `graph._numpy` has one
 # BLAS thread, but a caller who set a thread variable or imported numpy
 # first keeps a threaded BLAS, so the cap stays.
 DENSE_MIN_STATES = 10_000
@@ -95,28 +95,31 @@ DENSE_BLOCK_MACS = 1 << 18
 _PATTERN_RE = re.compile(r"^([PCS])_(\d+)$|^K_?(\d+)$")
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """A target subgraph: P_k, C_k, S_k (star with k leaves) or K_k."""
+class Pattern(namedtuple("Pattern", "kind k")):
+    """A target subgraph: P_k, C_k, S_k (star with k leaves) or K_k.
 
-    kind: str
-    k: int
+    An immutable (kind, k) pair, hashed as that tuple; a named tuple, not a
+    dataclass, so that importing the counting layer does not import
+    `dataclasses` and, through it, `inspect`."""
 
-    def __post_init__(self):
-        if self.kind == "path":
-            if self.k < 1:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, k: int):
+        if kind == "path":
+            if k < 1:
                 raise DomainError("paths need k >= 1 vertices")
-        elif self.kind == "cycle":
-            if self.k < 3:
+        elif kind == "cycle":
+            if k < 3:
                 raise DomainError("cycles need k >= 3 vertices")
-        elif self.kind == "star":
-            if self.k < 1:
+        elif kind == "star":
+            if k < 1:
                 raise DomainError("stars need k >= 1 leaves")
-        elif self.kind == "clique":
-            if not 2 <= self.k <= 5:
+        elif kind == "clique":
+            if not 2 <= k <= 5:
                 raise DomainError("cliques are supported for 2 <= k <= 5")
         else:
-            raise DomainError(f"unknown pattern kind {self.kind!r}")
+            raise DomainError(f"unknown pattern kind {kind!r}")
+        return super().__new__(cls, kind, k)
 
     @property
     def vertex_count(self) -> int:
@@ -369,12 +372,15 @@ def _dense_component(adj: Sequence[int], seeds: int, universe: int, edges: int, 
     end in the universe, which holds no w as `adj` has no loops.  Those
     sizes are one more product, ``close @ outside`` with ``outside`` the
     layer's `lacks` as 0/1 float32, exact as no sum passes m <= 20, and
-    the count sums ``pre * ways`` over the (w, M) with w outside M.
+    the count sums ``pre * ways`` over the (w, M) with w outside M.  That
+    step runs one column chunk of the layer at a time, the chunks outer and
+    the row blocks inner, so ``outside`` is converted a chunk at a time and
+    no float copy of the whole of `lacks` is held.
 
     Every product runs DENSE_BLOCK_ROWS rows at a time, so it is a small
     share of the layer, and each BLAS call takes at most DENSE_BLOCK_MACS
     multiply-adds, below OpenBLAS's threshold for threading it.  numpy
-    loaded through ``structure._numpy`` has one BLAS thread anyway; the cap
+    loaded through ``graph._numpy`` has one BLAS thread anyway; the cap
     is for callers who set a thread variable or imported numpy first, whose
     BLAS keeps its threads.  Every
     entry and partial sum is a nonnegative integer at most
@@ -421,17 +427,21 @@ def _dense_component(adj: Sequence[int], seeds: int, universe: int, edges: int, 
     close = _bit_matrix(
         [adj[u] & inner & end for u in verts] + [0] * (len(step) - m), len(adj)
     )[:, verts].astype(np.float32)
-    outside = lacks.astype(np.float32)
-    pre = np.empty((DENSE_BLOCK_ROWS, cur.shape[1]), dtype)
+    closing = [block for block in blocks if close[block].any()]
+    pre = np.empty((DENSE_BLOCK_ROWS, min(width, cur.shape[1])), dtype)
     free = np.empty(pre.shape, np.float32)
     ways = np.empty(pre.shape, dtype)
     total = 0
-    for block in blocks:
-        if close[block].any():
+    for j in range(0, cur.shape[1], width):
+        outside = lacks[:, j:j + width].astype(np.float32)
+        c = outside.shape[1]
+        for block in closing:
+            r = m - block.start
+            np.matmul(close[block], outside, out=free[:, :c])
             # free counts are at most m, so int64 ways take them exactly
-            closes = np.multiply(product(close, block, outside, free), lacks[block],
-                                 out=ways[:m - block.start], casting="unsafe")
-            total += int(np.vdot(product(step, block, cur, pre), closes))
+            closes = np.multiply(free[:r, :c], lacks[block, j:j + c], out=ways[:r, :c], casting="unsafe")
+            np.matmul(step[block], cur[:, j:j + c], out=pre[:, :c])
+            total += int(np.vdot(pre[:r, :c], closes))
     return total
 
 

@@ -61,7 +61,8 @@ from typing import Iterable, NamedTuple, Sequence
 from .coloring import BLUE, RED, EdgeColoring, job_seed
 from .counting import count_walks
 from .errors import CapabilityError, DomainError
-from .structure import SimpleGraph, _bit_matrix, _bits, _numpy, max_matching
+from .graph import SimpleGraph, _bit_matrix, _bits, _numpy
+from .structure import max_matching
 
 EXACT_REGULARITY_MAX = 18
 # the exhaustive checker scans 2^EXACT_BLOCK_BITS subsets at a time

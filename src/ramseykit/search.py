@@ -43,7 +43,7 @@ no host size is capped by a machine word.
 
 Witness tie-break everywhere: the serialized form that is lexicographically
 least among optimal colorings found.  Annealing loads numpy through
-``structure._numpy`` on its first call, with one BLAS thread unless the
+``graph._numpy`` on its first call, with one BLAS thread unless the
 caller set a thread variable or imported numpy first; importing the package
 and the exhaustive sweep load none.
 """
@@ -69,7 +69,7 @@ from .coloring import (
 )
 from .counting import Pattern, count_mono, total_copies_in_complete
 from .errors import CapabilityError, DomainError
-from .structure import _bit_matrix, _numpy
+from .graph import _bit_matrix, _numpy
 
 # nothing in the package branches on this since every n sweeps by vertex
 # extension; perfbench/workloads.py names its exhaustive spans by it

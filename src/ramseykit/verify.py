@@ -22,6 +22,7 @@ from .coloring import BLUE, RED, EdgeColoring, split_coloring
 from .counting import Pattern, count_mono, formula_split_paths, total_copies_in_complete
 from .errors import DomainError
 from .formulas import conjectured_m, m_star, r_path
+from .graph import SimpleGraph
 from .regularity import (
     VertexPartition,
     _alternating_falling,
@@ -36,7 +37,6 @@ from .regularity import (
     rooted_path_bound,
 )
 from .structure import (
-    SimpleGraph,
     disjoint_short_paths,
     konig_edge_bound_check,
     max_matching,

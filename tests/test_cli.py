@@ -341,6 +341,31 @@ def test_bounds_suite_and_small_counts_do_not_load_numpy(tmp_path) -> None:
     assert subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV).returncode == 0
 
 
+def test_cli_import_and_count_load_only_the_counting_layers(tmp_path) -> None:
+    # counting reads graphs through ramseykit.graph and Pattern is a named
+    # tuple, so neither the matching layer nor dataclasses (and with it
+    # inspect) is loaded; modules the interpreter loaded at startup are not
+    # charged to the package
+    host = tmp_path / "c8.rmc"
+    host.write_bytes(EdgeColoring.random(8, random.Random(8)).serialize())
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "allowed = {'ramseykit', 'ramseykit.cli', 'ramseykit.coloring', 'ramseykit.counting',\n"
+        "           'ramseykit.errors', 'ramseykit.graph'}\n"
+        "def unwanted():\n"
+        "    return sorted({m for m in sys.modules if m.startswith('ramseykit')} - allowed\n"
+        "                  | ({'dataclasses', 'inspect'} & set(sys.modules)) - before)\n"
+        "import ramseykit.cli\n"
+        "on_import = unwanted()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = ramseykit.cli.main(['count', '--in', {str(host)!r}, '--pattern', 'P_4'])\n"
+        "sys.exit(code or ' '.join(on_import + unwanted()) or None)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=PACKAGE_ENV, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_exhaustive_search_does_not_load_numpy() -> None:
     # the sweep counts in Python ints, bit-sliced over the graph classes
     code = (
@@ -423,7 +448,7 @@ def test_numpy_imported_first_keeps_its_threads() -> None:
 
 
 def test_numpy_is_imported_at_one_site() -> None:
-    # every other module loads it through structure._numpy
+    # every other module loads it through graph._numpy
     package = Path(ramseykit.__file__).parent
     sites = [
         f"{path.name}:{i}"
@@ -431,7 +456,7 @@ def test_numpy_is_imported_at_one_site() -> None:
         for i, line in enumerate(path.read_text().splitlines(), 1)
         if re.match(r"\s*(import numpy|from numpy\b)", line)
     ]
-    assert len(sites) == 1 and sites[0].startswith("structure.py:"), sites
+    assert len(sites) == 1 and sites[0].startswith("graph.py:"), sites
 
 
 def test_module_entry_point_smoke() -> None:

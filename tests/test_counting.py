@@ -240,6 +240,36 @@ def test_guards_refuse_bad_arguments(call, message: str) -> None:
         call()
 
 
+def test_pattern_is_an_immutable_kind_and_size() -> None:
+    p = Pattern("path", 5)
+    assert repr(p) == "Pattern(kind='path', k=5)"
+    assert hash(p) == hash(("path", 5)) == hash(Pattern.path(5))
+    assert p == Pattern(kind="path", k=5) == parse_pattern("P_5")
+    assert p != Pattern.path(4) and p != Pattern.cycle(5)
+    assert (p.kind, p.k, p.vertex_count, p.edge_count, p.label) == ("path", 5, 5, 4, "P_5")
+    with pytest.raises(AttributeError):
+        p.k = 6
+    with pytest.raises(AttributeError):
+        p.size = 6
+
+
+@pytest.mark.parametrize(
+    "kind, k, message",
+    [
+        ("path", 0, "paths need k >= 1 vertices"),
+        ("cycle", 2, "cycles need k >= 3 vertices"),
+        ("star", 0, "stars need k >= 1 leaves"),
+        ("clique", 1, "cliques are supported for 2 <= k <= 5"),
+        ("clique", 6, "cliques are supported for 2 <= k <= 5"),
+        ("wheel", 4, "unknown pattern kind 'wheel'"),
+    ],
+)
+def test_pattern_refuses_each_bad_kind_and_size(kind: str, k: int, message: str) -> None:
+    with pytest.raises(DomainError) as refused:
+        Pattern(kind, k)
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (2, 3), (5, 4)])
 def test_split_path_formula_below_two_vertices(a: int, b: int) -> None:
     # P_0 has no copy, and each vertex is a P_1 in both views
